@@ -30,12 +30,11 @@
 //!   what enabling tracing costs.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use proclus_core::assign::{assign_points, group_members};
+use proclus_core::assign::assign_points;
 use proclus_core::cache::RoundCache;
 use proclus_core::dims::{
     average_dimension_distances, find_dimensions, find_dimensions_from_averages,
 };
-use proclus_core::evaluate::evaluate_clusters;
 use proclus_core::greedy::greedy_select;
 use proclus_core::locality::{localities, medoid_deltas};
 use proclus_core::pool::with_pool;
@@ -87,12 +86,18 @@ fn bench_phases(c: &mut Criterion) {
     });
 
     let flat = assign_points(points, &medoids, &dims, metric);
-    let opt: Vec<Option<usize>> = flat.iter().map(|&a| Some(a)).collect();
-    let clusters = group_members(&opt, 5);
 
-    c.bench_function("evaluate_clusters/10k", |b| {
-        b.iter(|| black_box(evaluate_clusters(points, &clusters, &dims, points.rows())))
+    with_pool(points, metric, 1, |pool| {
+        c.bench_function("evaluate/10k", |b| {
+            b.iter(|| black_box(pool.evaluate(&flat, &dims)))
+        });
     });
+}
+
+/// CPUs available to this process, recorded in the BENCH files'
+/// caveats (0 when the host does not say).
+fn host_cpus() -> usize {
+    std::thread::available_parallelism().map_or(0, |n| n.get())
 }
 
 /// Fused single-sweep locality + `X` kernel vs the historical two-sweep
@@ -272,11 +277,12 @@ fn bench_cached_vs_uncached_round(c: &mut Criterion) {
          \"swaps_per_round\": 1,\n  \"uncached_ms_per_round\": {:.3},\n  \
          \"cached_ms_per_round\": {:.3},\n  \"speedup\": {:.2},\n  \
          \"caveat\": \"wall-clock means over {rounds} steady-state swap-light \
-         rounds after one warm-up round, single-threaded pool, measured in a \
-         1-CPU dev container\"\n}}\n",
+         rounds after one warm-up round, single-threaded pool, measured on a \
+         host with {} CPUs\"\n}}\n",
         uncached * 1e3,
         cached * 1e3,
         speedup,
+        host_cpus(),
     );
     if let Err(e) = std::fs::write(&out, json) {
         eprintln!("warning: could not write {out}: {e}");
@@ -433,7 +439,7 @@ fn bench_indexed_assignment(c: &mut Criterion) {
          \"fixtures\": [\n{}\n  ],\n  \
          \"caveat\": \"wall-clock means over {rounds} identical rounds (fused \
          locality+X pass and assignment) after one warm-up round, \
-         single-threaded pool, measured in a 1-CPU dev container; \
+         single-threaded pool, measured on a host with {} CPUs; \
          exact_evals count full segmental distance evaluations per round \
          out of 2*n*k candidate pairs; the projected fixture is the \
          paper's low-dimensional regime where the adaptive gates disable \
@@ -441,6 +447,7 @@ fn bench_indexed_assignment(c: &mut Criterion) {
          d=100 scalability regime where abandoned evaluations skip \
          enough work to beat their branch cost\"\n}}\n",
         rows.join(",\n"),
+        host_cpus(),
     );
     if let Err(e) = std::fs::write(&out, json) {
         eprintln!("warning: could not write {out}: {e}");
@@ -557,12 +564,13 @@ fn bench_columnar_kernels(_c: &mut Criterion) {
          \"caveat\": \"wall-clock means over {rounds} interleaved rounds (fused \
          locality+X pass, FindDimensions, assignment) after one warm-up round \
          per configuration, single-threaded pool, no neighbor index, measured \
-         in a 1-CPU dev container; both configurations are bit-identical in \
+         on a host with {} CPUs; both configurations are bit-identical in \
          output (the columnar layout preserves the accumulation order), so \
          the delta is pure layout/vectorization effect; absolute times on \
          shared CI/dev hardware are noisy — the interleaved speedup ratio \
          is the stable number\"\n}}\n",
         rows.join(",\n"),
+        host_cpus(),
     );
     if let Err(e) = std::fs::write(&out, json) {
         eprintln!("warning: could not write {out}: {e}");

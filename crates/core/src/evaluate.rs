@@ -4,6 +4,17 @@
 //! `wᵢ = mean_{j ∈ Dᵢ} Yᵢⱼ`, where `Yᵢⱼ` is the average distance along
 //! dimension `j` from the cluster's points to the cluster **centroid**
 //! (which generally differs from the medoid). Lower is better.
+//!
+//! [`evaluate_clusters`] is the reference form of the objective: it
+//! walks member index lists row by row. Production does not call it.
+//! Fits score every round and the final clustering with
+//! [`crate::pool::Pool::evaluate`], which runs `kernel::evaluate_tiles`
+//! over the columnar tiles straight from the assignment labels. That
+//! evaluator keeps one running sum per (cluster, dimension), fed the
+//! members in the same ascending order as here, and interleaves only
+//! *different* dimensions' sums. So its objective is bit-identical to
+//! this one. The twin tests in `kernel.rs` and `tests/columnar.rs`
+//! compare the two with `to_bits`.
 
 use proclus_math::Matrix;
 

@@ -10,11 +10,10 @@
 //! the absolute `max_rounds` cap), then hands over to the refinement
 //! phase.
 
-use crate::assign::group_members;
 use crate::cache::RoundCache;
 use crate::dims::{chosen_scores, find_dimensions_from_averages};
 use crate::error::ProclusError;
-use crate::evaluate::{bad_medoids, evaluate_clusters};
+use crate::evaluate::bad_medoids;
 use crate::index::NeighborIndex;
 use crate::init::candidate_medoids;
 use crate::locality::medoid_deltas;
@@ -417,7 +416,9 @@ fn run_once(
     // ---- Phase 2: hill climbing ---------------------------------------
     let mut best = current.clone();
     let mut best_objective = f64::INFINITY;
-    let mut best_clusters: Vec<Vec<usize>> = Vec::new();
+    // Labels and cluster sizes of the best vertex's clustering; `None`
+    // until a round improves on infinity.
+    let mut best_clustering: Option<(Vec<usize>, Vec<usize>)> = None;
     let mut rounds = 0usize;
     let mut improvements = 0usize;
     let mut stale = 0usize;
@@ -475,24 +476,19 @@ fn run_once(
                 flat = timed(rec, Phase::Assign, || cache.assign(pool, &current, &dims));
             }
         }
-        let clusters = {
-            let opt: Vec<Option<usize>> = flat.iter().map(|&a| Some(a)).collect();
-            group_members(&opt, k)
-        };
-        let objective = timed(rec, Phase::Evaluate, || {
-            evaluate_clusters(points, &clusters, &dims, n)
-        });
+        let eval = timed(rec, Phase::Evaluate, || pool.evaluate(&flat, &dims));
+        let objective = eval.objective;
 
         let improved = objective < best_objective;
         let cluster_sizes_snapshot: Vec<usize> = if rec.enabled() {
-            clusters.iter().map(Vec::len).collect()
+            eval.sizes.clone()
         } else {
             Vec::new()
         };
         if improved {
             best_objective = objective;
             best = current.clone();
-            best_clusters = clusters;
+            best_clustering = Some((flat, eval.sizes));
             improvements += 1;
             stale = 0;
         } else {
@@ -531,7 +527,7 @@ fn run_once(
         // every vertex (degenerate data, e.g. NaN coordinates). There
         // is no best clustering to mine for bad medoids; stop climbing
         // and let refinement classify what it can.
-        if best_clusters.is_empty() {
+        let Some((_, best_sizes)) = &best_clustering else {
             if !diag
                 .degradations
                 .contains(&Degradation::ObjectiveNeverImproved)
@@ -539,12 +535,11 @@ fn run_once(
                 diag.degradations.push(Degradation::ObjectiveNeverImproved);
             }
             break;
-        }
+        };
 
         // Replace the bad medoids of the best vertex with random unused
         // candidates to form the next vertex.
-        let sizes: Vec<usize> = best_clusters.iter().map(Vec::len).collect();
-        let bad = bad_medoids(&sizes, n, params.min_deviation);
+        let bad = bad_medoids(best_sizes, n, params.min_deviation);
         match replace_bad(&best, &bad, &candidates, &mut rng) {
             Some(next) => {
                 diag.bad_medoid_swaps += bad.len();
@@ -553,7 +548,7 @@ fn run_once(
                         restart,
                         round: rounds,
                         bad: bad.clone(),
-                        cluster_sizes: sizes.clone(),
+                        cluster_sizes: best_sizes.clone(),
                         threshold: (n as f64 / k.max(1) as f64) * params.min_deviation,
                     });
                 }
@@ -572,16 +567,19 @@ fn run_once(
 
     // ---- Phase 3: refinement -------------------------------------------
     let refined = timed(rec, Phase::Refine, || {
+        let iterative_assignment: Vec<Option<usize>> = match best_clustering {
+            Some((labels, _)) => labels.into_iter().map(Some).collect(),
+            None => vec![None; n],
+        };
         refine_with_pool(
             pool,
             &best,
-            &best_clusters,
+            iterative_assignment,
             total_dims,
             params.standardize_dimensions,
         )
     });
-    let final_clusters = group_members(&refined.assignment, k);
-    let final_objective = evaluate_clusters(points, &final_clusters, &refined.dims, n);
+    let final_objective = pool.evaluate(&refined.assignment, &refined.dims).objective;
 
     // Total collapse: not a single point stayed assigned (every cluster
     // empty). The model would be vacuous — surface it as a typed error
@@ -677,7 +675,7 @@ mod tests {
     }
 
     /// Regression: a NaN coordinate makes every round's objective NaN,
-    /// so no round ever "improves" and `best_clusters` stays empty —
+    /// so no round ever "improves" and there is no best clustering —
     /// the bad-medoid step used to hit `bad_medoids`'s `k > 0`
     /// assertion. The climb now stops gracefully and refinement
     /// classifies the finite points.

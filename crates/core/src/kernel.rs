@@ -51,7 +51,7 @@ use crate::index::{
     NEAREST_MIN_DIMS, PREFIX_KEEP_DEN, PREFIX_KEEP_NUM, PROBE_DISABLE_SHIFT, PROBE_POINTS,
     PRUNE_CHUNK,
 };
-use crate::layout::{FastMathStats, TileView, FAST_MATH_TOLERANCE_SCALE};
+use crate::layout::{ColumnarBlocks, FastMathStats, TileView, FAST_MATH_TOLERANCE_SCALE};
 use proclus_math::{DistanceKind, Matrix};
 
 /// Rows per work block. Large enough that per-block dispatch overhead
@@ -1534,6 +1534,244 @@ pub fn refine_assign_block_columnar(
     out
 }
 
+// ---------------------------------------------------------------------
+// EvaluateClusters over the tiles
+// ---------------------------------------------------------------------
+//
+// The objective (Figure 6) needs, per cluster `i` and chosen dimension
+// `j ∈ Dᵢ`, the centroid coordinate `cᵢⱼ = (Σ_p x_pj)·(1/|Cᵢ|)` and the
+// spread `Yᵢⱼ = Σ_p |x_pj − cᵢⱼ|`. The oracle
+// [`crate::evaluate::evaluate_clusters`] forms each of those sums as one
+// running accumulator fed the members in ascending order. The tile
+// evaluator keeps exactly that: every (cluster, position-in-`Dᵢ`)
+// accumulator is a single running sum that receives its members tile
+// after tile, ascending within each tile. Latency is hidden by walking
+// up to four *different* dimensions' accumulators side by side per
+// member — never by splitting one sum into partials, which would
+// reassociate it and move the objective's bits.
+
+/// A point's cluster label as the evaluator reads it: the hill climb's
+/// flat `usize` labels, or the refinement's `Option<usize>` with `None`
+/// for outliers. Labels `≥ k` are treated as outliers too.
+pub trait ClusterLabel: Copy {
+    /// The cluster this point belongs to, if any.
+    fn cluster(self) -> Option<usize>;
+}
+
+impl ClusterLabel for usize {
+    #[inline]
+    fn cluster(self) -> Option<usize> {
+        Some(self)
+    }
+}
+
+impl ClusterLabel for Option<usize> {
+    #[inline]
+    fn cluster(self) -> Option<usize> {
+        self
+    }
+}
+
+/// Objective and cluster sizes of one clustering, from
+/// [`crate::pool::Pool::evaluate`].
+#[derive(Clone, Debug, PartialEq)]
+pub struct Evaluation {
+    /// `Σᵢ |Cᵢ| · wᵢ / N`, bit-identical to
+    /// [`crate::evaluate::evaluate_clusters`].
+    pub objective: f64,
+    /// `|Cᵢ|` per cluster (outliers belong to none).
+    pub sizes: Vec<usize>,
+}
+
+/// Cluster members grouped tile by tile: the members of cluster `i` in
+/// tile `t` are `offsets[starts[t·k + i] .. starts[t·k + i + 1]]`, as
+/// ascending tile-local row offsets.
+struct TileMembers {
+    tiles: Vec<(usize, usize)>,
+    starts: Vec<usize>,
+    offsets: Vec<u32>,
+    sizes: Vec<usize>,
+}
+
+impl TileMembers {
+    /// Counting sort of each tile's rows by label (two passes over the
+    /// labels, stable, so members stay ascending).
+    fn group<L: ClusterLabel>(labels: &[L], k: usize) -> Self {
+        let tiles = blocks(labels.len());
+        let mut starts = Vec::with_capacity(tiles.len() * k + 1);
+        let mut offsets = vec![0u32; labels.len()];
+        let mut sizes = vec![0usize; k];
+        let mut cursor = vec![0usize; k];
+        let mut base = 0usize;
+        let cluster_of = |l: &L| l.cluster().filter(|&i| i < k);
+        for &(lo, hi) in &tiles {
+            let tile_labels = &labels[lo..hi];
+            for i in tile_labels.iter().filter_map(cluster_of) {
+                cursor[i] += 1;
+            }
+            for (c, size) in cursor.iter_mut().zip(sizes.iter_mut()) {
+                let count = *c;
+                starts.push(base);
+                *size += count;
+                *c = base;
+                base += count;
+            }
+            for (o, l) in tile_labels.iter().enumerate() {
+                if let Some(i) = cluster_of(l) {
+                    // Tile-local offsets are < BLOCK, so they fit in u32.
+                    offsets[cursor[i]] = o as u32;
+                    cursor[i] += 1;
+                }
+            }
+            cursor.iter_mut().for_each(|c| *c = 0);
+        }
+        starts.push(base);
+        offsets.truncate(base);
+        Self {
+            tiles,
+            starts,
+            offsets,
+            sizes,
+        }
+    }
+
+    /// Members of cluster `i` in tile `t`.
+    #[inline]
+    fn of(&self, t: usize, i: usize) -> &[u32] {
+        let k = self.sizes.len();
+        &self.offsets[self.starts[t * k + i]..self.starts[t * k + i + 1]]
+    }
+}
+
+/// Feed `W` accumulators — one per dimension column in `cols` — the
+/// values `f(x, center)` of the listed members, in member order. Each
+/// accumulator stays a single running sum; the `W` chains only run side
+/// by side.
+#[inline(always)]
+fn accumulate_group<const W: usize>(
+    cols: [&[f64]; W],
+    centers: [f64; W],
+    members: &[u32],
+    acc: &mut [f64],
+    f: impl Fn(f64, f64) -> f64,
+) {
+    let mut a: [f64; W] = [0.0; W];
+    a.copy_from_slice(&acc[..W]);
+    for &o in members {
+        let o = o as usize;
+        for g in 0..W {
+            a[g] += f(cols[g][o], centers[g]);
+        }
+    }
+    acc[..W].copy_from_slice(&a);
+}
+
+/// One sweep over every tile: for each cluster with members and
+/// dimensions, `acc[i][t] += f(x_pj, centers[i][t])` over its members
+/// `p` (ascending, tile after tile) for each position `t` of `j` in
+/// `dims[i]`, four positions at a time plus a narrower remainder group.
+fn sweep_clusters(
+    layout: &ColumnarBlocks,
+    members: &TileMembers,
+    dims: &[Vec<usize>],
+    centers: &[Vec<f64>],
+    acc: &mut [Vec<f64>],
+    f: impl Fn(f64, f64) -> f64 + Copy,
+) {
+    for (t, &(lo, hi)) in members.tiles.iter().enumerate() {
+        let Some(tile) = layout.tile(lo, hi) else {
+            return;
+        };
+        let col = |j: usize| tile.col(j, lo, hi);
+        for (i, di) in dims.iter().enumerate() {
+            let mem = members.of(t, i);
+            if mem.is_empty() {
+                continue;
+            }
+            let (ci, ai) = (&centers[i], &mut acc[i]);
+            let mut g = 0;
+            while g + 4 <= di.len() {
+                let cols = [col(di[g]), col(di[g + 1]), col(di[g + 2]), col(di[g + 3])];
+                let cen = [ci[g], ci[g + 1], ci[g + 2], ci[g + 3]];
+                accumulate_group(cols, cen, mem, &mut ai[g..], f);
+                g += 4;
+            }
+            let rest = &mut ai[g..];
+            match di.len() - g {
+                3 => accumulate_group(
+                    [col(di[g]), col(di[g + 1]), col(di[g + 2])],
+                    [ci[g], ci[g + 1], ci[g + 2]],
+                    mem,
+                    rest,
+                    f,
+                ),
+                2 => accumulate_group(
+                    [col(di[g]), col(di[g + 1])],
+                    [ci[g], ci[g + 1]],
+                    mem,
+                    rest,
+                    f,
+                ),
+                1 => accumulate_group([col(di[g])], [ci[g]], mem, rest, f),
+                _ => {}
+            }
+        }
+    }
+}
+
+/// EvaluateClusters (Figure 6) over the columnar tiles, from one label
+/// per point: returns the objective `Σᵢ |Cᵢ| · wᵢ / N` with `N =
+/// labels.len()`, bit-identical to
+/// [`crate::evaluate::evaluate_clusters`] over the same grouping, and
+/// the cluster sizes. `dims[i]` is cluster `i`'s dimension set (`k =
+/// dims.len()`); clusters without members or dimensions contribute
+/// zero. `labels` must cover exactly the rows `layout` mirrors.
+///
+/// Pass 1 sums each cluster's centroid over `Dᵢ` only; pass 2 sums
+/// `Yᵢⱼ = Σ|x_pj − cᵢⱼ|` over the same members. Both read the members
+/// through per-tile lists built once per call (`N` `u32` offsets).
+pub(crate) fn evaluate_tiles<L: ClusterLabel>(
+    layout: &ColumnarBlocks,
+    labels: &[L],
+    dims: &[Vec<usize>],
+) -> Evaluation {
+    let n = labels.len();
+    let members = TileMembers::group(labels, dims.len());
+    let zeros = |di: &Vec<usize>| vec![0.0f64; di.len()];
+    let mut centers: Vec<Vec<f64>> = dims.iter().map(zeros).collect();
+    let ignored = centers.clone();
+    sweep_clusters(layout, &members, dims, &ignored, &mut centers, |x, _| x);
+    for (c, &size) in centers.iter_mut().zip(&members.sizes) {
+        if size > 0 {
+            let inv = 1.0 / size as f64;
+            c.iter_mut().for_each(|v| *v *= inv);
+        }
+    }
+    let mut spread: Vec<Vec<f64>> = dims.iter().map(zeros).collect();
+    sweep_clusters(layout, &members, dims, &centers, &mut spread, |x, c| {
+        (x - c).abs()
+    });
+    let mut objective = 0.0;
+    if n > 0 {
+        for (y, &size) in spread.iter().zip(&members.sizes) {
+            if size == 0 || y.is_empty() {
+                continue;
+            }
+            let mut w = 0.0;
+            for &yij in y {
+                w += yij / size as f64;
+            }
+            w /= y.len() as f64;
+            objective += size as f64 * w;
+        }
+        objective /= n as f64;
+    }
+    Evaluation {
+        objective,
+        sizes: members.sizes,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1547,6 +1785,153 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(seed);
         let data: Vec<f64> = (0..n * d).map(|_| rng.random_range(0.0..100.0)).collect();
         Matrix::from_vec(data, n, d)
+    }
+
+    /// The oracle's answer for `labels`: group the members, then
+    /// `evaluate_clusters` over all `N` points.
+    fn oracle(points: &Matrix, labels: &[Option<usize>], dims: &[Vec<usize>]) -> Evaluation {
+        let clusters = crate::assign::group_members(labels, dims.len());
+        Evaluation {
+            objective: crate::evaluate::evaluate_clusters(points, &clusters, dims, points.rows()),
+            sizes: clusters.iter().map(Vec::len).collect(),
+        }
+    }
+
+    /// The tile evaluator must match the oracle bit for bit, in the
+    /// `Option` form and — without outliers — in the flat form too.
+    fn assert_evaluation_twin(
+        points: &Matrix,
+        labels: &[Option<usize>],
+        dims: &[Vec<usize>],
+        ctx: &str,
+    ) {
+        let cb = ColumnarBlocks::build(points, false);
+        let want = oracle(points, labels, dims);
+        let got = evaluate_tiles(&cb, labels, dims);
+        assert_eq!(got.sizes, want.sizes, "{ctx}: sizes");
+        assert_eq!(
+            got.objective.to_bits(),
+            want.objective.to_bits(),
+            "{ctx}: {:e} vs {:e}",
+            got.objective,
+            want.objective
+        );
+        if labels.iter().all(Option::is_some) {
+            let flat: Vec<usize> = labels.iter().flatten().copied().collect();
+            let got = evaluate_tiles(&cb, &flat, dims);
+            assert_eq!(got.sizes, want.sizes, "{ctx}: flat sizes");
+            assert_eq!(
+                got.objective.to_bits(),
+                want.objective.to_bits(),
+                "{ctx}: flat"
+            );
+        }
+    }
+
+    /// Nine clusters with `|Dᵢ| = i + 1` (so groups of 1–9 dims: the
+    /// 4-wide group, its remainders, and both together), unsorted dims;
+    /// cluster 3 empty, cluster 5 a singleton, and `outliers` of the
+    /// rows labeled `None`.
+    fn twin_labels(
+        n: usize,
+        d: usize,
+        outliers: bool,
+        seed: u64,
+    ) -> (Vec<Option<usize>>, Vec<Vec<usize>>) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let dims: Vec<Vec<usize>> = (0..9)
+            .map(|i| rand::seq::index::sample(&mut rng, d, i + 1).into_vec())
+            .collect();
+        let mut labels: Vec<Option<usize>> = (0..n)
+            .map(|_| match rng.random_range(0..12usize) {
+                3 | 5 => Some(0),
+                c if c >= 9 && outliers => None,
+                c => Some(c % 9),
+            })
+            .collect();
+        labels[n / 2] = Some(5);
+        (labels, dims)
+    }
+
+    #[test]
+    fn tile_evaluator_is_bitwise_twin_of_evaluate_clusters() {
+        let d = 10;
+        for n in [1usize, 1023, 1024, 1025, 3073] {
+            let mut rng = StdRng::seed_from_u64(n as u64);
+            let protos: Vec<Vec<f64>> = (0..7)
+                .map(|_| (0..d).map(|_| rng.random_range(-5.0..5.0)).collect())
+                .collect();
+            let families = [
+                ("uniform", random_points(n, d, 40 + n as u64)),
+                (
+                    "duplicate-rows",
+                    Matrix::from_vec((0..n).flat_map(|p| protos[p % 7].clone()).collect(), n, d),
+                ),
+                (
+                    "magnitude-1e9",
+                    Matrix::from_vec(
+                        (0..n * d)
+                            .map(|i| {
+                                let v: f64 = rng.random_range(-1.0..1.0);
+                                if i % 3 == 0 {
+                                    v * 1.0e9
+                                } else {
+                                    v
+                                }
+                            })
+                            .collect(),
+                        n,
+                        d,
+                    ),
+                ),
+            ];
+            for (family, points) in &families {
+                for outliers in [false, true] {
+                    let (labels, dims) = twin_labels(n, d, outliers, 7 + n as u64);
+                    let ctx = format!("{family}/n={n}/outliers={outliers}");
+                    assert_evaluation_twin(points, &labels, &dims, &ctx);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn tile_evaluator_propagates_nan_like_the_oracle() {
+        let (n, d) = (1_500, 10);
+        let mut data: Vec<f64> = random_points(n, d, 3).as_slice().to_vec();
+        let (labels, dims) = twin_labels(n, d, true, 11);
+        // A NaN on a chosen dimension of a clustered point.
+        let p = (0..n).find(|&p| labels[p] == Some(8)).unwrap();
+        data[p * d + dims[8][0]] = f64::NAN;
+        let points = Matrix::from_vec(data, n, d);
+        let cb = ColumnarBlocks::build(&points, false);
+        let want = oracle(&points, &labels, &dims);
+        let got = evaluate_tiles(&cb, &labels, &dims);
+        assert!(want.objective.is_nan() && got.objective.is_nan());
+        assert_eq!(got.sizes, want.sizes);
+    }
+
+    #[test]
+    fn tile_evaluator_edge_shapes() {
+        let points = random_points(5, 3, 1);
+        let cb = ColumnarBlocks::build(&points, false);
+        // No clusters, and no dimensions: objective 0.
+        let none: Vec<usize> = vec![0; 5];
+        assert_eq!(evaluate_tiles(&cb, &none, &[]).objective, 0.0);
+        let e = evaluate_tiles(&cb, &none, &[vec![]]);
+        assert_eq!((e.objective, e.sizes), (0.0, vec![5]));
+        // Every point an outlier, or labeled out of range.
+        let out: Vec<Option<usize>> = vec![None, Some(2), None, Some(7), None];
+        let e = evaluate_tiles(&cb, &out, &[vec![0], vec![1, 2]]);
+        assert_eq!((e.objective, e.sizes), (0.0, vec![0, 0]));
+        // No points at all.
+        let empty = Matrix::from_vec(Vec::new(), 0, 3);
+        let e = evaluate_tiles(
+            &ColumnarBlocks::build(&empty, false),
+            &[] as &[usize],
+            &[vec![0]],
+        );
+        assert_eq!((e.objective, e.sizes), (0.0, vec![0]));
     }
 
     #[test]

@@ -843,6 +843,31 @@ impl<'env> Pool<'env> {
         kernel::merge_cluster_x(parts, &counts, d)
     }
 
+    /// EvaluateClusters over the columnar tiles: the objective and the
+    /// cluster sizes of the clustering given by one label per point
+    /// (`usize` in the hill climb, `Option<usize>` with outliers after
+    /// refinement) and the per-cluster dimension sets. Bit-identical to
+    /// [`crate::evaluate::evaluate_clusters`]; see `kernel::evaluate_tiles`
+    /// for the argument.
+    ///
+    /// Runs on the calling thread and books no pool work: the
+    /// `dispatches`/`blocks` counters embedded in `round` events stay
+    /// what they were. Without a columnar layout (row-major benches)
+    /// the tiles are built for the call.
+    pub fn evaluate<L: kernel::ClusterLabel>(
+        &self,
+        labels: &[L],
+        dims: &[Vec<usize>],
+    ) -> kernel::Evaluation {
+        debug_assert_eq!(labels.len(), self.points.rows());
+        match &self.layout {
+            Some(layout) => kernel::evaluate_tiles(layout, labels, dims),
+            None => {
+                kernel::evaluate_tiles(&ColumnarBlocks::build(self.points, false), labels, dims)
+            }
+        }
+    }
+
     /// Refinement assignment: nearest medoid, `None` outside every
     /// sphere of influence.
     pub fn refine_assign(

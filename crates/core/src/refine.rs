@@ -135,26 +135,21 @@ pub fn refine_opt(
 /// accumulation and the final reassignment) through the per-fit worker
 /// pool. This is the path [`crate::iterate`] takes; results are
 /// bit-identical for every thread count (see [`crate::kernel`]).
+///
+/// `iterative_assignment[p]` is point `p`'s cluster in the iterative
+/// phase's best clustering (`None`: in no cluster).
 pub fn refine_with_pool(
     pool: &mut Pool<'_>,
     medoids: &[usize],
-    iterative_clusters: &[Vec<usize>],
+    iterative_assignment: Vec<Option<usize>>,
     total_dims: usize,
     standardize: bool,
 ) -> Refined {
-    let points = pool.points();
     let metric = pool.metric();
 
-    // 1. Recompute dimensions from the cluster distributions. The
-    //    member lists become an assignment vector so a blocked sweep
-    //    can accumulate every cluster's X sums in one pass.
-    let mut assignment: Vec<Option<usize>> = vec![None; points.rows()];
-    for (i, members) in iterative_clusters.iter().enumerate() {
-        for &p in members {
-            assignment[p] = Some(i);
-        }
-    }
-    let x = pool.cluster_x(medoids, Arc::new(assignment));
+    // 1. Recompute dimensions from the cluster distributions: one
+    //    blocked sweep accumulates every cluster's X sums.
+    let x = pool.cluster_x(medoids, Arc::new(iterative_assignment));
     let dims = find_dimensions_from_averages(&x, total_dims, standardize);
 
     // 2. Spheres of influence under the new dimension sets (O(k²·l),

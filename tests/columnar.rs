@@ -5,6 +5,8 @@
 //! 1e±9 magnitudes) — and the opt-in `f32` fast path must leave the
 //! recorded event stream byte-identical.
 
+use proclus::core::assign::group_members;
+use proclus::core::evaluate::evaluate_clusters;
 use proclus::core::locality::medoid_deltas;
 use proclus::core::pool::{with_pool_opts, PoolOptions};
 use proclus::obs::JsonlRecorder;
@@ -110,6 +112,66 @@ fn columnar_pool_passes_are_bit_identical_to_row_major() {
                 assert_bits_eq(&baseline.2 .1, &got.2 .1, &format!("{ctx}: assign+X sums"));
                 assert_eq!(baseline.3, got.3, "{ctx}: refine assignment");
                 assert_bits_eq(&baseline.4, &got.4, &format!("{ctx}: cluster X"));
+            }
+        }
+    }
+}
+
+/// `Pool::evaluate` — the one production evaluator, for both the
+/// per-round objective (flat labels) and the final objective (labels
+/// with outliers) — must equal the `evaluate_clusters` oracle bit for
+/// bit at threads 1/2/8, over the tiles and without them.
+#[test]
+fn pool_evaluator_matches_evaluate_clusters_bit_for_bit() {
+    let (n, d) = (3_073usize, 7usize);
+    let metric = DistanceKind::Manhattan;
+    for (family, points) in [
+        ("tie-heavy", tie_heavy(n, d, 31)),
+        ("duplicate-rows", duplicate_rows(n, d, 32)),
+        ("mixed-magnitude", mixed_magnitude(n, d, 33)),
+    ] {
+        let medoids = vec![5usize, 800, 1_500, 2_900];
+        let dims = vec![
+            vec![0, 1, 2, 3, 4, 5],
+            vec![1, 3],
+            vec![6, 0, 4, 5, 2],
+            vec![3],
+        ];
+        let deltas = medoid_deltas(&points, &medoids, metric);
+        let spheres: Vec<f64> = deltas.iter().map(|d| d * 0.8).collect();
+        let oracle = |labels: &[Option<usize>]| {
+            let clusters = group_members(labels, dims.len());
+            let sizes: Vec<usize> = clusters.iter().map(Vec::len).collect();
+            (evaluate_clusters(&points, &clusters, &dims, n), sizes)
+        };
+        for columnar in [true, false] {
+            for threads in [1usize, 2, 8] {
+                let ctx = format!("{family}/columnar={columnar}/t{threads}");
+                let opts = PoolOptions {
+                    columnar,
+                    fast_math: false,
+                };
+                with_pool_opts(&points, metric, threads, opts, |pool| {
+                    let flat = pool.assign(&medoids, &dims);
+                    let refined = pool.refine_assign(&medoids, &dims, &spheres);
+                    assert!(refined.iter().any(Option::is_none), "{ctx}: no outliers");
+                    let opt: Vec<Option<usize>> = flat.iter().map(|&a| Some(a)).collect();
+                    for (form, labels) in [("round", &opt), ("final", &refined)] {
+                        let (want, want_sizes) = oracle(labels);
+                        let got = if form == "round" {
+                            pool.evaluate(&flat, &dims)
+                        } else {
+                            pool.evaluate(labels, &dims)
+                        };
+                        assert_eq!(got.sizes, want_sizes, "{ctx}/{form}: sizes");
+                        assert_eq!(
+                            got.objective.to_bits(),
+                            want.to_bits(),
+                            "{ctx}/{form}: {:e} vs {want:e}",
+                            got.objective
+                        );
+                    }
+                });
             }
         }
     }

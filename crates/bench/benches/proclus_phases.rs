@@ -13,16 +13,9 @@
 //!   1, 2, 4, and 8 threads on a paper-scale dataset; the per-round
 //!   speedup at `threads ≥ 4` is the pool's acceptance bar. Override
 //!   the dataset size with `PROCLUS_BENCH_N`.
-//! * `indexed_assignment/*/100k` — one round's fused pass + assignment
-//!   with and without the exact-pruning neighbor index, on two
-//!   fixtures: `projected` (paper-style low-dimensional clusters, where
-//!   the adaptive gates must keep the index near-free) and `separable`
-//!   (high-dimensional clusters, where the bounds genuinely prune);
-//!   also writes `BENCH_5.json` with the exact-distance-evaluation
-//!   reduction and wall-clock delta for both.
-//! * `columnar_round/*` — one round through the row-major vs the
-//!   dimension-major (columnar) kernels at N = 1M on the `projected`
-//!   and `separable` fixtures; writes `BENCH_6.json`.
+//! * `columnar_round/*` — one round through the row-major reference
+//!   kernels vs the pool's dimension-major (columnar) kernels at N = 1M
+//!   on a `projected` and a `separable` fixture; writes `BENCH_6.json`.
 //! * `trace_overhead/2k` — a full `fit` with the default no-op
 //!   recorder vs an explicit `fit_traced(.., &NoopRecorder)` vs a live
 //!   `RingRecorder`. The first two must be indistinguishable (the
@@ -295,174 +288,14 @@ fn bench_cached_vs_uncached_round(c: &mut Criterion) {
     }
 }
 
-/// Indexed vs unindexed round work (fused locality + X pass followed
-/// by assignment) on two paper-scale fixtures: `N` = 100k (override
-/// with `PROCLUS_BENCH_N`), d = 20, k = 5, single-threaded pool.
-///
-/// * `projected` — the paper's regime: clusters live in ~5-dimensional
-///   subspaces, so full-dimensional localities are noise-dominated and
-///   the per-medoid dimension sets are tiny. The index cannot win here;
-///   the adaptive gates (see `proclus_core::index`) must keep its cost
-///   near zero. The interesting number is `speedup ≈ 1`.
-/// * `separable` — the paper's high-dimensional scalability regime:
-///   d = 100, ten clusters spanning 80 dimensions. The per-medoid
-///   dimension sets are ~60 dimensions, so an abandoned evaluation
-///   skips dozens of serial adds — enough to dwarf the data-dependent
-///   branch cost that makes abandonment a net loss at small `|D|` —
-///   and most candidates abandon against a tight incumbent. The
-///   interesting numbers are the exact-evaluation reduction and
-///   `speedup > 1`.
-///
-/// Criterion reports both; each fixture is then measured manually —
-/// wall-clock plus the exact-distance-evaluation counts from
-/// [`PruneStats`] — and written to `BENCH_5.json` (override with
-/// `PROCLUS_BENCH_OUT5`), since the vendored criterion shim has no
-/// JSON output of its own.
-fn bench_indexed_assignment(c: &mut Criterion) {
-    use proclus_core::index::NeighborIndex;
-    use std::sync::Arc;
-
-    let n: usize = std::env::var("PROCLUS_BENCH_N")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(100_000);
-    let rounds: usize = std::env::var("PROCLUS_BENCH_ROUNDS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(10);
-    let metric = DistanceKind::Manhattan;
-
-    // (name, dimensionality, clusters, per-cluster dimensionality,
-    // FindDimensions budget).
-    let fixtures = [
-        ("projected", 20usize, 5usize, 5usize, 25usize),
-        ("separable", 100, 10, 80, 600),
-    ];
-    let mut rows = Vec::new();
-    for (name, d, k, cluster_dims, total_dims) in fixtures {
-        let data = SyntheticSpec::new(n, d, k, cluster_dims as f64)
-            .fixed_dims(vec![cluster_dims; k])
-            .seed(7)
-            .generate();
-        let points = &data.points;
-        let candidates: Vec<usize> = (0..points.rows()).step_by(31).collect();
-        let mut rng = StdRng::seed_from_u64(3);
-        let medoids = greedy_select(points, &candidates, k, &metric, &mut rng);
-        let deltas = medoid_deltas(points, &medoids, metric);
-
-        let mut group = c.benchmark_group(format!("indexed_assignment/{name}/{n}"));
-        for (label, indexed) in [("unindexed", false), ("indexed", true)] {
-            group.bench_function(label, |b| {
-                with_pool(points, metric, 1, |pool| {
-                    if indexed {
-                        pool.set_index(Some(Arc::new(NeighborIndex::build(points, metric))));
-                    }
-                    b.iter(|| {
-                        let (_locs, x) = pool.fused_round(&medoids, &deltas);
-                        let dims = find_dimensions_from_averages(&x, total_dims, true);
-                        black_box(pool.assign(&medoids, &dims))
-                    })
-                })
-            });
-        }
-        group.finish();
-
-        // One measured pass, alternating unindexed and indexed rounds
-        // on the same pool (index toggled per round) so slow
-        // machine-load drift hits both configurations equally. The
-        // unindexed path evaluates every (point, medoid) pair and
-        // leaves the prune counters untouched, so the indexed path's
-        // evaluation count is the [`PruneStats`] delta.
-        let index = Arc::new(NeighborIndex::build(points, metric));
-        let (unindexed_secs, indexed_secs, indexed_evals) = with_pool(points, metric, 1, |pool| {
-            let round = |pool: &mut proclus_core::pool::Pool<'_>| {
-                let (_locs, x) = pool.fused_round(&medoids, &deltas);
-                let dims = find_dimensions_from_averages(&x, total_dims, true);
-                black_box(pool.assign(&medoids, &dims));
-            };
-            // Warm-up both configurations.
-            pool.set_index(None);
-            round(pool);
-            pool.set_index(Some(Arc::clone(&index)));
-            round(pool);
-            let base = pool.prune_stats();
-            let (mut plain_secs, mut idx_secs) = (0.0f64, 0.0f64);
-            for _ in 0..rounds {
-                pool.set_index(None);
-                let t = std::time::Instant::now();
-                round(pool);
-                plain_secs += t.elapsed().as_secs_f64();
-                pool.set_index(Some(Arc::clone(&index)));
-                let t = std::time::Instant::now();
-                round(pool);
-                idx_secs += t.elapsed().as_secs_f64();
-            }
-            let stats = pool.prune_stats();
-            let evals = (stats.range_verified + stats.nearest_verified
-                - base.range_verified
-                - base.nearest_verified)
-                / rounds as u64;
-            (plain_secs / rounds as f64, idx_secs / rounds as f64, evals)
-        });
-        let unindexed_evals = 2 * (n * k) as u64;
-        let speedup = unindexed_secs / indexed_secs;
-        let eval_reduction = 1.0 - indexed_evals as f64 / unindexed_evals as f64;
-        eprintln!(
-            "indexed_assignment/{name}/{n}: unindexed {:.1}ms indexed {:.1}ms \
-             speedup {speedup:.2}x eval-reduction {:.1}%",
-            unindexed_secs * 1e3,
-            indexed_secs * 1e3,
-            eval_reduction * 100.0,
-        );
-        rows.push(format!(
-            "    {{\n      \"fixture\": \"{name}\",\n      \
-             \"d\": {d},\n      \
-             \"k\": {k},\n      \
-             \"cluster_dims\": {cluster_dims},\n      \
-             \"unindexed_ms_per_round\": {:.3},\n      \
-             \"indexed_ms_per_round\": {:.3},\n      \
-             \"speedup\": {speedup:.2},\n      \
-             \"exact_evals_unindexed\": {unindexed_evals},\n      \
-             \"exact_evals_indexed\": {indexed_evals},\n      \
-             \"exact_eval_reduction\": {:.4}\n    }}",
-            unindexed_secs * 1e3,
-            indexed_secs * 1e3,
-            eval_reduction,
-        ));
-    }
-
-    let out = std::env::var("PROCLUS_BENCH_OUT5")
-        .unwrap_or_else(|_| concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_5.json").to_string());
-    let json = format!(
-        "{{\n  \"bench\": \"indexed_assignment\",\n  \"n\": {n},\n  \
-         \"rounds\": {rounds},\n  \
-         \"fixtures\": [\n{}\n  ],\n  \
-         \"caveat\": \"wall-clock means over {rounds} identical rounds (fused \
-         locality+X pass and assignment) after one warm-up round, \
-         single-threaded pool, measured on a host with {} CPUs; \
-         exact_evals count full segmental distance evaluations per round \
-         out of 2*n*k candidate pairs; the projected fixture is the \
-         paper's low-dimensional regime where the adaptive gates disable \
-         pruning (speedup ~1 is the goal), the separable fixture is the \
-         d=100 scalability regime where abandoned evaluations skip \
-         enough work to beat their branch cost\"\n}}\n",
-        rows.join(",\n"),
-        host_cpus(),
-    );
-    if let Err(e) = std::fs::write(&out, json) {
-        eprintln!("warning: could not write {out}: {e}");
-    } else {
-        eprintln!("indexed_assignment -> {out}");
-    }
-}
-
 /// Columnar (dimension-major tiled) vs row-major kernels for one full
-/// round (fused locality + X pass → FindDimensions → assignment) on
-/// the two paper-scale fixtures of `bench_indexed_assignment`, at
-/// `N` = 1M by default (override with `PROCLUS_BENCH_N6`, falling back
-/// to `PROCLUS_BENCH_N`), single-threaded pool, no neighbor index —
-/// isolating the layout itself. Results go to `BENCH_6.json` (override
-/// with `PROCLUS_BENCH_OUT6`).
+/// round (fused locality + X pass → FindDimensions → assignment) on two
+/// paper-scale fixtures, at `N` = 1M by default (override with
+/// `PROCLUS_BENCH_N6`, falling back to `PROCLUS_BENCH_N`). The columnar
+/// side is a single-threaded pool; the row-major side runs the
+/// reference kernels of `proclus_core::kernel` block by block on one
+/// thread, merged exactly as the pool merges. Results go to
+/// `BENCH_6.json` (override with `PROCLUS_BENCH_OUT6`).
 ///
 /// * `projected` (d = 20) — small per-medoid dimension sets; the round
 ///   is dominated by the full-space locality sweep where both layouts
@@ -473,12 +306,12 @@ fn bench_indexed_assignment(c: &mut Criterion) {
 ///   dependency chain per (point, medoid). This is where the layout
 ///   must win.
 ///
-/// Rounds alternate row-major and columnar on two pools over the same
-/// matrix so machine-load drift hits both configurations equally. No
+/// Rounds alternate row-major and columnar over the same matrix so
+/// machine-load drift hits both configurations equally. No
 /// criterion group: at N = 1M criterion's sampling would swamp CI, and
 /// the JSON report is the artifact that matters.
 fn bench_columnar_kernels(_c: &mut Criterion) {
-    use proclus_core::pool::{with_pool_opts, PoolOptions};
+    use proclus_core::kernel;
 
     let n: usize = std::env::var("PROCLUS_BENCH_N6")
         .or_else(|_| std::env::var("PROCLUS_BENCH_N"))
@@ -506,35 +339,39 @@ fn bench_columnar_kernels(_c: &mut Criterion) {
         let medoids = greedy_select(points, &candidates, k, &metric, &mut rng);
         let deltas = medoid_deltas(points, &medoids, metric);
 
-        let round = |pool: &mut proclus_core::pool::Pool<'_>| {
+        let blocks = kernel::blocks(points.rows());
+        let row_round = || {
+            let fused = blocks
+                .iter()
+                .map(|&(lo, hi)| kernel::fused_block(points, metric, &medoids, &deltas, lo, hi))
+                .collect();
+            let (_locs, x) = kernel::merge_fused(fused, &medoids, d);
+            let dims = find_dimensions_from_averages(&x, total_dims, true);
+            let assign: Vec<usize> = blocks
+                .iter()
+                .flat_map(|&(lo, hi)| kernel::assign_block(points, metric, &medoids, &dims, lo, hi))
+                .collect();
+            black_box(assign);
+        };
+        let col_round = |pool: &mut proclus_core::pool::Pool<'_>| {
             let (_locs, x) = pool.fused_round(&medoids, &deltas);
             let dims = find_dimensions_from_averages(&x, total_dims, true);
             black_box(pool.assign(&medoids, &dims));
         };
-        let row_opts = PoolOptions {
-            columnar: false,
-            fast_math: false,
-        };
-        let col_opts = PoolOptions {
-            columnar: true,
-            fast_math: false,
-        };
-        let (rowmajor_secs, columnar_secs) = with_pool_opts(points, metric, 1, row_opts, |p0| {
-            with_pool_opts(points, metric, 1, col_opts, |p1| {
-                // Warm up both configurations (page-in, branch warmup).
-                round(p0);
-                round(p1);
-                let (mut row_secs, mut col_secs) = (0.0f64, 0.0f64);
-                for _ in 0..rounds {
-                    let t = std::time::Instant::now();
-                    round(p0);
-                    row_secs += t.elapsed().as_secs_f64();
-                    let t = std::time::Instant::now();
-                    round(p1);
-                    col_secs += t.elapsed().as_secs_f64();
-                }
-                (row_secs / rounds as f64, col_secs / rounds as f64)
-            })
+        let (rowmajor_secs, columnar_secs) = with_pool(points, metric, 1, |pool| {
+            // Warm up both configurations (page-in, branch warmup).
+            row_round();
+            col_round(pool);
+            let (mut row_secs, mut col_secs) = (0.0f64, 0.0f64);
+            for _ in 0..rounds {
+                let t = std::time::Instant::now();
+                row_round();
+                row_secs += t.elapsed().as_secs_f64();
+                let t = std::time::Instant::now();
+                col_round(pool);
+                col_secs += t.elapsed().as_secs_f64();
+            }
+            (row_secs / rounds as f64, col_secs / rounds as f64)
         });
         let speedup = rowmajor_secs / columnar_secs;
         eprintln!(
@@ -563,10 +400,11 @@ fn bench_columnar_kernels(_c: &mut Criterion) {
          \"fixtures\": [\n{}\n  ],\n  \
          \"caveat\": \"wall-clock means over {rounds} interleaved rounds (fused \
          locality+X pass, FindDimensions, assignment) after one warm-up round \
-         per configuration, single-threaded pool, no neighbor index, measured \
-         on a host with {} CPUs; both configurations are bit-identical in \
-         output (the columnar layout preserves the accumulation order), so \
-         the delta is pure layout/vectorization effect; absolute times on \
+         per configuration, single-threaded, measured on a host with {} CPUs; \
+         the row-major side runs the reference kernels block by block and \
+         both configurations are bit-identical in output (the columnar \
+         layout preserves the accumulation order), so the delta is pure \
+         layout/vectorization effect; absolute times on \
          shared CI/dev hardware are noisy — the interleaved speedup ratio \
          is the stable number\"\n}}\n",
         rows.join(",\n"),
@@ -619,7 +457,6 @@ criterion_group!(
     bench_fused_vs_unfused,
     bench_pooled_round_throughput,
     bench_cached_vs_uncached_round,
-    bench_indexed_assignment,
     bench_columnar_kernels,
     bench_trace_overhead
 );

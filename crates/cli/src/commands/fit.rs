@@ -25,21 +25,15 @@ proclus fit — PROCLUS projected clustering (SIGMOD 1999)
   --no-round-cache  recompute every round from scratch instead of the
                     incremental cross-round cache (results are
                     bit-identical either way; see DESIGN.md §5d)
-  --no-index        skip the exact-pruning neighbor index (sketch +
-                    triangle bounds); every distance is then computed
-                    directly (results are bit-identical either way;
-                    see DESIGN.md §5e)
-  --fast-math       opt into the exactness-gated f32 screening fast
-                    path in the assignment kernels (results are
-                    bit-identical either way; engages where distances
-                    are evaluated directly, so pair with
-                    --no-round-cache; see DESIGN.md §5h)
   --verbose         print the recorded trace summary (convergence,
                     swap history) plus fit diagnostics
   --trace-out <dir> stream events.jsonl + run.json into this directory
                     (inspect later with `proclus inspect-trace`)
   --out <path>      write points + assignment labels to this file
 ";
+
+/// The flags of `proclus fit` that take no value.
+pub const SWITCHES: &[&str] = &["paper-literal", "verbose", "no-round-cache"];
 
 /// Ring capacity for the `--verbose` summary; old events are evicted
 /// (and counted) beyond this, which the summary reports.
@@ -61,8 +55,6 @@ pub fn parse_metric(name: &str) -> Result<DistanceKind, ArgError> {
 fn params_json(input: &Path, params: &Proclus, metric: &str, paper_literal: bool) -> Json {
     Json::Obj(vec![
         ("round_cache".into(), Json::Bool(params.round_cache)),
-        ("neighbor_index".into(), Json::Bool(params.neighbor_index)),
-        ("fast_math".into(), Json::Bool(params.fast_math)),
         ("algorithm".into(), Json::Str("proclus".into())),
         ("input".into(), Json::Str(input.display().to_string())),
         ("k".into(), Json::Num(params.k as f64)),
@@ -113,9 +105,7 @@ pub fn run(args: &Args, out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
         .threads(args.get_parsed("threads", 1usize)?)
         .min_deviation(args.get_parsed("min-deviation", 0.1)?)
         .distance(parse_metric(&metric)?)
-        .round_cache(!args.switch("no-round-cache"))
-        .neighbor_index(!args.switch("no-index"))
-        .fast_math(args.switch("fast-math"));
+        .round_cache(!args.switch("no-round-cache"));
     if paper_literal {
         params = params.inner_refinements(0);
     }
@@ -280,36 +270,33 @@ mod tests {
         );
     }
 
-    /// `--no-index` is accepted and produces byte-identical output
-    /// (the pruning index is a pure performance layer).
+    /// The retired `--no-index` and `--fast-math` switches are unknown
+    /// flags now: wherever they appear, the command fails with a usage
+    /// error (exit 2) instead of fitting.
     #[test]
-    fn no_index_flag_changes_nothing_but_the_manifest() {
-        let input = tmp("noidx.csv");
-        let data = SyntheticSpec::new(300, 5, 2, 3.0).seed(9).generate();
+    fn retired_switches_are_usage_errors() {
+        let input = tmp("retired.csv");
+        let data = SyntheticSpec::new(200, 5, 2, 2.0).seed(5).generate();
         crate::io::write_dataset(input.as_ref(), &data.points, None).unwrap();
-        let run_with = |extra: &str| {
-            let args = Args::parse(
-                toks(&format!("--input {input} --k 2 --l 3 --seed 2{extra}")),
-                &[
-                    "paper-literal",
-                    "verbose",
-                    "no-round-cache",
-                    "no-index",
-                    "fast-math",
-                ],
-            )
-            .unwrap();
-            let mut buf = Vec::new();
-            run(&args, &mut buf).unwrap();
-            String::from_utf8(buf).unwrap()
-        };
-        let indexed = run_with("");
-        let unindexed = run_with(" --no-index");
+        for flag in ["--no-index", "--fast-math"] {
+            // Last on the line the flag has no value to take; before
+            // another option it swallows that option's name, leaving a
+            // stray positional; after the options it swallows a switch
+            // and is never read.
+            for line in [
+                format!("--input {input} --k 2 --l 2 {flag}"),
+                format!("--input {input} {flag} --k 2 --l 2"),
+                format!("--input {input} --k 2 --l 2 {flag} --verbose"),
+            ] {
+                let err: Box<dyn Error> = match Args::parse(toks(&line), SWITCHES) {
+                    Err(e) => Box::new(e),
+                    Ok(args) => run(&args, &mut Vec::new()).unwrap_err(),
+                };
+                assert!(err.downcast_ref::<ArgError>().is_some(), "{line}: {err}");
+                assert_eq!(crate::exit_code_for(err.as_ref()), 2, "{line}: {err}");
+            }
+        }
         std::fs::remove_file(&input).ok();
-        assert_eq!(
-            indexed, unindexed,
-            "model summary must not depend on the pruning index"
-        );
     }
 
     /// `--trace-out` into an unwritable location must fail the command

@@ -74,86 +74,6 @@ fn cache_summary(manifest: &json::Json) -> Option<String> {
     Some(format!("round cache: {fused}, {cols}, {rows}"))
 }
 
-/// Derived neighbor-index effectiveness: pruned / (pruned + verified)
-/// per query family, from the `index.*` manifest counters. `None` when
-/// the trace has no index counters (index disabled, or a pre-index
-/// trace).
-fn index_summary(manifest: &json::Json) -> Option<String> {
-    let counter = |name: &str| {
-        manifest
-            .get("counters")
-            .and_then(|c| c.get(name))
-            .and_then(json::Json::as_usize)
-    };
-    let rate = |pruned: usize, verified: usize| -> String {
-        let total = pruned + verified;
-        // No queries of this family ran (e.g. a fit that converged in
-        // 0 rounds): a rate is undefined, not 0%.
-        if total == 0 {
-            return "n/a (0 queries)".to_string();
-        }
-        let pct = pruned as f64 * 100.0 / total as f64;
-        format!("{pruned}/{total} pruned ({pct:.1}%)")
-    };
-    let sketch = counter("index.range_sketch_pruned")?;
-    let triangle = counter("index.range_triangle_pruned")?;
-    let prefix = counter("index.range_prefix_pruned").unwrap_or(0);
-    let range_verified = counter("index.range_verified")?;
-    let nearest_pruned = counter("index.nearest_pruned")?;
-    let nearest_verified = counter("index.nearest_verified")?;
-    Some(format!(
-        "neighbor index: range {} (sketch {sketch}, triangle {triangle}, prefix {prefix}), nearest {}",
-        rate(sketch + triangle + prefix, range_verified),
-        rate(nearest_pruned, nearest_verified),
-    ))
-}
-
-/// Derived columnar-layout coverage from the `layout.*` manifest
-/// counters: how many block dispatches ran on a dimension-major tile
-/// vs the row-major fallback. `None` when the trace has no layout
-/// counters (layout disabled, or a pre-layout trace).
-fn layout_summary(manifest: &json::Json) -> Option<String> {
-    let counter = |name: &str| {
-        manifest
-            .get("counters")
-            .and_then(|c| c.get(name))
-            .and_then(json::Json::as_usize)
-    };
-    let columnar = counter("layout.columnar_blocks")?;
-    let rowmajor = counter("layout.rowmajor_blocks")?;
-    let total = columnar + rowmajor;
-    if total == 0 {
-        return Some("columnar layout: n/a (0 blocks dispatched)".to_string());
-    }
-    let pct = columnar as f64 * 100.0 / total as f64;
-    Some(format!(
-        "columnar layout: {columnar}/{total} blocks columnar ({pct:.1}%)"
-    ))
-}
-
-/// Derived `f32` fast-path effectiveness from the `fastmath.*`
-/// manifest counters: pairs excluded by the conservative screen vs
-/// pairs verified exactly. `None` when the trace has no fast-math
-/// counters (the default — the fast path is opt-in).
-fn fastmath_summary(manifest: &json::Json) -> Option<String> {
-    let counter = |name: &str| {
-        manifest
-            .get("counters")
-            .and_then(|c| c.get(name))
-            .and_then(json::Json::as_usize)
-    };
-    let screened = counter("fastmath.screened")?;
-    let excluded = counter("fastmath.excluded").unwrap_or(0);
-    let verified = counter("fastmath.verified").unwrap_or(0);
-    if screened == 0 {
-        return Some("fast math: n/a (0 pairs screened)".to_string());
-    }
-    let pct = excluded as f64 * 100.0 / screened as f64;
-    Some(format!(
-        "fast math: {excluded}/{screened} pairs excluded ({pct:.1}%), {verified} verified in f64"
-    ))
-}
-
 /// Derived serving health from a `proclus serve` manifest's `serve.*`
 /// counters: request volume, error split, queue pressure, and job
 /// outcomes. `None` for traces that never served traffic.
@@ -215,15 +135,6 @@ pub fn run(args: &Args, out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
         .map_err(|e| MalformedTrace(format!("{}: {e}", manifest_path.display())))?;
     write!(out, "{rendered}")?;
     if let Some(line) = cache_summary(&manifest) {
-        writeln!(out, "{line}")?;
-    }
-    if let Some(line) = index_summary(&manifest) {
-        writeln!(out, "{line}")?;
-    }
-    if let Some(line) = layout_summary(&manifest) {
-        writeln!(out, "{line}")?;
-    }
-    if let Some(line) = fastmath_summary(&manifest) {
         writeln!(out, "{line}")?;
     }
     if let Some(line) = stream_summary(&manifest) {
@@ -305,34 +216,6 @@ mod tests {
         assert!(text.contains("cache.fused_slot_hits"), "{text}");
         assert!(text.contains("round cache: fused "), "{text}");
         assert!(text.contains("cluster rows "), "{text}");
-        // Index counters surface both raw and as derived prune rates.
-        assert!(text.contains("index.range_verified"), "{text}");
-        assert!(text.contains("neighbor index: range "), "{text}");
-        assert!(text.contains("pruned ("), "{text}");
-    }
-
-    /// A trace from an unindexed fit renders without the derived index
-    /// line instead of failing or printing zeros.
-    #[test]
-    fn unindexed_trace_omits_the_index_summary() {
-        let dir = tmp("noindex");
-        let data = SyntheticSpec::new(200, 5, 2, 2.0).seed(6).generate();
-        let rec = proclus_obs::JsonlRecorder::create(&dir).unwrap();
-        Proclus::new(2, 2.0)
-            .seed(1)
-            .restarts(1)
-            .neighbor_index(false)
-            .fit_traced(&data.points, &rec)
-            .unwrap();
-        rec.finish(json::Json::Obj(Vec::new()), json::Json::Obj(Vec::new()))
-            .unwrap();
-        let args = Args::parse(toks(&format!("--input {}", dir.display())), &[]).unwrap();
-        let mut buf = Vec::new();
-        run(&args, &mut buf).unwrap();
-        std::fs::remove_dir_all(&dir).ok();
-        let text = String::from_utf8(buf).unwrap();
-        assert!(!text.contains("neighbor index:"), "{text}");
-        assert!(!text.contains("index.range_verified"), "{text}");
     }
 
     /// A trace without cache counters (cache disabled) renders without
@@ -361,8 +244,11 @@ mod tests {
 
     /// Counters that exist but total zero (a fit that never exercised
     /// a layer) must render as `n/a`, never as a misleading `0.0%`.
+    /// The manifest is an old `run.json` that still carries the
+    /// retired `index.*`, `layout.*` and `fastmath.*` counters: it must
+    /// render, listing them as plain counters with no derived line.
     #[test]
-    fn zero_total_counters_render_as_not_applicable() {
+    fn legacy_zero_counter_manifest_still_renders() {
         let dir = tmp("zero-counters");
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(
@@ -388,10 +274,16 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
         let text = String::from_utf8(buf).unwrap();
         assert!(text.contains("fused n/a (0 lookups)"), "{text}");
-        assert!(text.contains("range n/a (0 queries)"), "{text}");
-        assert!(text.contains("nearest n/a (0 queries)"), "{text}");
-        assert!(text.contains("columnar layout: n/a"), "{text}");
-        assert!(text.contains("fast math: n/a"), "{text}");
+        for counter in [
+            "index.range_verified",
+            "layout.columnar_blocks",
+            "fastmath.screened",
+        ] {
+            assert!(text.contains(counter), "{counter} not listed: {text}");
+        }
+        for derived in ["neighbor index:", "columnar layout:", "fast math:"] {
+            assert!(!text.contains(derived), "{derived} rendered: {text}");
+        }
         assert!(!text.contains("0.0%"), "zero-total rate leaked: {text}");
         assert!(!text.contains("NaN"), "{text}");
     }
@@ -415,7 +307,7 @@ mod tests {
         run(&args, &mut buf).unwrap();
         std::fs::remove_dir_all(&dir).ok();
         let text = String::from_utf8(buf).unwrap();
-        assert!(text.contains("columnar layout:"), "{text}");
+        assert!(text.contains("round cache:"), "{text}");
         assert!(!text.contains("NaN"), "{text}");
         // A genuinely-zero rate over a nonzero total (e.g. "0/1200
         // pruned (0.0%)") is meaningful and allowed; what must never

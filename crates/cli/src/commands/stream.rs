@@ -56,12 +56,14 @@ fit knobs (candidate models):
   --threads <n>     worker threads [default 1]
   --metric <name>   manhattan | euclidean | chebyshev [default manhattan]
   --no-round-cache  disable the cross-round cache (bit-identical)
-  --no-index        disable the pruning index (bit-identical)
 
 output:
   --verbose         print the recorded trace summary
   --trace-out <dir> stream events.jsonl + run.json into this directory
 ";
+
+/// The flags of `proclus stream` that take no value.
+pub const SWITCHES: &[&str] = &["verbose", "no-round-cache"];
 
 fn params_json(params: &Proclus, config: &StreamConfig, metric: &str) -> Json {
     Json::Obj(vec![
@@ -157,8 +159,7 @@ pub fn run(args: &Args, out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
         .restarts(args.get_parsed("restarts", 5usize)?)
         .threads(args.get_parsed("threads", 1usize)?)
         .distance(parse_metric(&metric)?)
-        .round_cache(!args.switch("no-round-cache"))
-        .neighbor_index(!args.switch("no-index"));
+        .round_cache(!args.switch("no-round-cache"));
     let batch_rows: usize = args.get_parsed("batch", 256usize)?;
     if batch_rows == 0 {
         return Err(Box::new(ArgError("--batch must be positive".into())));
@@ -304,8 +305,6 @@ mod tests {
     fn tmp(name: &str) -> PathBuf {
         std::env::temp_dir().join(format!("proclus-cli-stream-{name}-{}", std::process::id()))
     }
-
-    const SWITCHES: &[&str] = &["verbose", "no-round-cache", "no-index"];
 
     #[test]
     fn streams_a_dataset_and_bootstraps_a_model() {

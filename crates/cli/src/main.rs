@@ -143,13 +143,7 @@ fn main() -> ExitCode {
         ),
         "fit" => (
             commands::fit::HELP,
-            &[
-                "paper-literal",
-                "verbose",
-                "no-round-cache",
-                "no-index",
-                "fast-math",
-            ],
+            commands::fit::SWITCHES,
             commands::fit::run,
         ),
         "clique" => (
@@ -160,7 +154,7 @@ fn main() -> ExitCode {
         "orclus" => (commands::orclus::HELP, &[], commands::orclus::run),
         "stream" => (
             commands::stream::HELP,
-            &["verbose", "no-round-cache", "no-index"],
+            commands::stream::SWITCHES,
             commands::stream::run,
         ),
         "serve" => (commands::serve::HELP, &[], commands::serve::run),

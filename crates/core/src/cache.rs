@@ -49,20 +49,6 @@
 //! Cache effectiveness is observable through the `cache.*` manifest
 //! counters and the per-round `cache.medoids_recomputed` gauge — both
 //! flow through the measurement channel only, never the event stream.
-//!
-//! # Composition with the neighbor index
-//!
-//! The pruning index ([`crate::index`]) composes with the cache at the
-//! pool seam, not here: subset recomputes of fused slots go through
-//! [`Pool::fused_pass`], which builds a per-pass prune context whenever
-//! an index is installed, so invalidated slots enjoy the same pruning
-//! as a full pass. Cached *distance columns*, by contrast, are always
-//! computed unpruned — a column must be a total function of its
-//! `(mᵢ, Dᵢ)` key (every point's distance, reusable under any future
-//! incumbent), whereas the nearest-medoid pruning bound is only valid
-//! relative to the incumbent of one particular argmin sweep. Hits are
-//! strictly cheaper than any pruned recompute, so the two layers never
-//! compete.
 
 use crate::pool::Pool;
 use std::sync::Arc;

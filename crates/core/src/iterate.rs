@@ -14,12 +14,11 @@ use crate::cache::RoundCache;
 use crate::dims::{chosen_scores, find_dimensions_from_averages};
 use crate::error::ProclusError;
 use crate::evaluate::bad_medoids;
-use crate::index::NeighborIndex;
 use crate::init::candidate_medoids;
 use crate::locality::medoid_deltas;
 use crate::model::{Degradation, FitDiagnostics, ProclusModel};
 use crate::params::Proclus;
-use crate::pool::{with_pool_opts, Pool, PoolOptions};
+use crate::pool::{with_pool, Pool};
 use crate::refine::refine_with_pool;
 use proclus_math::Matrix;
 use proclus_obs::{timed, Event, NoopRecorder, Phase, Recorder};
@@ -70,12 +69,7 @@ pub fn run_traced(
             restarts,
         });
     }
-    let opts = PoolOptions {
-        columnar: true,
-        fast_math: params.fast_math,
-    };
-    let result = with_pool_opts(points, params.distance, params.threads, opts, |pool| {
-        install_index(params, points, pool, rec);
+    let result = with_pool(points, params.distance, params.threads, |pool| {
         // One cache for the whole fit: its entries are value-keyed, so
         // state surviving a restart is either bit-identical (and
         // served) or mismatched (and recomputed) — never stale.
@@ -116,9 +110,6 @@ pub fn run_traced(
         }
         record_pool_measurements(rec, pool);
         record_cache_measurements(rec, &cache);
-        record_index_measurements(rec, pool);
-        record_layout_measurements(rec, pool);
-        record_fastmath_measurements(rec, pool);
         match best {
             Some(model) => Ok(model.with_diagnostics(diag.clone())),
             // Every restart collapsed. One restart: surface its error
@@ -131,66 +122,6 @@ pub fn run_traced(
     });
     record_fit_end(rec, &result);
     result
-}
-
-/// Build and install the per-fit neighbor index when enabled. One
-/// O(N·d·R) build serves every restart, round, and the refinement (the
-/// sketches depend only on the data, never on search state). The build
-/// time goes to the `Phase::Index` span; the index itself changes no
-/// result bit, so nothing here touches the event stream.
-fn install_index(params: &Proclus, points: &Matrix, pool: &mut Pool<'_>, rec: &dyn Recorder) {
-    if !params.neighbor_index {
-        return;
-    }
-    let index = timed(rec, Phase::Index, || {
-        std::sync::Arc::new(NeighborIndex::build(points, params.distance))
-    });
-    pool.set_index(Some(index));
-}
-
-/// Index-pruning effectiveness → `index.*` counters (manifest channel
-/// only; emitted only when the index is enabled, mirroring the cache
-/// counters, so an unindexed run's manifest stays silent).
-fn record_index_measurements(rec: &dyn Recorder, pool: &Pool<'_>) {
-    if !rec.enabled() || !pool.index_enabled() {
-        return;
-    }
-    let stats = pool.prune_stats();
-    rec.counter("index.range_sketch_pruned", stats.range_sketch_pruned);
-    rec.counter("index.range_triangle_pruned", stats.range_triangle_pruned);
-    rec.counter("index.range_prefix_pruned", stats.range_prefix_pruned);
-    rec.counter("index.range_verified", stats.range_verified);
-    rec.counter("index.nearest_pruned", stats.nearest_pruned);
-    rec.counter("index.nearest_verified", stats.nearest_verified);
-}
-
-/// Columnar-layout coverage → `layout.*` counters (manifest channel
-/// only; emitted only when the layout is built, so a `columnar: false`
-/// pool's manifest stays silent). `columnar_blocks` counts block
-/// dispatches served by a dimension-major tile, `rowmajor_blocks` the
-/// dispatches that fell back to the row-major kernels.
-fn record_layout_measurements(rec: &dyn Recorder, pool: &Pool<'_>) {
-    if !rec.enabled() || !pool.layout_enabled() {
-        return;
-    }
-    let (columnar, rowmajor) = pool.layout_block_counts();
-    rec.counter("layout.columnar_blocks", columnar);
-    rec.counter("layout.rowmajor_blocks", rowmajor);
-}
-
-/// `f32` fast-path effectiveness → `fastmath.*` counters (manifest
-/// channel only; emitted only under `--fast-math`). The exactness gate
-/// guarantees `screened == excluded + verified` and that exclusions
-/// never change a winner, so these measure work saved, not accuracy
-/// lost.
-fn record_fastmath_measurements(rec: &dyn Recorder, pool: &Pool<'_>) {
-    if !rec.enabled() || !pool.fast_math_enabled() {
-        return;
-    }
-    let stats = pool.fast_math_stats();
-    rec.counter("fastmath.screened", stats.screened);
-    rec.counter("fastmath.excluded", stats.excluded);
-    rec.counter("fastmath.verified", stats.verified);
 }
 
 /// Pool work totals → counters, scheduling-dependent facts → gauges.
@@ -337,12 +268,7 @@ pub fn run_from_medoids_traced(
             seed: params.rng_seed,
         });
     }
-    let opts = PoolOptions {
-        columnar: true,
-        fast_math: params.fast_math,
-    };
-    let result = with_pool_opts(points, params.distance, params.threads, opts, |pool| {
-        install_index(params, points, pool, rec);
+    let result = with_pool(points, params.distance, params.threads, |pool| {
         diag.restarts = 1;
         let mut cache = RoundCache::new(params.round_cache, params.k);
         let model = run_once(
@@ -358,9 +284,6 @@ pub fn run_from_medoids_traced(
         )?;
         record_pool_measurements(rec, pool);
         record_cache_measurements(rec, &cache);
-        record_index_measurements(rec, pool);
-        record_layout_measurements(rec, pool);
-        record_fastmath_measurements(rec, pool);
         Ok(model.with_diagnostics(diag.clone()))
     });
     record_fit_end(rec, &result);

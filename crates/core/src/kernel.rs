@@ -31,27 +31,19 @@
 //! Euclidean kind `|x|·|x|` equals `x·x` bitwise (taking the absolute
 //! value only clears the sign bit).
 //!
-//! # Pruned variants
+//! # Reference and production kernels
 //!
-//! Each assignment-style kernel has a `*_pruned` twin that consults the
-//! neighbor index ([`crate::index`]) to skip exact evaluations whose
-//! outcome is already decided — a certified lower bound above the
-//! locality radius (range queries) or a monotone prefix value at or
-//! above the current best (nearest-medoid queries). Pruning never
-//! changes which evaluations *matter*: a pruned candidate is provably a
-//! non-member / non-winner, every surviving evaluation runs the exact
-//! code in the exact order, and the `X` accumulations add exactly the
-//! member rows the unpruned kernel would add. The pruned kernels are
-//! therefore bit-identical to their twins (asserted by the agreement
-//! tests below), and the per-block [`PruneStats`] they fill count work
-//! saved, not results changed.
+//! Each pass has two kernels. The row-major ones ([`fused_block`],
+//! [`assign_block`], [`assign_x_block`], [`columns_block`],
+//! [`cluster_x_block`], [`refine_assign_block`]) loop points outermost
+//! and read `points.row(p)` directly; they are the readable statement
+//! of each pass and serve as the **test oracle**. Production runs only
+//! their columnar twins (`*_columnar`, below), which the pool dispatches
+//! over the tiles of [`crate::layout::ColumnarBlocks`]; the twins are
+//! bit-identical to the references (asserted by the agreement tests
+//! below and by `tests/columnar.rs`).
 
-use crate::index::{
-    raw_gt_threshold, raw_len_factor, raw_tbase, segmental_bounded, FusedPruneCtx, PruneStats,
-    NEAREST_MIN_DIMS, PREFIX_KEEP_DEN, PREFIX_KEEP_NUM, PROBE_DISABLE_SHIFT, PROBE_POINTS,
-    PRUNE_CHUNK,
-};
-use crate::layout::{ColumnarBlocks, FastMathStats, TileView, FAST_MATH_TOLERANCE_SCALE};
+use crate::layout::{ColumnarBlocks, TileView};
 use proclus_math::{DistanceKind, Matrix};
 
 /// Rows per work block. Large enough that per-block dispatch overhead
@@ -115,30 +107,6 @@ pub fn fused_block(
     let mut locs: Vec<Vec<usize>> = vec![Vec::new(); k];
     let mut xsums = vec![vec![0.0; d]; k];
     let mut diffs = vec![0.0; d];
-    fused_range(
-        points, metric, medoids, deltas, lo, hi, &mut locs, &mut xsums, &mut diffs,
-    );
-    FusedPartial { locs, xsums }
-}
-
-/// The plain fused scan over rows `lo..hi`, continuing accumulation
-/// into existing `locs`/`xsums`. Kept separate so the pruned kernel can
-/// hand the post-probe tail of a block to the exact plain loop (same
-/// codegen, same summation order) when its adaptive gates turn the
-/// pruning machinery off.
-#[allow(clippy::too_many_arguments)]
-fn fused_range(
-    points: &Matrix,
-    metric: DistanceKind,
-    medoids: &[usize],
-    deltas: &[f64],
-    lo: usize,
-    hi: usize,
-    locs: &mut [Vec<usize>],
-    xsums: &mut [Vec<f64>],
-    diffs: &mut [f64],
-) {
-    let d = points.cols();
     for p in lo..hi {
         let prow = points.row(p);
         for (i, &m) in medoids.iter().enumerate() {
@@ -146,7 +114,7 @@ fn fused_range(
             for j in 0..d {
                 diffs[j] = (prow[j] - mrow[j]).abs();
             }
-            if segmental_from_diffs(metric, diffs) <= deltas[i] {
+            if segmental_from_diffs(metric, &diffs) <= deltas[i] {
                 locs[i].push(p);
                 let xi = &mut xsums[i];
                 for j in 0..d {
@@ -155,6 +123,7 @@ fn fused_range(
             }
         }
     }
+    FusedPartial { locs, xsums }
 }
 
 /// Merge fused partials (given in ascending block order) into the final
@@ -310,35 +279,6 @@ pub fn assign_x_block(
     let d = points.cols();
     let mut xsums = vec![vec![0.0; d]; medoids.len()];
     let mut assignment = Vec::with_capacity(hi - lo);
-    assign_x_range(
-        points,
-        metric,
-        medoids,
-        dims,
-        lo,
-        hi,
-        &mut xsums,
-        &mut assignment,
-    );
-    AssignXPartial { assignment, xsums }
-}
-
-/// The plain assign + `X` scan over rows `lo..hi`, continuing
-/// accumulation into existing `xsums`/`assignment` — the tail loop the
-/// pruned kernel falls back to when its adaptive gate turns abandonment
-/// off, preserving the plain codegen and the exact `X` summation order.
-#[allow(clippy::too_many_arguments)]
-fn assign_x_range(
-    points: &Matrix,
-    metric: DistanceKind,
-    medoids: &[usize],
-    dims: &[Vec<usize>],
-    lo: usize,
-    hi: usize,
-    xsums: &mut [Vec<f64>],
-    assignment: &mut Vec<usize>,
-) {
-    let d = points.cols();
     for p in lo..hi {
         let row = points.row(p);
         let mut best = 0usize;
@@ -357,6 +297,7 @@ fn assign_x_range(
             xi[j] += (row[j] - mrow[j]).abs();
         }
     }
+    AssignXPartial { assignment, xsums }
 }
 
 /// Merge assign-`X` partials (ascending block order) into the flat
@@ -472,519 +413,6 @@ pub fn refine_assign_block(
     out
 }
 
-/// Fill `diffs` with `|a_j − b_j|` while accumulating the segmental
-/// raw value, abandoning as soon as the prefix accumulator reaches
-/// `raw_threshold` — a raw-unit encoding of "the final distance is
-/// certainly `> δᵢ`" (see [`crate::index::raw_gt_threshold`]). The
-/// threshold is checked at [`PRUNE_CHUNK`] boundaries, like
-/// [`segmental_bounded`], to keep the compare off the accumulator's
-/// per-element dependency chain. On completion the buffer *and* the
-/// returned distance are bit-identical to the plain fill +
-/// [`segmental_from_diffs`]: same element order, same summation order,
-/// `|x|·|x|` equals `x·x` bitwise.
-#[inline]
-fn fill_diffs_bounded(
-    metric: DistanceKind,
-    a: &[f64],
-    b: &[f64],
-    diffs: &mut [f64],
-    raw_threshold: f64,
-) -> Option<f64> {
-    // Fill exactly like the plain path — one flat, vectorizable loop
-    // with no interleaved control flow — then fold with chunk-boundary
-    // abandonment checks. An abandoned pair wastes its (cheap, SIMD)
-    // fill but skips the tail of the serial accumulation chain, which
-    // is the latency bottleneck; a completed fold visits the elements
-    // in the plain order and is bit-identical.
-    for ((&x, &y), dv) in a.iter().zip(b).zip(diffs.iter_mut()) {
-        *dv = (x - y).abs();
-    }
-    let len = diffs.len() as f64;
-    match metric {
-        DistanceKind::Manhattan => {
-            let mut sum = 0.0f64;
-            for dc in diffs.chunks(PRUNE_CHUNK) {
-                for &v in dc {
-                    sum += v;
-                }
-                if sum >= raw_threshold {
-                    return None;
-                }
-            }
-            Some(sum / len)
-        }
-        DistanceKind::Euclidean => {
-            let mut sum = 0.0f64;
-            for dc in diffs.chunks(PRUNE_CHUNK) {
-                for &v in dc {
-                    sum += v * v;
-                }
-                if sum >= raw_threshold {
-                    return None;
-                }
-            }
-            Some((sum / len).sqrt())
-        }
-        DistanceKind::Chebyshev => {
-            let mut worst = 0.0f64;
-            for dc in diffs.chunks(PRUNE_CHUNK) {
-                for &v in dc {
-                    worst = worst.max(v);
-                }
-                if worst >= raw_threshold {
-                    return None;
-                }
-            }
-            Some(worst)
-        }
-    }
-}
-
-/// [`fused_block`] with index pruning: candidates whose sketch or
-/// triangle lower bound proves them outside `δᵢ` skip the exact
-/// evaluation entirely, and the surviving evaluations abandon mid-sum
-/// once their prefix accumulator certifies `dist > δᵢ`. Members, their
-/// order, and the `X` sums are bit-identical to the unpruned kernel — a
-/// pruned or abandoned pair is certainly a non-member, so it would have
-/// contributed nothing either way, and a member's evaluation never
-/// abandons (its accumulator stays below the threshold throughout).
-#[allow(clippy::too_many_arguments)]
-pub fn fused_block_pruned(
-    points: &Matrix,
-    metric: DistanceKind,
-    medoids: &[usize],
-    deltas: &[f64],
-    ctx: &FusedPruneCtx,
-    lo: usize,
-    hi: usize,
-    stats: &mut PruneStats,
-    tile: Option<&TileView<'_>>,
-) -> FusedPartial {
-    let d = points.cols();
-    let k = medoids.len();
-    let mut locs: Vec<Vec<usize>> = vec![Vec::new(); k];
-    let mut xsums = vec![vec![0.0; d]; k];
-    let mut diffs = vec![0.0; d];
-    // Raw-unit "certainly outside δᵢ" thresholds, one per slot.
-    let rt_member: Vec<f64> = deltas
-        .iter()
-        .map(|&delta| raw_gt_threshold(metric, delta, d))
-        .collect();
-    // Exact distances of the current point to the slots already
-    // verified this sweep — the triangle-bound anchors. NaN marks a
-    // pruned or abandoned slot (a NaN anchor yields a NaN bound and
-    // never prunes).
-    let mut evaluated = vec![f64::NAN; k];
-    // Adaptive gates: probe the first PROBE_POINTS rows with the full
-    // machinery, then disable (a) the whole-pair bounds if too few
-    // probed pairs pruned, and (b) the prefix device if too few reached
-    // evaluations abandoned (see `crate::index`). The decisions depend
-    // only on the block's rows, so counters and results stay
-    // independent of thread count.
-    let probe_end = (lo + PROBE_POINTS).min(hi);
-    let base_bounds = stats.range_sketch_pruned + stats.range_triangle_pruned;
-    let base_prefix = stats.range_prefix_pruned;
-    let base_verified = stats.range_verified;
-    let mut probing = true;
-    let mut bounds_on = true;
-    let mut prefix_on = true;
-    for p in lo..hi {
-        if probing && p == probe_end {
-            probing = false;
-            let pruned = stats.range_sketch_pruned + stats.range_triangle_pruned - base_bounds;
-            let probed = ((probe_end - lo) * k) as u64;
-            bounds_on = pruned >= probed >> PROBE_DISABLE_SHIFT;
-            let abandoned = stats.range_prefix_pruned - base_prefix;
-            let reached = abandoned + (stats.range_verified - base_verified);
-            prefix_on = abandoned * PREFIX_KEEP_DEN >= reached * PREFIX_KEEP_NUM;
-            if !bounds_on && !prefix_on {
-                // Nothing left of the pruning machinery: hand the rest
-                // of the block to the plain loop — columnar when the
-                // layout is available — continuing the same
-                // accumulators so membership order and `X` summation
-                // order stay bit-identical.
-                stats.range_verified += ((hi - p) * k) as u64;
-                match tile {
-                    Some(t) => fused_range_columnar(
-                        t, points, metric, medoids, deltas, p, hi, &mut locs, &mut xsums,
-                    ),
-                    None => fused_range(
-                        points, metric, medoids, deltas, p, hi, &mut locs, &mut xsums, &mut diffs,
-                    ),
-                }
-                return FusedPartial { locs, xsums };
-            }
-        }
-        let prow = points.row(p);
-        for e in evaluated.iter_mut() {
-            *e = f64::NAN;
-        }
-        for (i, &m) in medoids.iter().enumerate() {
-            if bounds_on && ctx.prunes(p, i, deltas[i], &evaluated[..i], stats) {
-                continue;
-            }
-            let mrow = points.row(m);
-            let dist = if prefix_on {
-                match fill_diffs_bounded(metric, prow, mrow, &mut diffs, rt_member[i]) {
-                    Some(dist) => dist,
-                    None => {
-                        stats.range_prefix_pruned += 1;
-                        continue;
-                    }
-                }
-            } else {
-                for j in 0..d {
-                    diffs[j] = (prow[j] - mrow[j]).abs();
-                }
-                segmental_from_diffs(metric, &diffs)
-            };
-            evaluated[i] = dist;
-            stats.range_verified += 1;
-            if dist <= deltas[i] {
-                locs[i].push(p);
-                let xi = &mut xsums[i];
-                for j in 0..d {
-                    xi[j] += diffs[j];
-                }
-            }
-        }
-    }
-    FusedPartial { locs, xsums }
-}
-
-/// [`assign_block`] with monotone prefix pruning: a candidate's
-/// evaluation is abandoned once its running segmental prefix reaches
-/// the incumbent best distance — the prefix is a certified lower bound
-/// (see [`crate::index`]), and `prefix ≥ best` already decides the
-/// strict `<` comparison against it. Winners are bit-identical.
-#[allow(clippy::too_many_arguments)]
-pub fn assign_block_pruned(
-    points: &Matrix,
-    metric: DistanceKind,
-    medoids: &[usize],
-    dims: &[Vec<usize>],
-    lo: usize,
-    hi: usize,
-    stats: &mut PruneStats,
-    tile: Option<&TileView<'_>>,
-    mut fast: Option<&mut FastMathStats>,
-) -> Vec<usize> {
-    // When every projection is tiny, evaluating is cheaper than
-    // reasoning about abandoning (see `NEAREST_MIN_DIMS`) — run the
-    // plain kernel (columnar when the layout is available) unchanged
-    // and count everything as verified.
-    if dims.iter().all(|di| di.len() < NEAREST_MIN_DIMS) {
-        stats.nearest_verified += ((hi - lo) * medoids.len()) as u64;
-        return match tile {
-            Some(t) => assign_block_columnar(
-                t,
-                points,
-                metric,
-                medoids,
-                dims,
-                lo,
-                hi,
-                fast.as_deref_mut(),
-            ),
-            None => assign_block(points, metric, medoids, dims, lo, hi),
-        };
-    }
-    // Hoisted threshold halves: the per-candidate raw threshold is the
-    // single multiply `tbase · lens[i]` (see `raw_tbase`).
-    let lens: Vec<f64> = dims
-        .iter()
-        .map(|di| raw_len_factor(metric, di.len()))
-        .collect();
-    // Adaptive gate: probe the first PROBE_POINTS rows with abandonment
-    // enabled, then keep it only when most reached evaluations abandon
-    // (see `crate::index::PREFIX_KEEP_NUM`). Only slots with large
-    // projections ever consult the device.
-    let big_slots = dims
-        .iter()
-        .filter(|di| di.len() >= NEAREST_MIN_DIMS)
-        .count() as u64;
-    let probe_end = (lo + PROBE_POINTS).min(hi);
-    let base_pruned = stats.nearest_pruned;
-    let mut out = Vec::with_capacity(hi - lo);
-    for p in lo..hi {
-        if p == probe_end {
-            let abandoned = stats.nearest_pruned - base_pruned;
-            let reached = ((probe_end - lo) as u64) * big_slots;
-            if abandoned * PREFIX_KEEP_DEN < reached * PREFIX_KEEP_NUM {
-                // Abandonment is not paying for its branches: hand the
-                // rest of the block to the plain loop (columnar when
-                // the layout is available).
-                stats.nearest_verified += ((hi - p) * medoids.len()) as u64;
-                match tile {
-                    Some(t) => assign_range_columnar(
-                        t,
-                        points,
-                        metric,
-                        medoids,
-                        dims,
-                        p,
-                        hi,
-                        &mut out,
-                        fast.as_deref_mut(),
-                    ),
-                    None => out.extend(assign_block(points, metric, medoids, dims, p, hi)),
-                }
-                return out;
-            }
-        }
-        let row = points.row(p);
-        let mut best = 0usize;
-        let mut best_dist = f64::INFINITY;
-        // raw_tbase(metric, ∞) = ∞ for every metric.
-        let mut tbase = f64::INFINITY;
-        for (i, ((&m, di), &lf)) in medoids.iter().zip(dims).zip(&lens).enumerate() {
-            // Tiny projections are cheaper to evaluate than to reason
-            // about abandoning (see `NEAREST_MIN_DIMS`).
-            let verdict = if di.len() < NEAREST_MIN_DIMS {
-                Some(metric.eval_segmental(row, points.row(m), di))
-            } else {
-                segmental_bounded(metric, row, points.row(m), di, tbase * lf)
-            };
-            match verdict {
-                Some(dist) => {
-                    stats.nearest_verified += 1;
-                    if dist < best_dist {
-                        best_dist = dist;
-                        best = i;
-                        tbase = raw_tbase(metric, dist);
-                    }
-                }
-                None => stats.nearest_pruned += 1,
-            }
-        }
-        out.push(best);
-    }
-    out
-}
-
-/// [`assign_x_block`] with the same prefix pruning as
-/// [`assign_block_pruned`]. The `X` accumulation only ever reads the
-/// *winning* medoid's full-dimensional differences, which are computed
-/// outside the pruned comparison, so the sums are untouched by pruning.
-#[allow(clippy::too_many_arguments)]
-pub fn assign_x_block_pruned(
-    points: &Matrix,
-    metric: DistanceKind,
-    medoids: &[usize],
-    dims: &[Vec<usize>],
-    lo: usize,
-    hi: usize,
-    stats: &mut PruneStats,
-    tile: Option<&TileView<'_>>,
-    mut fast: Option<&mut FastMathStats>,
-) -> AssignXPartial {
-    if dims.iter().all(|di| di.len() < NEAREST_MIN_DIMS) {
-        stats.nearest_verified += ((hi - lo) * medoids.len()) as u64;
-        return match tile {
-            Some(t) => assign_x_block_columnar(
-                t,
-                points,
-                metric,
-                medoids,
-                dims,
-                lo,
-                hi,
-                fast.as_deref_mut(),
-            ),
-            None => assign_x_block(points, metric, medoids, dims, lo, hi),
-        };
-    }
-    let d = points.cols();
-    let lens: Vec<f64> = dims
-        .iter()
-        .map(|di| raw_len_factor(metric, di.len()))
-        .collect();
-    let big_slots = dims
-        .iter()
-        .filter(|di| di.len() >= NEAREST_MIN_DIMS)
-        .count() as u64;
-    let probe_end = (lo + PROBE_POINTS).min(hi);
-    let base_pruned = stats.nearest_pruned;
-    let mut xsums = vec![vec![0.0; d]; medoids.len()];
-    let mut assignment = Vec::with_capacity(hi - lo);
-    for p in lo..hi {
-        if p == probe_end {
-            let abandoned = stats.nearest_pruned - base_pruned;
-            let reached = ((probe_end - lo) as u64) * big_slots;
-            if abandoned * PREFIX_KEEP_DEN < reached * PREFIX_KEEP_NUM {
-                // Hand the rest of the block to the plain loop
-                // (columnar when the layout is available), continuing
-                // the same accumulators so the `X` summation order
-                // stays bit-identical.
-                stats.nearest_verified += ((hi - p) * medoids.len()) as u64;
-                match tile {
-                    Some(t) => assign_x_range_columnar(
-                        t,
-                        points,
-                        metric,
-                        medoids,
-                        dims,
-                        p,
-                        hi,
-                        &mut xsums,
-                        &mut assignment,
-                        fast.as_deref_mut(),
-                    ),
-                    None => assign_x_range(
-                        points,
-                        metric,
-                        medoids,
-                        dims,
-                        p,
-                        hi,
-                        &mut xsums,
-                        &mut assignment,
-                    ),
-                }
-                return AssignXPartial { assignment, xsums };
-            }
-        }
-        let row = points.row(p);
-        let mut best = 0usize;
-        let mut best_dist = f64::INFINITY;
-        let mut tbase = f64::INFINITY;
-        for (i, ((&m, di), &lf)) in medoids.iter().zip(dims).zip(&lens).enumerate() {
-            let verdict = if di.len() < NEAREST_MIN_DIMS {
-                Some(metric.eval_segmental(row, points.row(m), di))
-            } else {
-                segmental_bounded(metric, row, points.row(m), di, tbase * lf)
-            };
-            match verdict {
-                Some(dist) => {
-                    stats.nearest_verified += 1;
-                    if dist < best_dist {
-                        best_dist = dist;
-                        best = i;
-                        tbase = raw_tbase(metric, dist);
-                    }
-                }
-                None => stats.nearest_pruned += 1,
-            }
-        }
-        assignment.push(best);
-        let mrow = points.row(medoids[best]);
-        let xi = &mut xsums[best];
-        for j in 0..d {
-            xi[j] += (row[j] - mrow[j]).abs();
-        }
-    }
-    AssignXPartial { assignment, xsums }
-}
-
-/// [`refine_assign_block`] with prefix pruning. A candidate here feeds
-/// *two* comparisons — `dist ≤ spheres[i]` (inside any sphere?) and
-/// `dist < best` (nearest?) — so an evaluation may only be abandoned
-/// when the prefix already decides **both**: `dist > spheres[i]`
-/// forces the membership test false, and `dist ≥ best` forces the
-/// nearest test false. Both conditions are "accumulator reaches a raw
-/// threshold", so their conjunction is the *larger* threshold (a NaN
-/// sphere threshold — an unconditionally-inside `∞` sphere — makes the
-/// conjunction unreachable). Outlier flags and winners are
-/// bit-identical.
-#[allow(clippy::too_many_arguments)]
-pub fn refine_assign_block_pruned(
-    points: &Matrix,
-    metric: DistanceKind,
-    medoids: &[usize],
-    dims: &[Vec<usize>],
-    spheres: &[f64],
-    lo: usize,
-    hi: usize,
-    stats: &mut PruneStats,
-    tile: Option<&TileView<'_>>,
-) -> Vec<Option<usize>> {
-    if dims.iter().all(|di| di.len() < NEAREST_MIN_DIMS) {
-        stats.nearest_verified += ((hi - lo) * medoids.len()) as u64;
-        return match tile {
-            Some(t) => {
-                refine_assign_block_columnar(t, points, metric, medoids, dims, spheres, lo, hi)
-            }
-            None => refine_assign_block(points, metric, medoids, dims, spheres, lo, hi),
-        };
-    }
-    // Raw-unit "certainly outside the sphere" thresholds, one per slot
-    // (spheres and dimension sets are fixed for the whole block).
-    let rt_sphere: Vec<f64> = spheres
-        .iter()
-        .zip(dims)
-        .map(|(&sphere, di)| raw_gt_threshold(metric, sphere, di.len()))
-        .collect();
-    let lens: Vec<f64> = dims
-        .iter()
-        .map(|di| raw_len_factor(metric, di.len()))
-        .collect();
-    let big_slots = dims
-        .iter()
-        .filter(|di| di.len() >= NEAREST_MIN_DIMS)
-        .count() as u64;
-    let probe_end = (lo + PROBE_POINTS).min(hi);
-    let base_pruned = stats.nearest_pruned;
-    let mut out = Vec::with_capacity(hi - lo);
-    for p in lo..hi {
-        if p == probe_end {
-            let abandoned = stats.nearest_pruned - base_pruned;
-            let reached = ((probe_end - lo) as u64) * big_slots;
-            if abandoned * PREFIX_KEEP_DEN < reached * PREFIX_KEEP_NUM {
-                // Hand the rest of the block to the plain loop
-                // (columnar when the layout is available).
-                stats.nearest_verified += ((hi - p) * medoids.len()) as u64;
-                match tile {
-                    Some(t) => refine_assign_range_columnar(
-                        t, points, metric, medoids, dims, spheres, p, hi, &mut out,
-                    ),
-                    None => out.extend(refine_assign_block(
-                        points, metric, medoids, dims, spheres, p, hi,
-                    )),
-                }
-                return out;
-            }
-        }
-        let row = points.row(p);
-        let mut best = 0usize;
-        let mut best_dist = f64::INFINITY;
-        let mut tbase = f64::INFINITY;
-        let mut inside_any = false;
-        for (i, ((&m, di), &lf)) in medoids.iter().zip(dims).zip(&lens).enumerate() {
-            let rt_best = tbase * lf;
-            // Once some sphere already contains the point, later
-            // candidates only matter for the nearest test.
-            let rt = if inside_any {
-                rt_best
-            } else if rt_sphere[i].is_nan() {
-                f64::NAN
-            } else {
-                rt_best.max(rt_sphere[i])
-            };
-            let verdict = if di.len() < NEAREST_MIN_DIMS {
-                Some(metric.eval_segmental(row, points.row(m), di))
-            } else {
-                segmental_bounded(metric, row, points.row(m), di, rt)
-            };
-            match verdict {
-                Some(dist) => {
-                    stats.nearest_verified += 1;
-                    if dist <= spheres[i] {
-                        inside_any = true;
-                    }
-                    if dist < best_dist {
-                        best_dist = dist;
-                        best = i;
-                        tbase = raw_tbase(metric, dist);
-                    }
-                }
-                None => stats.nearest_pruned += 1,
-            }
-        }
-        out.push(inside_any.then_some(best));
-    }
-    out
-}
-
 // ---------------------------------------------------------------------
 // Columnar twins.
 //
@@ -1039,17 +467,14 @@ fn raw_full_distances_columnar(
     tile: &TileView<'_>,
     metric: DistanceKind,
     mrow: &[f64],
-    lo: usize,
-    hi: usize,
     dist: &mut Vec<f64>,
 ) {
-    let w = hi - lo;
     dist.clear();
-    dist.resize(w, 0.0);
+    dist.resize(tile.width(), 0.0);
     match metric {
         DistanceKind::Manhattan => {
             for (j, &mj) in mrow.iter().enumerate() {
-                let col = tile.col(j, lo, hi);
+                let col = tile.col(j);
                 for (acc, &x) in dist.iter_mut().zip(col) {
                     *acc += (x - mj).abs();
                 }
@@ -1057,7 +482,7 @@ fn raw_full_distances_columnar(
         }
         DistanceKind::Euclidean => {
             for (j, &mj) in mrow.iter().enumerate() {
-                let col = tile.col(j, lo, hi);
+                let col = tile.col(j);
                 for (acc, &x) in dist.iter_mut().zip(col) {
                     let dv = x - mj;
                     *acc += dv * dv;
@@ -1066,7 +491,7 @@ fn raw_full_distances_columnar(
         }
         DistanceKind::Chebyshev => {
             for (j, &mj) in mrow.iter().enumerate() {
-                let col = tile.col(j, lo, hi);
+                let col = tile.col(j);
                 for (acc, &x) in dist.iter_mut().zip(col) {
                     *acc = f64::max(*acc, (x - mj).abs());
                 }
@@ -1076,15 +501,14 @@ fn raw_full_distances_columnar(
 }
 
 /// Projected segmental distances of one (medoid, dimension-set) slot
-/// over tile rows `lo..hi`, written into `out[p − lo]` — bit-identical
-/// to `metric.eval_segmental(points.row(p), mrow, di)` per point.
+/// over the tile's rows, written into `out[p − tile.lo()]` —
+/// bit-identical to `metric.eval_segmental(points.row(p), mrow, di)`
+/// per point.
 fn segmental_column_columnar(
     tile: &TileView<'_>,
     metric: DistanceKind,
     mrow: &[f64],
     di: &[usize],
-    lo: usize,
-    hi: usize,
     out: &mut [f64],
 ) {
     for v in out.iter_mut() {
@@ -1094,7 +518,7 @@ fn segmental_column_columnar(
         DistanceKind::Manhattan => {
             for &j in di {
                 let mj = mrow[j];
-                let col = tile.col(j, lo, hi);
+                let col = tile.col(j);
                 for (acc, &x) in out.iter_mut().zip(col) {
                     *acc += (x - mj).abs();
                 }
@@ -1103,7 +527,7 @@ fn segmental_column_columnar(
         DistanceKind::Euclidean => {
             for &j in di {
                 let mj = mrow[j];
-                let col = tile.col(j, lo, hi);
+                let col = tile.col(j);
                 for (acc, &x) in out.iter_mut().zip(col) {
                     let dv = x - mj;
                     *acc += dv * dv;
@@ -1113,7 +537,7 @@ fn segmental_column_columnar(
         DistanceKind::Chebyshev => {
             for &j in di {
                 let mj = mrow[j];
-                let col = tile.col(j, lo, hi);
+                let col = tile.col(j);
                 for (acc, &x) in out.iter_mut().zip(col) {
                     *acc = f64::max(*acc, (x - mj).abs());
                 }
@@ -1131,56 +555,19 @@ fn accumulate_members_columnar(
     tile: &TileView<'_>,
     mrow: &[f64],
     members: &[usize],
-    lo: usize,
-    hi: usize,
     xi: &mut [f64],
 ) {
     if members.is_empty() {
         return;
     }
+    let lo = tile.lo();
     for (j, &mj) in mrow.iter().enumerate() {
-        let col = tile.col(j, lo, hi);
+        let col = tile.col(j);
         let mut s = xi[j];
         for &gp in members {
             s += (col[gp - lo] - mj).abs();
         }
         xi[j] = s;
-    }
-}
-
-/// Columnar twin of `fused_range`: continues accumulation into existing
-/// `locs`/`xsums`, so the pruned kernel can hand it a gate-off tail.
-#[allow(clippy::too_many_arguments)]
-fn fused_range_columnar(
-    tile: &TileView<'_>,
-    points: &Matrix,
-    metric: DistanceKind,
-    medoids: &[usize],
-    deltas: &[f64],
-    lo: usize,
-    hi: usize,
-    locs: &mut [Vec<usize>],
-    xsums: &mut [Vec<f64>],
-) {
-    if hi == lo {
-        return;
-    }
-    let d = points.cols();
-    let mut dist = Vec::new();
-    for (i, &m) in medoids.iter().enumerate() {
-        let mrow = points.row(m);
-        raw_full_distances_columnar(tile, metric, mrow, lo, hi, &mut dist);
-        finalize_segmental(metric, &mut dist, d);
-        let delta = deltas[i];
-        let li = &mut locs[i];
-        let start = li.len();
-        for (o, &dv) in dist.iter().enumerate() {
-            if dv <= delta {
-                li.push(lo + o);
-            }
-        }
-        let (li, xi) = (&locs[i][start..], &mut xsums[i]);
-        accumulate_members_columnar(tile, mrow, li, lo, hi, xi);
     }
 }
 
@@ -1191,154 +578,46 @@ pub fn fused_block_columnar(
     metric: DistanceKind,
     medoids: &[usize],
     deltas: &[f64],
-    lo: usize,
-    hi: usize,
 ) -> FusedPartial {
     let d = points.cols();
     let k = medoids.len();
     let mut locs: Vec<Vec<usize>> = vec![Vec::new(); k];
     let mut xsums = vec![vec![0.0; d]; k];
-    fused_range_columnar(
-        tile, points, metric, medoids, deltas, lo, hi, &mut locs, &mut xsums,
-    );
+    let lo = tile.lo();
+    let mut dist = Vec::new();
+    for ((&m, &delta), (li, xi)) in medoids
+        .iter()
+        .zip(deltas)
+        .zip(locs.iter_mut().zip(xsums.iter_mut()))
+    {
+        let mrow = points.row(m);
+        raw_full_distances_columnar(tile, metric, mrow, &mut dist);
+        finalize_segmental(metric, &mut dist, d);
+        for (o, &dv) in dist.iter().enumerate() {
+            if dv <= delta {
+                li.push(lo + o);
+            }
+        }
+        accumulate_members_columnar(tile, mrow, li, xi);
+    }
     FusedPartial { locs, xsums }
 }
 
-/// The `f32` prefilter's per-pair tolerance coefficient: multiply by
-/// `‖p‖₁ + ‖m‖₁` for the absolute error bound τ(p, m) (see
-/// [`FAST_MATH_TOLERANCE_SCALE`] for the derivation).
-#[inline]
-fn fast_tau_coefficient(d: usize) -> f64 {
-    FAST_MATH_TOLERANCE_SCALE * (d as f64 + 4.0) * (f32::EPSILON as f64)
-}
-
-/// `f32`-screened argmin over one tile range: approximate distances
-/// give each candidate a conservative interval `[d₃₂ − τ, d₃₂ + τ]`; a
-/// candidate whose lower bound exceeds the smallest upper bound cannot
-/// win the strict-`<` lowest-index argmin and is excluded without `f64`
-/// work, every survivor is evaluated exactly (ascending index, same
-/// comparison), so the winners are bit-identical to the plain kernels.
-/// Any NaN/inf — in the data, the approximation, or the tolerance —
-/// fails the strict exclusion comparison and falls through to the
-/// exact path.
-#[allow(clippy::too_many_arguments)]
-fn assign_range_columnar_fast(
+/// Columnar twin of [`assign_block`]: for every row the slot with the
+/// smallest segmental distance, ties to the lower slot.
+pub fn assign_block_columnar(
     tile: &TileView<'_>,
     points: &Matrix,
     metric: DistanceKind,
     medoids: &[usize],
     dims: &[Vec<usize>],
-    lo: usize,
-    hi: usize,
-    out: &mut Vec<usize>,
-    fstats: &mut FastMathStats,
-) {
-    let w = hi - lo;
-    let k = medoids.len();
-    let tau_coeff = fast_tau_coefficient(points.cols());
-    // k approximate distance columns plus the per-medoid magnitudes.
-    let mut approx = vec![0.0f32; k * w];
-    let mut mag_m = vec![0.0f64; k];
-    let mut m32: Vec<f32> = Vec::new();
-    for (i, (&m, di)) in medoids.iter().zip(dims).enumerate() {
-        let mrow = points.row(m);
-        mag_m[i] = tile.mag(m);
-        m32.clear();
-        m32.extend(di.iter().map(|&j| mrow[j] as f32));
-        let acc = &mut approx[i * w..(i + 1) * w];
-        match metric {
-            DistanceKind::Chebyshev => {
-                for (&j, &mj) in di.iter().zip(&m32) {
-                    if let Some(col) = tile.col32(j, lo, hi) {
-                        for (a, &x) in acc.iter_mut().zip(col) {
-                            *a = f32::max(*a, (x - mj).abs());
-                        }
-                    }
-                }
-            }
-            // Manhattan (Euclidean never reaches the fast path).
-            _ => {
-                for (&j, &mj) in di.iter().zip(&m32) {
-                    if let Some(col) = tile.col32(j, lo, hi) {
-                        for (a, &x) in acc.iter_mut().zip(col) {
-                            *a += (x - mj).abs();
-                        }
-                    }
-                }
-                let len = di.len() as f32;
-                if len > 0.0 {
-                    for a in acc.iter_mut() {
-                        *a /= len;
-                    }
-                }
-            }
-        }
-    }
-    for o in 0..w {
-        let p = lo + o;
-        let mag_p = tile.mag(p);
-        let mut min_hi = f64::INFINITY;
-        for i in 0..k {
-            let hi_bound = approx[i * w + o] as f64 + tau_coeff * (mag_p + mag_m[i]);
-            if hi_bound < min_hi {
-                min_hi = hi_bound;
-            }
-        }
-        let row = points.row(p);
-        let mut best = 0usize;
-        let mut best_dist = f64::INFINITY;
-        for (i, (&m, di)) in medoids.iter().zip(dims).enumerate() {
-            fstats.screened += 1;
-            let lo_bound = approx[i * w + o] as f64 - tau_coeff * (mag_p + mag_m[i]);
-            if lo_bound > min_hi {
-                fstats.excluded += 1;
-                continue;
-            }
-            fstats.verified += 1;
-            let dist = metric.eval_segmental(row, points.row(m), di);
-            if dist < best_dist {
-                best_dist = dist;
-                best = i;
-            }
-        }
-        out.push(best);
-    }
-}
-
-/// Columnar argmin over rows `lo..hi`, appending winners to `out`. With
-/// `fast` set (and an `f32` mirror present, and a metric whose
-/// segmental distance the screen's error model covers — Euclidean's
-/// squared accumulators need a different bound and simply take the
-/// exact columnar path), candidates are screened through
-/// [`assign_range_columnar_fast`] first; either way the winners are
-/// bit-identical to [`assign_block`].
-#[allow(clippy::too_many_arguments)]
-fn assign_range_columnar(
-    tile: &TileView<'_>,
-    points: &Matrix,
-    metric: DistanceKind,
-    medoids: &[usize],
-    dims: &[Vec<usize>],
-    lo: usize,
-    hi: usize,
-    out: &mut Vec<usize>,
-    fast: Option<&mut FastMathStats>,
-) {
-    let w = hi - lo;
-    if w == 0 {
-        return;
-    }
-    if let Some(fstats) = fast {
-        if tile.has_fast() && !matches!(metric, DistanceKind::Euclidean) {
-            assign_range_columnar_fast(tile, points, metric, medoids, dims, lo, hi, out, fstats);
-            return;
-        }
-    }
+) -> Vec<usize> {
+    let w = tile.width();
     let mut best = vec![0usize; w];
     let mut best_dist = vec![f64::INFINITY; w];
     let mut col = vec![0.0f64; w];
     for (i, (&m, di)) in medoids.iter().zip(dims).enumerate() {
-        segmental_column_columnar(tile, metric, points.row(m), di, lo, hi, &mut col);
+        segmental_column_columnar(tile, metric, points.row(m), di, &mut col);
         for ((bd, b), &dv) in best_dist.iter_mut().zip(best.iter_mut()).zip(col.iter()) {
             if dv < *bd {
                 *bd = dv;
@@ -1346,85 +625,29 @@ fn assign_range_columnar(
             }
         }
     }
-    out.extend_from_slice(&best);
+    best
 }
 
-/// Columnar twin of [`assign_block`] (winners bit-identical; `fast`
-/// engages the `f32` exactness-gated screen).
-#[allow(clippy::too_many_arguments)]
-pub fn assign_block_columnar(
-    tile: &TileView<'_>,
-    points: &Matrix,
-    metric: DistanceKind,
-    medoids: &[usize],
-    dims: &[Vec<usize>],
-    lo: usize,
-    hi: usize,
-    fast: Option<&mut FastMathStats>,
-) -> Vec<usize> {
-    let mut out = Vec::with_capacity(hi - lo);
-    assign_range_columnar(tile, points, metric, medoids, dims, lo, hi, &mut out, fast);
-    out
-}
-
-/// Columnar twin of `assign_x_range`: winners first (optionally `f32`-
-/// screened), then the per-cluster `X` sums accumulated dimension-outer
-/// over each cluster's members in ascending order — the same per-cell
-/// addition sequence as the row-major sweep.
-#[allow(clippy::too_many_arguments)]
-fn assign_x_range_columnar(
-    tile: &TileView<'_>,
-    points: &Matrix,
-    metric: DistanceKind,
-    medoids: &[usize],
-    dims: &[Vec<usize>],
-    lo: usize,
-    hi: usize,
-    xsums: &mut [Vec<f64>],
-    assignment: &mut Vec<usize>,
-    fast: Option<&mut FastMathStats>,
-) {
-    let start = assignment.len();
-    assign_range_columnar(
-        tile, points, metric, medoids, dims, lo, hi, assignment, fast,
-    );
-    let winners = &assignment[start..];
-    let mut members: Vec<Vec<usize>> = vec![Vec::new(); medoids.len()];
-    for (o, &wi) in winners.iter().enumerate() {
-        members[wi].push(lo + o);
-    }
-    for ((&m, mem), xi) in medoids.iter().zip(&members).zip(xsums.iter_mut()) {
-        accumulate_members_columnar(tile, points.row(m), mem, lo, hi, xi);
-    }
-}
-
-/// Columnar twin of [`assign_x_block`].
-#[allow(clippy::too_many_arguments)]
+/// Columnar twin of [`assign_x_block`]: winners first, then the
+/// per-cluster `X` sums accumulated dimension-outer over each
+/// cluster's members in ascending order — the same per-cell addition
+/// sequence as the row-major sweep.
 pub fn assign_x_block_columnar(
     tile: &TileView<'_>,
     points: &Matrix,
     metric: DistanceKind,
     medoids: &[usize],
     dims: &[Vec<usize>],
-    lo: usize,
-    hi: usize,
-    fast: Option<&mut FastMathStats>,
 ) -> AssignXPartial {
-    let d = points.cols();
-    let mut xsums = vec![vec![0.0; d]; medoids.len()];
-    let mut assignment = Vec::with_capacity(hi - lo);
-    assign_x_range_columnar(
-        tile,
-        points,
-        metric,
-        medoids,
-        dims,
-        lo,
-        hi,
-        &mut xsums,
-        &mut assignment,
-        fast,
-    );
+    let assignment = assign_block_columnar(tile, points, metric, medoids, dims);
+    let mut members: Vec<Vec<usize>> = vec![Vec::new(); medoids.len()];
+    for (o, &wi) in assignment.iter().enumerate() {
+        members[wi].push(tile.lo() + o);
+    }
+    let mut xsums = vec![vec![0.0; points.cols()]; medoids.len()];
+    for ((&m, mem), xi) in medoids.iter().zip(&members).zip(xsums.iter_mut()) {
+        accumulate_members_columnar(tile, points.row(m), mem, xi);
+    }
     AssignXPartial { assignment, xsums }
 }
 
@@ -1435,15 +658,13 @@ pub fn columns_block_columnar(
     metric: DistanceKind,
     medoids: &[usize],
     dims: &[Vec<usize>],
-    lo: usize,
-    hi: usize,
 ) -> Vec<Vec<f64>> {
     medoids
         .iter()
         .zip(dims)
         .map(|(&m, di)| {
-            let mut col = vec![0.0f64; hi - lo];
-            segmental_column_columnar(tile, metric, points.row(m), di, lo, hi, &mut col);
+            let mut col = vec![0.0f64; tile.width()];
+            segmental_column_columnar(tile, metric, points.row(m), di, &mut col);
             col
         })
         .collect()
@@ -1455,47 +676,42 @@ pub fn cluster_x_block_columnar(
     points: &Matrix,
     medoids: &[usize],
     assignment: &[Option<usize>],
-    lo: usize,
-    hi: usize,
 ) -> Vec<Vec<f64>> {
     let d = points.cols();
     let mut xsums = vec![vec![0.0; d]; medoids.len()];
     let mut members: Vec<Vec<usize>> = vec![Vec::new(); medoids.len()];
-    for (p, a) in assignment.iter().enumerate().take(hi).skip(lo) {
+    for (p, a) in assignment
+        .iter()
+        .enumerate()
+        .take(tile.hi())
+        .skip(tile.lo())
+    {
         if let Some(i) = *a {
             members[i].push(p);
         }
     }
     for ((&m, mem), xi) in medoids.iter().zip(&members).zip(xsums.iter_mut()) {
-        accumulate_members_columnar(tile, points.row(m), mem, lo, hi, xi);
+        accumulate_members_columnar(tile, points.row(m), mem, xi);
     }
     xsums
 }
 
-/// Columnar twin of `refine_assign_block` for a sub-range, appending to
-/// `out` — the gate-off tail of the pruned refine kernel.
-#[allow(clippy::too_many_arguments)]
-fn refine_assign_range_columnar(
+/// Columnar twin of [`refine_assign_block`].
+pub fn refine_assign_block_columnar(
     tile: &TileView<'_>,
     points: &Matrix,
     metric: DistanceKind,
     medoids: &[usize],
     dims: &[Vec<usize>],
     spheres: &[f64],
-    lo: usize,
-    hi: usize,
-    out: &mut Vec<Option<usize>>,
-) {
-    let w = hi - lo;
-    if w == 0 {
-        return;
-    }
+) -> Vec<Option<usize>> {
+    let w = tile.width();
     let mut best = vec![0usize; w];
     let mut best_dist = vec![f64::INFINITY; w];
     let mut inside = vec![false; w];
     let mut col = vec![0.0f64; w];
     for (i, (&m, di)) in medoids.iter().zip(dims).enumerate() {
-        segmental_column_columnar(tile, metric, points.row(m), di, lo, hi, &mut col);
+        segmental_column_columnar(tile, metric, points.row(m), di, &mut col);
         let sphere = spheres[i];
         for (((bd, b), ins), &dv) in best_dist
             .iter_mut()
@@ -1512,26 +728,11 @@ fn refine_assign_range_columnar(
             }
         }
     }
-    out.extend(inside.iter().zip(&best).map(|(&ins, &b)| ins.then_some(b)));
-}
-
-/// Columnar twin of [`refine_assign_block`].
-#[allow(clippy::too_many_arguments)]
-pub fn refine_assign_block_columnar(
-    tile: &TileView<'_>,
-    points: &Matrix,
-    metric: DistanceKind,
-    medoids: &[usize],
-    dims: &[Vec<usize>],
-    spheres: &[f64],
-    lo: usize,
-    hi: usize,
-) -> Vec<Option<usize>> {
-    let mut out = Vec::with_capacity(hi - lo);
-    refine_assign_range_columnar(
-        tile, points, metric, medoids, dims, spheres, lo, hi, &mut out,
-    );
-    out
+    inside
+        .iter()
+        .zip(&best)
+        .map(|(&ins, &b)| ins.then_some(b))
+        .collect()
 }
 
 // ---------------------------------------------------------------------
@@ -1682,7 +883,7 @@ fn sweep_clusters(
         let Some(tile) = layout.tile(lo, hi) else {
             return;
         };
-        let col = |j: usize| tile.col(j, lo, hi);
+        let col = |j: usize| tile.col(j);
         for (i, di) in dims.iter().enumerate() {
             let mem = members.of(t, i);
             if mem.is_empty() {
@@ -1775,7 +976,6 @@ pub(crate) fn evaluate_tiles<L: ClusterLabel>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::index::NeighborIndex;
     use crate::layout::ColumnarBlocks;
     use crate::locality::{localities, medoid_deltas};
     use rand::rngs::StdRng;
@@ -1805,7 +1005,7 @@ mod tests {
         dims: &[Vec<usize>],
         ctx: &str,
     ) {
-        let cb = ColumnarBlocks::build(points, false);
+        let cb = ColumnarBlocks::build(points);
         let want = oracle(points, labels, dims);
         let got = evaluate_tiles(&cb, labels, dims);
         assert_eq!(got.sizes, want.sizes, "{ctx}: sizes");
@@ -1904,7 +1104,7 @@ mod tests {
         let p = (0..n).find(|&p| labels[p] == Some(8)).unwrap();
         data[p * d + dims[8][0]] = f64::NAN;
         let points = Matrix::from_vec(data, n, d);
-        let cb = ColumnarBlocks::build(&points, false);
+        let cb = ColumnarBlocks::build(&points);
         let want = oracle(&points, &labels, &dims);
         let got = evaluate_tiles(&cb, &labels, &dims);
         assert!(want.objective.is_nan() && got.objective.is_nan());
@@ -1914,7 +1114,7 @@ mod tests {
     #[test]
     fn tile_evaluator_edge_shapes() {
         let points = random_points(5, 3, 1);
-        let cb = ColumnarBlocks::build(&points, false);
+        let cb = ColumnarBlocks::build(&points);
         // No clusters, and no dimensions: objective 0.
         let none: Vec<usize> = vec![0; 5];
         assert_eq!(evaluate_tiles(&cb, &none, &[]).objective, 0.0);
@@ -1926,11 +1126,7 @@ mod tests {
         assert_eq!((e.objective, e.sizes), (0.0, vec![0, 0]));
         // No points at all.
         let empty = Matrix::from_vec(Vec::new(), 0, 3);
-        let e = evaluate_tiles(
-            &ColumnarBlocks::build(&empty, false),
-            &[] as &[usize],
-            &[vec![0]],
-        );
+        let e = evaluate_tiles(&ColumnarBlocks::build(&empty), &[] as &[usize], &[vec![0]]);
         assert_eq!((e.objective, e.sizes), (0.0, vec![0]));
     }
 
@@ -2124,119 +1320,6 @@ mod tests {
         assert_eq!(x, vec![vec![0.5, 1.5]]);
     }
 
-    /// The pruned fused kernel must be **bit-identical** to the plain
-    /// one — members, order, and X sums — across all metrics, and
-    /// actually prune something on clustered data.
-    #[test]
-    fn fused_block_pruned_is_bit_identical_to_plain() {
-        for metric in [
-            DistanceKind::Manhattan,
-            DistanceKind::Euclidean,
-            DistanceKind::Chebyshev,
-        ] {
-            for seed in [11u64, 29] {
-                let points = random_points(900, 7, seed);
-                let medoids = vec![3usize, 99, 402, 777];
-                let deltas = medoid_deltas(&points, &medoids, metric);
-                let index = std::sync::Arc::new(NeighborIndex::build(&points, metric));
-                let ctx = FusedPruneCtx::new(index, &points, &medoids, metric);
-                let mut stats = PruneStats::default();
-                for (lo, hi) in blocks(points.rows()) {
-                    let plain = fused_block(&points, metric, &medoids, &deltas, lo, hi);
-                    let pruned = fused_block_pruned(
-                        &points, metric, &medoids, &deltas, &ctx, lo, hi, &mut stats, None,
-                    );
-                    assert_eq!(plain.locs, pruned.locs, "{metric:?} seed {seed}");
-                    for (a, b) in plain.xsums.iter().zip(&pruned.xsums) {
-                        let ab: Vec<u64> = a.iter().map(|v| v.to_bits()).collect();
-                        let bb: Vec<u64> = b.iter().map(|v| v.to_bits()).collect();
-                        assert_eq!(ab, bb, "{metric:?} seed {seed}: X bits moved");
-                    }
-                }
-                assert!(
-                    stats.range_sketch_pruned + stats.range_triangle_pruned > 0,
-                    "{metric:?} seed {seed}: range pruning inert"
-                );
-            }
-        }
-    }
-
-    /// The pruned assignment kernels must reproduce the plain winners
-    /// (and X sums, and outlier flags) bit for bit.
-    #[test]
-    fn pruned_assignment_kernels_are_bit_identical_to_plain() {
-        for metric in [
-            DistanceKind::Manhattan,
-            DistanceKind::Euclidean,
-            DistanceKind::Chebyshev,
-        ] {
-            // Dimension sets must reach NEAREST_MIN_DIMS for the
-            // bounded path to engage at all; a couple of small sets
-            // exercise the mixed small/large case.
-            let points = random_points(800, 12, 31);
-            let medoids = vec![2usize, 170, 444, 650];
-            let dims = vec![
-                (0..10).collect::<Vec<_>>(),
-                (1..11).collect(),
-                (2..12).collect(),
-                vec![0, 5],
-            ];
-            let spheres = crate::refine::spheres_of_influence(&points, &medoids, &dims, metric);
-            let mut stats = PruneStats::default();
-            for (lo, hi) in blocks(points.rows()) {
-                assert_eq!(
-                    assign_block(&points, metric, &medoids, &dims, lo, hi),
-                    assign_block_pruned(
-                        &points, metric, &medoids, &dims, lo, hi, &mut stats, None, None
-                    ),
-                    "{metric:?} assign"
-                );
-                let plain = assign_x_block(&points, metric, &medoids, &dims, lo, hi);
-                let pruned = assign_x_block_pruned(
-                    &points, metric, &medoids, &dims, lo, hi, &mut stats, None, None,
-                );
-                assert_eq!(plain.assignment, pruned.assignment, "{metric:?} assign_x");
-                for (a, b) in plain.xsums.iter().zip(&pruned.xsums) {
-                    let ab: Vec<u64> = a.iter().map(|v| v.to_bits()).collect();
-                    let bb: Vec<u64> = b.iter().map(|v| v.to_bits()).collect();
-                    assert_eq!(ab, bb, "{metric:?} assign_x X bits moved");
-                }
-                assert_eq!(
-                    refine_assign_block(&points, metric, &medoids, &dims, &spheres, lo, hi),
-                    refine_assign_block_pruned(
-                        &points, metric, &medoids, &dims, &spheres, lo, hi, &mut stats, None
-                    ),
-                    "{metric:?} refine"
-                );
-            }
-            assert!(stats.nearest_pruned > 0, "{metric:?}: prefix pruning inert");
-        }
-    }
-
-    /// Pruned kernels preserve the NaN semantics of the plain path (a
-    /// NaN-coordinate medoid never wins, all-NaN rows land on slot 0).
-    #[test]
-    fn pruned_kernels_preserve_nan_semantics() {
-        let rows: Vec<[f64; 2]> = vec![[0.0, 0.0], [f64::NAN, 1.0], [2.0, 2.0], [50.0, 50.0]];
-        let points = Matrix::from_rows(&rows, 2);
-        let medoids = vec![1usize, 3];
-        let dims = vec![vec![0, 1], vec![0, 1]];
-        let metric = DistanceKind::Manhattan;
-        let mut stats = PruneStats::default();
-        assert_eq!(
-            assign_block(&points, metric, &medoids, &dims, 0, 4),
-            assign_block_pruned(&points, metric, &medoids, &dims, 0, 4, &mut stats, None, None),
-        );
-        let deltas = medoid_deltas(&points, &medoids, metric);
-        let index = std::sync::Arc::new(NeighborIndex::build(&points, metric));
-        let ctx = FusedPruneCtx::new(index, &points, &medoids, metric);
-        let plain = fused_block(&points, metric, &medoids, &deltas, 0, 4);
-        let pruned = fused_block_pruned(
-            &points, metric, &medoids, &deltas, &ctx, 0, 4, &mut stats, None,
-        );
-        assert_eq!(plain, pruned);
-    }
-
     /// Matrices chosen to stress the bit-identity contract: exact
     /// distance ties, duplicated rows, and mixed 1e±9 magnitudes where
     /// any reassociation of the accumulation order would show up.
@@ -2260,10 +1343,21 @@ mod tests {
                 }
             })
             .collect();
+        // NaN coordinates on scattered rows and on two of the medoids
+        // used below (700 in the full space only, 1200 on a projected
+        // dimension too): a NaN distance never wins or joins a
+        // locality, on either kernel.
+        let mut nan = tie.clone();
+        for p in (0..n).step_by(97) {
+            nan[p * d + p % d] = f64::NAN;
+        }
+        nan[700 * d] = f64::NAN;
+        nan[1_200 * d + 4] = f64::NAN;
         vec![
             ("tie-heavy", Matrix::from_vec(tie, n, d)),
             ("duplicate-rows", Matrix::from_vec(dup, n, d)),
             ("mixed-magnitude", Matrix::from_vec(huge, n, d)),
+            ("nan-coordinates", Matrix::from_vec(nan, n, d)),
         ]
     }
 
@@ -2280,11 +1374,11 @@ mod tests {
     /// Every columnar twin must be bit-identical to its row-major
     /// original — localities, X sums, assignments, distance columns,
     /// refine outcomes — across all three metrics on tie-heavy,
-    /// duplicate-row, and mixed-magnitude matrices.
+    /// duplicate-row, mixed-magnitude and NaN-carrying matrices.
     #[test]
     fn columnar_kernels_are_bit_identical_to_row_major() {
         for (name, points) in tricky_matrices() {
-            let cb = ColumnarBlocks::build(&points, false);
+            let cb = ColumnarBlocks::build(&points);
             let medoids = vec![3usize, 700, 1_200];
             let dims = vec![vec![0, 1, 2], vec![1, 3], vec![0, 4, 5]];
             for metric in [
@@ -2304,119 +1398,37 @@ mod tests {
                     let ctx = format!("{name}/{metric:?}/[{lo},{hi})");
                     let t = cb.tile(lo, hi).unwrap();
                     let fa = fused_block(&points, metric, &medoids, &deltas, lo, hi);
-                    let fb = fused_block_columnar(&t, &points, metric, &medoids, &deltas, lo, hi);
+                    let fb = fused_block_columnar(&t, &points, metric, &medoids, &deltas);
                     assert_eq!(fa.locs, fb.locs, "{ctx}: fused locs");
                     assert_bits(&fa.xsums, &fb.xsums, &format!("{ctx}: fused X"));
                     assert_eq!(
                         assign_block(&points, metric, &medoids, &dims, lo, hi),
-                        assign_block_columnar(&t, &points, metric, &medoids, &dims, lo, hi, None),
+                        assign_block_columnar(&t, &points, metric, &medoids, &dims),
                         "{ctx}: assign"
                     );
                     let xa = assign_x_block(&points, metric, &medoids, &dims, lo, hi);
-                    let xb =
-                        assign_x_block_columnar(&t, &points, metric, &medoids, &dims, lo, hi, None);
+                    let xb = assign_x_block_columnar(&t, &points, metric, &medoids, &dims);
                     assert_eq!(xa.assignment, xb.assignment, "{ctx}: assign+X winners");
                     assert_bits(&xa.xsums, &xb.xsums, &format!("{ctx}: assign+X sums"));
                     assert_bits(
                         &columns_block(&points, metric, &medoids, &dims, lo, hi),
-                        &columns_block_columnar(&t, &points, metric, &medoids, &dims, lo, hi),
+                        &columns_block_columnar(&t, &points, metric, &medoids, &dims),
                         &format!("{ctx}: columns"),
                     );
                     assert_eq!(
                         refine_assign_block(&points, metric, &medoids, &dims, &spheres, lo, hi),
                         refine_assign_block_columnar(
-                            &t, &points, metric, &medoids, &dims, &spheres, lo, hi,
+                            &t, &points, metric, &medoids, &dims, &spheres
                         ),
                         "{ctx}: refine"
                     );
                     assert_bits(
                         &cluster_x_block(&points, &medoids, &refined, lo, hi),
-                        &cluster_x_block_columnar(&t, &points, &medoids, &refined, lo, hi),
+                        &cluster_x_block_columnar(&t, &points, &medoids, &refined),
                         &format!("{ctx}: cluster X"),
                     );
                 }
             }
-        }
-    }
-
-    /// The `f32` screen must never change a winner: gated assignment
-    /// equals the plain kernels element-wise, the counters balance, and
-    /// the screen actually engages for Manhattan/Chebyshev while
-    /// Euclidean falls through to the exact columnar path.
-    #[test]
-    fn fast_gated_assignment_matches_plain_winners_exactly() {
-        for (name, points) in tricky_matrices() {
-            let cb = ColumnarBlocks::build(&points, true);
-            let medoids = vec![3usize, 700, 1_200];
-            let dims = vec![vec![0, 1, 2], vec![1, 3], vec![0, 4, 5]];
-            for metric in [
-                DistanceKind::Manhattan,
-                DistanceKind::Euclidean,
-                DistanceKind::Chebyshev,
-            ] {
-                let mut fs = FastMathStats::default();
-                for (lo, hi) in blocks(points.rows()) {
-                    let ctx = format!("{name}/{metric:?}/[{lo},{hi})");
-                    let t = cb.tile(lo, hi).unwrap();
-                    assert_eq!(
-                        assign_block(&points, metric, &medoids, &dims, lo, hi),
-                        assign_block_columnar(
-                            &t,
-                            &points,
-                            metric,
-                            &medoids,
-                            &dims,
-                            lo,
-                            hi,
-                            Some(&mut fs),
-                        ),
-                        "{ctx}: gated assign"
-                    );
-                    let xa = assign_x_block(&points, metric, &medoids, &dims, lo, hi);
-                    let xb = assign_x_block_columnar(
-                        &t,
-                        &points,
-                        metric,
-                        &medoids,
-                        &dims,
-                        lo,
-                        hi,
-                        Some(&mut fs),
-                    );
-                    assert_eq!(xa.assignment, xb.assignment, "{ctx}: gated assign+X");
-                    assert_bits(&xa.xsums, &xb.xsums, &format!("{ctx}: gated assign+X sums"));
-                }
-                assert_eq!(
-                    fs.screened,
-                    fs.excluded + fs.verified,
-                    "{name}/{metric:?}: counter balance"
-                );
-                if metric == DistanceKind::Euclidean {
-                    assert_eq!(fs.screened, 0, "{name}: Euclidean must not be screened");
-                } else {
-                    assert!(fs.screened > 0, "{name}/{metric:?}: screen never engaged");
-                }
-            }
-        }
-    }
-
-    /// NaN rows fall through the `f32` screen to the exact path and
-    /// keep the plain kernels' NaN semantics.
-    #[test]
-    fn fast_gate_preserves_nan_semantics() {
-        let rows: Vec<[f64; 2]> = vec![[0.0, 0.0], [f64::NAN, 1.0], [2.0, 2.0], [50.0, 50.0]];
-        let points = Matrix::from_rows(&rows, 2);
-        let cb = ColumnarBlocks::build(&points, true);
-        let t = cb.tile(0, 4).unwrap();
-        let medoids = vec![1usize, 3];
-        let dims = vec![vec![0, 1], vec![0, 1]];
-        for metric in [DistanceKind::Manhattan, DistanceKind::Chebyshev] {
-            let mut fs = FastMathStats::default();
-            assert_eq!(
-                assign_block(&points, metric, &medoids, &dims, 0, 4),
-                assign_block_columnar(&t, &points, metric, &medoids, &dims, 0, 4, Some(&mut fs),),
-                "{metric:?}"
-            );
         }
     }
 }

@@ -50,7 +50,6 @@ pub mod dims;
 pub mod error;
 pub mod evaluate;
 pub mod greedy;
-pub mod index;
 pub mod init;
 pub mod iterate;
 pub mod kernel;
@@ -66,7 +65,6 @@ pub mod rollover;
 pub mod stream;
 
 pub use error::ProclusError;
-pub use index::NeighborIndex;
 pub use model::{Degradation, FitDiagnostics, ProclusModel, ProjectedCluster};
 pub use params::{InitStrategy, Proclus};
 pub use registry::{

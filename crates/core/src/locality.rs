@@ -27,9 +27,7 @@
 //! fall back to the singleton `Lᵢ = {mᵢ}` with a zero `X` row — the
 //! values a finite medoid would contribute, since `|m_j − m_j| = 0`.
 
-use crate::index::{FusedPruneCtx, NeighborIndex, PruneStats};
 use proclus_math::{DistanceKind, Matrix};
-use std::sync::Arc;
 
 /// `δᵢ` for each medoid: distance to the nearest *other* medoid.
 ///
@@ -71,131 +69,10 @@ pub fn localities(
     let d = points.cols();
     let all_dims: Vec<usize> = (0..d).collect();
     let mut out: Vec<Vec<usize>> = vec![Vec::new(); medoids.len()];
-    locality_range(
-        points,
-        medoids,
-        deltas,
-        metric,
-        &all_dims,
-        0,
-        points.rows(),
-        &mut out,
-    );
-    for (li, &m) in out.iter_mut().zip(medoids) {
-        if li.is_empty() {
-            li.push(m);
-        }
-    }
-    out
-}
-
-/// The plain locality scan over rows `lo..hi`, pushing members into
-/// existing lists — the tail loop the indexed scan falls back to when
-/// its adaptive gates turn the pruning machinery off.
-#[allow(clippy::too_many_arguments)]
-fn locality_range(
-    points: &Matrix,
-    medoids: &[usize],
-    deltas: &[f64],
-    metric: DistanceKind,
-    all_dims: &[usize],
-    lo: usize,
-    hi: usize,
-    out: &mut [Vec<usize>],
-) {
-    for p in lo..hi {
-        let row = points.row(p);
-        for (i, &m) in medoids.iter().enumerate() {
-            let dist = metric.eval_segmental(row, points.row(m), all_dims);
-            if dist <= deltas[i] {
-                out[i].push(p);
-            }
-        }
-    }
-}
-
-/// [`localities`] answered through the neighbor index: candidates whose
-/// sketch or triangle lower bound proves them outside `δᵢ` skip the
-/// exact distance, and the surviving evaluations abandon mid-sum once
-/// their prefix accumulator certifies `dist > δᵢ`; every actual member
-/// is verified exactly, in the same order — the result (including the
-/// empty-locality fallback) is **bit-identical** to the plain scan.
-/// `stats` accumulates the pruned/verified counts.
-pub fn localities_indexed(
-    points: &Matrix,
-    medoids: &[usize],
-    deltas: &[f64],
-    metric: DistanceKind,
-    index: &Arc<NeighborIndex>,
-    stats: &mut PruneStats,
-) -> Vec<Vec<usize>> {
-    let d = points.cols();
-    let all_dims: Vec<usize> = (0..d).collect();
-    let ctx = FusedPruneCtx::new(Arc::clone(index), points, medoids, metric);
-    let k = medoids.len();
-    let rt_member: Vec<f64> = deltas
-        .iter()
-        .map(|&delta| crate::index::raw_gt_threshold(metric, delta, d))
-        .collect();
-    let mut out: Vec<Vec<usize>> = vec![Vec::new(); k];
-    let mut evaluated = vec![f64::NAN; k];
-    // Adaptive gates: probe the first PROBE_POINTS rows with the full
-    // machinery, then disable (a) the whole-pair bounds when too few
-    // probed pairs pruned, and (b) the prefix device when too few
-    // reached evaluations abandoned (see `crate::index`).
-    let probe_end = crate::index::PROBE_POINTS.min(points.rows());
-    let base_bounds = stats.range_sketch_pruned + stats.range_triangle_pruned;
-    let base_prefix = stats.range_prefix_pruned;
-    let base_verified = stats.range_verified;
-    let mut probing = true;
-    let mut bounds_on = true;
-    let mut prefix_on = true;
     for p in 0..points.rows() {
-        if probing && p == probe_end {
-            probing = false;
-            let pruned = stats.range_sketch_pruned + stats.range_triangle_pruned - base_bounds;
-            let probed = (probe_end * k) as u64;
-            bounds_on = pruned >= probed >> crate::index::PROBE_DISABLE_SHIFT;
-            let abandoned = stats.range_prefix_pruned - base_prefix;
-            let reached = abandoned + (stats.range_verified - base_verified);
-            prefix_on = abandoned * crate::index::PREFIX_KEEP_DEN
-                >= reached * crate::index::PREFIX_KEEP_NUM;
-            if !bounds_on && !prefix_on {
-                // Nothing left of the pruning machinery: hand the rest
-                // of the scan to the plain loop (same membership order).
-                stats.range_verified += ((points.rows() - p) * k) as u64;
-                locality_range(
-                    points,
-                    medoids,
-                    deltas,
-                    metric,
-                    &all_dims,
-                    p,
-                    points.rows(),
-                    &mut out,
-                );
-                break;
-            }
-        }
         let row = points.row(p);
-        for e in evaluated.iter_mut() {
-            *e = f64::NAN;
-        }
         for (i, &m) in medoids.iter().enumerate() {
-            if bounds_on && ctx.prunes(p, i, deltas[i], &evaluated[..i], stats) {
-                continue;
-            }
-            let verdict = if prefix_on {
-                crate::index::segmental_bounded(metric, row, points.row(m), &all_dims, rt_member[i])
-            } else {
-                Some(metric.eval_segmental(row, points.row(m), &all_dims))
-            };
-            let Some(dist) = verdict else {
-                stats.range_prefix_pruned += 1;
-                continue;
-            };
-            evaluated[i] = dist;
-            stats.range_verified += 1;
+            let dist = metric.eval_segmental(row, points.row(m), &all_dims);
             if dist <= deltas[i] {
                 out[i].push(p);
             }

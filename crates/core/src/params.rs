@@ -99,27 +99,6 @@ pub struct Proclus {
     /// correctness baseline; also what `cache.*` counters compare
     /// against).
     pub round_cache: bool,
-    /// Use the exact-pruning neighbor index (default `true`). A per-fit
-    /// [`crate::index::NeighborIndex`] (random-projection sketches plus
-    /// per-pass medoid triangle bounds) lets the locality, assignment,
-    /// and refinement passes skip exact segmental-distance evaluations
-    /// whose outcome a certified lower bound already decides. The index
-    /// only *prunes* — every surviving candidate is verified by the
-    /// exact evaluation — so fits, event streams, and golden digests
-    /// are **bit-identical** with it on or off; `index.*` manifest
-    /// counters report the work saved. Disable for the unpruned
-    /// baseline (`fit --no-index` on the CLI).
-    pub neighbor_index: bool,
-    /// Opt into the exactness-gated `f32` fast path (default `false`).
-    /// Assignment kernels prescreen candidates with `f32` distances
-    /// widened to conservative intervals (tolerance model:
-    /// [`crate::layout::FAST_MATH_TOLERANCE_SCALE`]); only provably
-    /// non-winning candidates are skipped and every accepted decision
-    /// is re-verified in `f64`, so fits, event streams, and golden
-    /// digests stay **bit-identical** with it on or off. `fastmath.*`
-    /// manifest counters report the work saved (`fit --fast-math` on
-    /// the CLI).
-    pub fast_math: bool,
 }
 
 impl Proclus {
@@ -142,8 +121,6 @@ impl Proclus {
             standardize_dimensions: true,
             threads: 1,
             round_cache: true,
-            neighbor_index: true,
-            fast_math: false,
         }
     }
 
@@ -151,21 +128,6 @@ impl Proclus {
     /// are bit-identical either way — see [`crate::cache`]).
     pub fn round_cache(mut self, v: bool) -> Self {
         self.round_cache = v;
-        self
-    }
-
-    /// Toggle the exact-pruning neighbor index (default on; results are
-    /// bit-identical either way — see [`crate::index`]).
-    pub fn neighbor_index(mut self, v: bool) -> Self {
-        self.neighbor_index = v;
-        self
-    }
-
-    /// Opt into the exactness-gated `f32` screening fast path (default
-    /// off; results are bit-identical either way — see
-    /// [`crate::layout`]).
-    pub fn fast_math(mut self, v: bool) -> Self {
-        self.fast_math = v;
         self
     }
 

@@ -12,50 +12,42 @@
 //! * Workers live inside a [`std::thread::scope`] spanning the whole
 //!   fit, so they can borrow the point matrix directly — no `unsafe`,
 //!   no copying the data (the crate forbids unsafe code).
-//! * Work is distributed as fixed-size row blocks
-//!   ([`crate::kernel::BLOCK`]); a shared queue lets fast workers steal
-//!   the remaining blocks, so an unlucky scheduling of one block never
-//!   idles the rest of the pool.
+//! * The matrix is mirrored once per fit into dimension-major tiles
+//!   ([`ColumnarBlocks`], one per fixed-size row block of
+//!   [`crate::kernel::BLOCK`] rows), and every pass runs the columnar
+//!   kernel of [`crate::kernel`] over them. A shared queue lets fast
+//!   workers steal the remaining tiles, so an unlucky scheduling of one
+//!   tile never idles the rest of the pool.
 //! * Every block result is tagged with its block index and merged on
 //!   the coordinating thread in ascending index order. Together with
 //!   the fixed tiling this makes the result **bit-identical for every
 //!   thread count** — see [`crate::kernel`] for the argument.
 //! * `threads <= 1` (or a dataset smaller than one block) skips the
-//!   workers entirely; the serial path runs the *same* block kernels in
+//!   workers entirely; the serial path runs the *same* tile kernels in
 //!   the same order, so it is the reference the pooled path is compared
 //!   against in the property tests.
 
-use crate::index::{FusedPruneCtx, NeighborIndex, PruneStats};
 use crate::kernel::{self, AssignXPartial, FusedPartial};
-use crate::layout::{ColumnarBlocks, FastMathStats};
+use crate::layout::{ColumnarBlocks, TileView};
 use proclus_math::{DistanceKind, Matrix};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{mpsc, Arc, Mutex};
 
 /// Owned per-round job data shipped to the workers. Small (O(k·d) plus
 /// one `Arc`'d assignment for the refinement pass) — the point matrix
-/// itself is borrowed by the workers, never sent.
-///
-/// The fused task optionally carries a shared [`FusedPruneCtx`], and
-/// the assignment-style tasks a `pruned` flag; either engages the
-/// pruned kernel twin ([`crate::kernel`]), which is bit-identical to
-/// the plain kernel, so the choice never reaches the results — only
-/// the [`PruneStats`] riding back with each partial.
+/// and its tiles are borrowed by the workers, never sent.
 enum Task {
     Fused {
         medoids: Arc<Vec<usize>>,
         deltas: Arc<Vec<f64>>,
-        ctx: Option<Arc<FusedPruneCtx>>,
     },
     Assign {
         medoids: Arc<Vec<usize>>,
         dims: Arc<Vec<Vec<usize>>>,
-        pruned: bool,
     },
     AssignX {
         medoids: Arc<Vec<usize>>,
         dims: Arc<Vec<Vec<usize>>>,
-        pruned: bool,
     },
     Columns {
         medoids: Arc<Vec<usize>>,
@@ -69,18 +61,17 @@ enum Task {
         medoids: Arc<Vec<usize>>,
         dims: Arc<Vec<Vec<usize>>>,
         spheres: Arc<Vec<f64>>,
-        pruned: bool,
     },
 }
 
-/// One unit of work: a task applied to a row block.
-struct Job {
+/// One unit of work: a task applied to one tile.
+struct Job<'env> {
     task: Task,
-    block: (usize, usize),
+    tile: TileView<'env>,
     index: usize,
 }
 
-/// A block's partial result, matched to the [`Task`] variant.
+/// A tile's partial result, matched to the [`Task`] variant.
 enum Partial {
     Fused(FusedPartial),
     Assign(Vec<usize>),
@@ -91,159 +82,50 @@ enum Partial {
 }
 
 impl Task {
-    /// Run the task over one row block. The returned [`PruneStats`] are
-    /// this block's index-pruning counters (zero for unpruned tasks) —
-    /// per-pair decisions depend only on the pair, so the totals are
-    /// scheduling-independent even though they ride back with partials.
-    fn run(
-        &self,
-        points: &Matrix,
-        metric: DistanceKind,
-        layout: Option<&ColumnarBlocks>,
-        fast_math: bool,
-        lo: usize,
-        hi: usize,
-    ) -> (Partial, PruneStats, FastMathStats) {
-        let mut prune = PruneStats::default();
-        let mut fstats = FastMathStats::default();
-        // The canonical block ranges always lie within one tile, so a
-        // missing tile only happens without a layout — every arm below
-        // falls back to the row-major kernel in that case.
-        let tile = layout.and_then(|l| l.tile(lo, hi));
-        let tile = tile.as_ref();
-        let partial = match self {
-            Task::Fused {
-                medoids,
-                deltas,
-                ctx,
-            } => Partial::Fused(match (ctx, tile) {
-                (Some(ctx), _) => kernel::fused_block_pruned(
-                    points, metric, medoids, deltas, ctx, lo, hi, &mut prune, tile,
-                ),
-                (None, Some(t)) => {
-                    kernel::fused_block_columnar(t, points, metric, medoids, deltas, lo, hi)
-                }
-                (None, None) => kernel::fused_block(points, metric, medoids, deltas, lo, hi),
-            }),
-            Task::Assign {
-                medoids,
-                dims,
-                pruned,
-            } => Partial::Assign(if *pruned {
-                kernel::assign_block_pruned(
-                    points,
-                    metric,
-                    medoids,
-                    dims,
-                    lo,
-                    hi,
-                    &mut prune,
-                    tile,
-                    fast_math.then_some(&mut fstats),
-                )
-            } else if let Some(t) = tile {
-                kernel::assign_block_columnar(
-                    t,
-                    points,
-                    metric,
-                    medoids,
-                    dims,
-                    lo,
-                    hi,
-                    fast_math.then_some(&mut fstats),
-                )
-            } else {
-                kernel::assign_block(points, metric, medoids, dims, lo, hi)
-            }),
-            Task::AssignX {
-                medoids,
-                dims,
-                pruned,
-            } => Partial::AssignX(if *pruned {
-                kernel::assign_x_block_pruned(
-                    points,
-                    metric,
-                    medoids,
-                    dims,
-                    lo,
-                    hi,
-                    &mut prune,
-                    tile,
-                    fast_math.then_some(&mut fstats),
-                )
-            } else if let Some(t) = tile {
-                kernel::assign_x_block_columnar(
-                    t,
-                    points,
-                    metric,
-                    medoids,
-                    dims,
-                    lo,
-                    hi,
-                    fast_math.then_some(&mut fstats),
-                )
-            } else {
-                kernel::assign_x_block(points, metric, medoids, dims, lo, hi)
-            }),
-            Task::Columns { medoids, dims } => Partial::Columns(match tile {
-                Some(t) => kernel::columns_block_columnar(t, points, metric, medoids, dims, lo, hi),
-                None => kernel::columns_block(points, metric, medoids, dims, lo, hi),
-            }),
+    /// Run the task's columnar kernel over one tile.
+    fn run(&self, points: &Matrix, metric: DistanceKind, tile: &TileView<'_>) -> Partial {
+        match self {
+            Task::Fused { medoids, deltas } => Partial::Fused(kernel::fused_block_columnar(
+                tile, points, metric, medoids, deltas,
+            )),
+            Task::Assign { medoids, dims } => Partial::Assign(kernel::assign_block_columnar(
+                tile, points, metric, medoids, dims,
+            )),
+            Task::AssignX { medoids, dims } => Partial::AssignX(kernel::assign_x_block_columnar(
+                tile, points, metric, medoids, dims,
+            )),
+            Task::Columns { medoids, dims } => Partial::Columns(kernel::columns_block_columnar(
+                tile, points, metric, medoids, dims,
+            )),
             Task::ClusterX {
                 medoids,
                 assignment,
-            } => Partial::ClusterX(match tile {
-                Some(t) => kernel::cluster_x_block_columnar(t, points, medoids, assignment, lo, hi),
-                None => kernel::cluster_x_block(points, medoids, assignment, lo, hi),
-            }),
+            } => Partial::ClusterX(kernel::cluster_x_block_columnar(
+                tile, points, medoids, assignment,
+            )),
             Task::RefineAssign {
                 medoids,
                 dims,
                 spheres,
-                pruned,
-            } => Partial::RefineAssign(if *pruned {
-                kernel::refine_assign_block_pruned(
-                    points, metric, medoids, dims, spheres, lo, hi, &mut prune, tile,
-                )
-            } else if let Some(t) = tile {
-                kernel::refine_assign_block_columnar(
-                    t, points, metric, medoids, dims, spheres, lo, hi,
-                )
-            } else {
-                kernel::refine_assign_block(points, metric, medoids, dims, spheres, lo, hi)
-            }),
-        };
-        (partial, prune, fstats)
+            } => Partial::RefineAssign(kernel::refine_assign_block_columnar(
+                tile, points, metric, medoids, dims, spheres,
+            )),
+        }
     }
 
     fn clone_refs(&self) -> Task {
         match self {
-            Task::Fused {
-                medoids,
-                deltas,
-                ctx,
-            } => Task::Fused {
+            Task::Fused { medoids, deltas } => Task::Fused {
                 medoids: Arc::clone(medoids),
                 deltas: Arc::clone(deltas),
-                ctx: ctx.as_ref().map(Arc::clone),
             },
-            Task::Assign {
-                medoids,
-                dims,
-                pruned,
-            } => Task::Assign {
+            Task::Assign { medoids, dims } => Task::Assign {
                 medoids: Arc::clone(medoids),
                 dims: Arc::clone(dims),
-                pruned: *pruned,
             },
-            Task::AssignX {
-                medoids,
-                dims,
-                pruned,
-            } => Task::AssignX {
+            Task::AssignX { medoids, dims } => Task::AssignX {
                 medoids: Arc::clone(medoids),
                 dims: Arc::clone(dims),
-                pruned: *pruned,
             },
             Task::Columns { medoids, dims } => Task::Columns {
                 medoids: Arc::clone(medoids),
@@ -260,50 +142,23 @@ impl Task {
                 medoids,
                 dims,
                 spheres,
-                pruned,
             } => Task::RefineAssign {
                 medoids: Arc::clone(medoids),
                 dims: Arc::clone(dims),
                 spheres: Arc::clone(spheres),
-                pruned: *pruned,
             },
         }
     }
 }
 
-enum Mode {
-    /// No workers: blocks run inline, in order, on the calling thread.
+enum Mode<'env> {
+    /// No workers: tiles run inline, in order, on the calling thread.
     Serial,
     /// Persistent workers consuming from a shared job queue.
     Pooled {
-        job_tx: Sender<Job>,
-        result_rx: Receiver<(usize, Partial, PruneStats, FastMathStats)>,
+        job_tx: Sender<Job<'env>>,
+        result_rx: Receiver<(usize, Partial)>,
     },
-}
-
-/// Configuration for [`with_pool_opts`].
-#[derive(Clone, Copy, Debug)]
-pub struct PoolOptions {
-    /// Build the dimension-major [`ColumnarBlocks`] mirror and run
-    /// every pass through the columnar kernel twins (bit-identical to
-    /// the row-major kernels; on by default). Off is the row-major
-    /// baseline the benches and the cross-path property tests compare
-    /// against.
-    pub columnar: bool,
-    /// Also build the `f32` mirror and engage the exactness-gated
-    /// prefilter in assignment passes (off by default; requires
-    /// `columnar`). Results are bit-identical either way — only the
-    /// `fastmath.*` counters and the work saved change.
-    pub fast_math: bool,
-}
-
-impl Default for PoolOptions {
-    fn default() -> Self {
-        Self {
-            columnar: true,
-            fast_math: false,
-        }
-    }
 }
 
 /// Work counters maintained by the pool.
@@ -345,92 +200,54 @@ impl PoolStats {
 pub struct Pool<'env> {
     points: &'env Matrix,
     metric: DistanceKind,
-    mode: Mode,
+    /// The dimension-major mirror of `points`, shared with the workers.
+    layout: &'env ColumnarBlocks,
+    mode: Mode<'env>,
     workers: usize,
     stats: PoolStats,
     physical: PoolStats,
     round_mark: PoolStats,
     queue_high_water: u64,
-    /// The per-fit neighbor index; `Some` engages the pruned kernel
-    /// twins in every fused/assign/refine pass.
-    index: Option<Arc<NeighborIndex>>,
-    /// Cumulative pruning counters across all passes (manifest-only —
-    /// see [`crate::index::PruneStats`]).
-    prune: PruneStats,
-    /// The columnar mirror shared with the workers; `Some` routes every
-    /// pass through the columnar kernel twins.
-    layout: Option<Arc<ColumnarBlocks>>,
-    /// Whether assignment passes engage the `f32` exactness-gated
-    /// screen (requires `layout` with a fast mirror).
-    fast_math: bool,
-    /// Cumulative fast-path counters across all passes (manifest-only).
-    fstats: FastMathStats,
-    /// Row blocks dispatched with / without the columnar layout
-    /// (manifest-only `layout.*` counters).
-    columnar_blocks: u64,
-    rowmajor_blocks: u64,
 }
 
-/// Run `f` with a [`Pool`] over `points`. With `threads > 1` (and at
-/// least two blocks of data) the workers are spawned once, live for the
-/// whole call, and are joined before this function returns; otherwise
-/// `f` gets a serial pool and no threads are ever created.
+/// Run `f` with a [`Pool`] over `points`. The columnar mirror is built
+/// once here (one pass over the matrix) and shared read-only with every
+/// worker. With `threads > 1` (and at least two blocks of data) the
+/// workers are spawned once, live for the whole call, and are joined
+/// before this function returns; otherwise `f` gets a serial pool and
+/// no threads are ever created.
 pub fn with_pool<R>(
     points: &Matrix,
     metric: DistanceKind,
     threads: usize,
     f: impl FnOnce(&mut Pool<'_>) -> R,
 ) -> R {
-    with_pool_opts(points, metric, threads, PoolOptions::default(), f)
-}
-
-/// [`with_pool`] with explicit layout/fast-math configuration. The
-/// columnar mirror is built once here (one pass over the matrix) and
-/// shared read-only with every worker.
-pub fn with_pool_opts<R>(
-    points: &Matrix,
-    metric: DistanceKind,
-    threads: usize,
-    opts: PoolOptions,
-    f: impl FnOnce(&mut Pool<'_>) -> R,
-) -> R {
-    let layout = opts
-        .columnar
-        .then(|| Arc::new(ColumnarBlocks::build(points, opts.fast_math)));
-    let fast_math = opts.fast_math && opts.columnar;
-    let n_blocks = points.rows().div_ceil(kernel::BLOCK);
+    let layout = ColumnarBlocks::build(points);
     // More workers than blocks would never all run; cap keeps the
     // spawn cost proportional to useful parallelism. (Results do not
     // depend on the cap — or on the thread count at all.)
-    let workers = threads.min(n_blocks);
+    let workers = threads.min(layout.tiles().len());
+    let pool = |mode, workers| Pool {
+        points,
+        metric,
+        layout: &layout,
+        mode,
+        workers,
+        stats: PoolStats::default(),
+        physical: PoolStats::default(),
+        round_mark: PoolStats::default(),
+        queue_high_water: 0,
+    };
     if workers <= 1 {
-        let mut pool = Pool {
-            points,
-            metric,
-            mode: Mode::Serial,
-            workers: 0,
-            stats: PoolStats::default(),
-            physical: PoolStats::default(),
-            round_mark: PoolStats::default(),
-            queue_high_water: 0,
-            index: None,
-            prune: PruneStats::default(),
-            layout,
-            fast_math,
-            fstats: FastMathStats::default(),
-            columnar_blocks: 0,
-            rowmajor_blocks: 0,
-        };
-        return f(&mut pool);
+        return f(&mut pool(Mode::Serial, 0));
     }
     std::thread::scope(|s| {
-        let (job_tx, job_rx) = mpsc::channel::<Job>();
+        let (job_tx, job_rx) = mpsc::channel::<Job<'_>>();
         let job_rx = Arc::new(Mutex::new(job_rx));
-        let (result_tx, result_rx) = mpsc::channel::<(usize, Partial, PruneStats, FastMathStats)>();
+        let (result_tx, result_rx) = mpsc::channel::<(usize, Partial)>();
         for _ in 0..workers {
             let rx = Arc::clone(&job_rx);
             let tx = result_tx.clone();
-            let worker_layout = layout.clone();
             s.spawn(move || {
                 loop {
                     // Hold the lock only to pop; compute unlocked. A
@@ -444,34 +261,15 @@ pub fn with_pool_opts<R>(
                         Ok(job) => job,
                         Err(_) => break, // pool dropped: fit is over
                     };
-                    let (lo, hi) = job.block;
-                    let (partial, prune, fstats) =
-                        job.task
-                            .run(points, metric, worker_layout.as_deref(), fast_math, lo, hi);
-                    if tx.send((job.index, partial, prune, fstats)).is_err() {
+                    let partial = job.task.run(points, metric, &job.tile);
+                    if tx.send((job.index, partial)).is_err() {
                         break;
                     }
                 }
             });
         }
         drop(result_tx);
-        let mut pool = Pool {
-            points,
-            metric,
-            mode: Mode::Pooled { job_tx, result_rx },
-            workers,
-            stats: PoolStats::default(),
-            physical: PoolStats::default(),
-            round_mark: PoolStats::default(),
-            queue_high_water: 0,
-            index: None,
-            prune: PruneStats::default(),
-            layout,
-            fast_math,
-            fstats: FastMathStats::default(),
-            columnar_blocks: 0,
-            rowmajor_blocks: 0,
-        };
+        let mut pool = pool(Mode::Pooled { job_tx, result_rx }, workers);
         let out = f(&mut pool);
         // Dropping the pool closes the job channel; every worker's next
         // recv fails and it exits, letting the scope join them.
@@ -540,50 +338,6 @@ impl<'env> Pool<'env> {
         self.queue_high_water
     }
 
-    /// Install (or remove) the neighbor index. With an index set, every
-    /// fused, assignment, and refinement pass runs its pruned kernel
-    /// twin; results are bit-identical either way.
-    pub fn set_index(&mut self, index: Option<Arc<NeighborIndex>>) {
-        self.index = index;
-    }
-
-    /// Whether a neighbor index is installed.
-    pub fn index_enabled(&self) -> bool {
-        self.index.is_some()
-    }
-
-    /// Cumulative index-pruning counters since pool creation.
-    /// Scheduling-independent (per-pair decisions depend only on the
-    /// pair) but engine-dependent: manifest counters only, never the
-    /// event stream.
-    pub fn prune_stats(&self) -> PruneStats {
-        self.prune
-    }
-
-    /// Whether the columnar layout is installed (every pass then runs
-    /// the columnar kernel twins).
-    pub fn layout_enabled(&self) -> bool {
-        self.layout.is_some()
-    }
-
-    /// Whether assignment passes engage the `f32` exactness-gated
-    /// screen.
-    pub fn fast_math_enabled(&self) -> bool {
-        self.fast_math
-    }
-
-    /// Cumulative fast-path counters since pool creation
-    /// (manifest-only, like [`Pool::prune_stats`]).
-    pub fn fast_math_stats(&self) -> FastMathStats {
-        self.fstats
-    }
-
-    /// Row blocks dispatched `(with, without)` the columnar layout
-    /// since pool creation (manifest-only `layout.*` counters).
-    pub fn layout_block_counts(&self) -> (u64, u64) {
-        (self.columnar_blocks, self.rowmajor_blocks)
-    }
-
     /// Fan a task out over all row blocks, booking both a logical and a
     /// physical pass (the default for the uncached full passes).
     fn dispatch(&mut self, task: Task) -> Vec<Partial> {
@@ -596,39 +350,22 @@ impl<'env> Pool<'env> {
     /// directly by the cache's subset recomputations, whose logical
     /// accounting happens at the semantic-pass level instead.
     fn dispatch_physical(&mut self, task: Task) -> Vec<Partial> {
-        let blocks = kernel::blocks(self.points.rows());
+        let tiles: Vec<TileView<'env>> = self.layout.tiles().collect();
         self.physical.dispatches += 1;
-        self.physical.blocks += blocks.len() as u64;
-        if self.layout.is_some() {
-            self.columnar_blocks += blocks.len() as u64;
-        } else {
-            self.rowmajor_blocks += blocks.len() as u64;
-        }
+        self.physical.blocks += tiles.len() as u64;
         match &self.mode {
-            Mode::Serial => blocks
-                .into_iter()
-                .map(|(lo, hi)| {
-                    let (partial, prune, fstats) = task.run(
-                        self.points,
-                        self.metric,
-                        self.layout.as_deref(),
-                        self.fast_math,
-                        lo,
-                        hi,
-                    );
-                    self.prune.merge(prune);
-                    self.fstats.merge(fstats);
-                    partial
-                })
+            Mode::Serial => tiles
+                .iter()
+                .map(|tile| task.run(self.points, self.metric, tile))
                 .collect(),
             Mode::Pooled { job_tx, result_rx } => {
-                let total = blocks.len();
+                let total = tiles.len();
                 let mut slots: Vec<Option<Partial>> = (0..total).map(|_| None).collect();
                 let mut queued = 0usize;
-                for (index, &block) in blocks.iter().enumerate() {
+                for (index, &tile) in tiles.iter().enumerate() {
                     let job = Job {
                         task: task.clone_refs(),
-                        block,
+                        tile,
                         index,
                     };
                     if job_tx.send(job).is_err() {
@@ -638,40 +375,24 @@ impl<'env> Pool<'env> {
                 }
                 self.queue_high_water = self.queue_high_water.max(queued as u64);
                 let mut received = 0usize;
-                let mut prune = PruneStats::default();
-                let mut fstats = FastMathStats::default();
                 while received < queued {
                     match result_rx.recv() {
-                        Ok((index, partial, block_prune, block_fstats)) => {
+                        Ok((index, partial)) => {
                             if slots[index].replace(partial).is_none() {
                                 received += 1;
-                                prune.merge(block_prune);
-                                fstats.merge(block_fstats);
                             }
                         }
                         Err(_) => break, // all workers gone mid-dispatch
                     }
                 }
-                // Graceful degradation: any block no worker reported
-                // (a hung-up pool) is computed on this thread, so the
-                // pass always completes with the exact serial result.
-                for (slot, &(lo, hi)) in slots.iter_mut().zip(&blocks) {
+                // Graceful degradation: any tile no worker reported (a
+                // hung-up pool) is computed on this thread, so the pass
+                // always completes with the exact serial result.
+                for (slot, tile) in slots.iter_mut().zip(&tiles) {
                     if slot.is_none() {
-                        let (partial, block_prune, block_fstats) = task.run(
-                            self.points,
-                            self.metric,
-                            self.layout.as_deref(),
-                            self.fast_math,
-                            lo,
-                            hi,
-                        );
-                        *slot = Some(partial);
-                        prune.merge(block_prune);
-                        fstats.merge(block_fstats);
+                        *slot = Some(task.run(self.points, self.metric, tile));
                     }
                 }
-                self.prune.merge(prune);
-                self.fstats.merge(fstats);
                 slots.into_iter().flatten().collect()
             }
         }
@@ -699,20 +420,9 @@ impl<'env> Pool<'env> {
         deltas: &[f64],
     ) -> (Vec<Vec<usize>>, Vec<Vec<f64>>) {
         let d = self.points.cols();
-        // O(k²·d + k·R) per pass — amortized over the O(N·k·d) sweep it
-        // prunes. Built fresh each pass because the medoid set changes.
-        let ctx = self.index.as_ref().map(|idx| {
-            Arc::new(FusedPruneCtx::new(
-                Arc::clone(idx),
-                self.points,
-                medoids,
-                self.metric,
-            ))
-        });
         let partials = self.dispatch_physical(Task::Fused {
             medoids: Arc::new(medoids.to_vec()),
             deltas: Arc::new(deltas.to_vec()),
-            ctx,
         });
         let fused = partials
             .into_iter()
@@ -760,11 +470,9 @@ impl<'env> Pool<'env> {
 
     /// Plain assignment pass (no `X` accumulation).
     pub fn assign(&mut self, medoids: &[usize], dims: &[Vec<usize>]) -> Vec<usize> {
-        let pruned = self.index.is_some();
         let partials = self.dispatch(Task::Assign {
             medoids: Arc::new(medoids.to_vec()),
             dims: Arc::new(dims.to_vec()),
-            pruned,
         });
         let mut flat = Vec::with_capacity(self.points.rows());
         for p in partials {
@@ -785,11 +493,9 @@ impl<'env> Pool<'env> {
     ) -> (Vec<usize>, Vec<Vec<f64>>) {
         let k = medoids.len();
         let d = self.points.cols();
-        let pruned = self.index.is_some();
         let partials = self.dispatch(Task::AssignX {
             medoids: Arc::new(medoids.to_vec()),
             dims: Arc::new(dims.to_vec()),
-            pruned,
         });
         let parts = partials
             .into_iter()
@@ -852,20 +558,14 @@ impl<'env> Pool<'env> {
     ///
     /// Runs on the calling thread and books no pool work: the
     /// `dispatches`/`blocks` counters embedded in `round` events stay
-    /// what they were. Without a columnar layout (row-major benches)
-    /// the tiles are built for the call.
+    /// what they were.
     pub fn evaluate<L: kernel::ClusterLabel>(
         &self,
         labels: &[L],
         dims: &[Vec<usize>],
     ) -> kernel::Evaluation {
         debug_assert_eq!(labels.len(), self.points.rows());
-        match &self.layout {
-            Some(layout) => kernel::evaluate_tiles(layout, labels, dims),
-            None => {
-                kernel::evaluate_tiles(&ColumnarBlocks::build(self.points, false), labels, dims)
-            }
-        }
+        kernel::evaluate_tiles(self.layout, labels, dims)
     }
 
     /// Refinement assignment: nearest medoid, `None` outside every
@@ -876,12 +576,10 @@ impl<'env> Pool<'env> {
         dims: &[Vec<usize>],
         spheres: &[f64],
     ) -> Vec<Option<usize>> {
-        let pruned = self.index.is_some();
         let partials = self.dispatch(Task::RefineAssign {
             medoids: Arc::new(medoids.to_vec()),
             dims: Arc::new(dims.to_vec()),
             spheres: Arc::new(spheres.to_vec()),
-            pruned,
         });
         let mut flat = Vec::with_capacity(self.points.rows());
         for p in partials {
@@ -1036,52 +734,6 @@ mod tests {
             sum
         });
         assert_eq!(total, serial_total);
-    }
-
-    /// Installing the neighbor index must not move a single bit of any
-    /// pass result — only the prune counters — at any thread count.
-    #[test]
-    fn indexed_pool_passes_match_unindexed_bit_for_bit() {
-        let points = random_points(3000, 6, 42);
-        let medoids = vec![5usize, 700, 1800];
-        let dims = vec![vec![0, 1], vec![2, 3], vec![4, 5]];
-        let metric = DistanceKind::Manhattan;
-        let deltas = medoid_deltas(&points, &medoids, metric);
-        let spheres = crate::refine::spheres_of_influence(&points, &medoids, &dims, metric);
-
-        let run = |threads: usize, indexed: bool| {
-            with_pool(&points, metric, threads, |pool| {
-                if indexed {
-                    pool.set_index(Some(Arc::new(NeighborIndex::build(&points, metric))));
-                    assert!(pool.index_enabled());
-                }
-                let fused = pool.fused_round(&medoids, &deltas);
-                let assign = pool.assign(&medoids, &dims);
-                let ax = pool.assign_x(&medoids, &dims);
-                let ra = pool.refine_assign(&medoids, &dims, &spheres);
-                let pruned = {
-                    let s = pool.prune_stats();
-                    s.range_sketch_pruned
-                        + s.range_triangle_pruned
-                        + s.range_prefix_pruned
-                        + s.nearest_pruned
-                };
-                (fused, assign, ax, ra, pruned)
-            })
-        };
-
-        let plain = run(1, false);
-        assert_eq!(plain.4, 0, "unindexed pool must not count prunes");
-        for threads in [1, 4] {
-            let indexed = run(threads, true);
-            assert_eq!(plain.0, indexed.0, "fused, threads {threads}");
-            assert_eq!(plain.1, indexed.1, "assign, threads {threads}");
-            assert_eq!(plain.2, indexed.2, "assign_x, threads {threads}");
-            assert_eq!(plain.3, indexed.3, "refine, threads {threads}");
-            assert!(indexed.4 > 0, "index inert at threads {threads}");
-        }
-        // The counters themselves are scheduling-independent.
-        assert_eq!(run(1, true).4, run(4, true).4);
     }
 
     #[test]

@@ -28,7 +28,9 @@ use crate::event::Event;
 pub enum Phase {
     /// PROCLUS phase 1: greedy candidate-medoid selection.
     Init,
-    /// Neighbor-index construction (per-fit sketch table build).
+    /// Neighbor-index construction. The index is retired and no span
+    /// is recorded any more; the phase stays so old manifests and the
+    /// readers that name it keep working.
     Index,
     /// Locality computation (`Lᵢ`, fused with per-dim averages).
     Locality,

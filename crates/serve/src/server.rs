@@ -24,8 +24,10 @@ use crate::router;
 use crate::state::{lock, AppState, ServeConfig};
 
 /// How long a connection may sit idle (or dribble a request) before
-/// the server gives up on it. Bounds the damage of a client that sends
-/// half a request and walks away.
+/// the server gives up on it, and how long a reply may stall on a peer
+/// that stops reading. Bounds the damage of a client that sends half a
+/// request and walks away, or never collects its answer — either would
+/// otherwise pin its handler, and graceful shutdown joins every one.
 const READ_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// A running server and the handles needed to stop it.
@@ -160,6 +162,7 @@ fn accept_loop(listener: &TcpListener, state: &Arc<AppState>) {
 /// down anything but this one connection.
 fn handle_connection(state: &Arc<AppState>, stream: TcpStream) {
     let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
+    let _ = stream.set_write_timeout(Some(READ_TIMEOUT));
     let _ = stream.set_nodelay(true);
     let Ok(read_half) = stream.try_clone() else {
         return;

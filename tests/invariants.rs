@@ -374,80 +374,6 @@ fn cached_and_uncached_fits_emit_identical_event_streams() {
     );
 }
 
-/// The neighbor index is a pure performance layer, exactly like the
-/// round cache: with it on (default) and off, a fit must emit the
-/// *identical* event stream (digest and element-wise) and the identical
-/// model — across the same five seeded configurations the cache
-/// invariant covers (swap-heavy climbs, multi-restart reuse, deeper
-/// inner refinement, candidate-pool exhaustion, threads 1 and 8).
-#[test]
-fn indexed_and_unindexed_fits_emit_identical_event_streams() {
-    let swap_rich = |seed: u64| SyntheticSpec::new(1_500, 10, K, 3.5).seed(seed).generate();
-    let mut cases: Vec<(GeneratedDataset, Proclus, &str)> = vec![
-        (
-            swap_rich(7),
-            Proclus::new(K, L).seed(7).restarts(3),
-            "swap-rich seed 7",
-        ),
-        (
-            swap_rich(41),
-            Proclus::new(K, L).seed(41).restarts(3),
-            "swap-rich seed 41",
-        ),
-        (
-            swap_rich(1999),
-            Proclus::new(K, L).seed(1999).restarts(3).threads(8),
-            "swap-rich seed 1999, 8 threads",
-        ),
-        (
-            SyntheticSpec::new(800, 8, 2, 3.0).seed(5).generate(),
-            Proclus::new(2, 3.0)
-                .seed(5)
-                .restarts(2)
-                .inner_refinements(2),
-            "deeper inner refinement",
-        ),
-    ];
-    let tiny = SyntheticSpec::new(4, 2, 1, 2.0).seed(2).generate();
-    cases.push((tiny, Proclus::new(4, 2.0).seed(2), "pool exhaustion"));
-
-    for (data, params, label) in &mut cases {
-        let run = |index_on: bool, data: &GeneratedDataset, params: &Proclus| {
-            let rec = RingRecorder::new(1 << 16);
-            let model = params
-                .clone()
-                .neighbor_index(index_on)
-                .fit_traced(&data.points, &rec)
-                .expect(label);
-            assert_eq!(rec.dropped(), 0, "{label}: ring too small");
-            (model, rec.events())
-        };
-        let (indexed_model, indexed_events) = run(true, data, params);
-        let (plain_model, plain_events) = run(false, data, params);
-        assert_eq!(
-            event_stream_digest(&indexed_events),
-            event_stream_digest(&plain_events),
-            "{label}: indexed fit changed the event-stream digest"
-        );
-        assert_eq!(indexed_events, plain_events, "{label}: event streams");
-        assert_eq!(
-            indexed_model.assignment(),
-            plain_model.assignment(),
-            "{label}: assignments"
-        );
-        assert_eq!(
-            indexed_model.objective(),
-            plain_model.objective(),
-            "{label}: objective"
-        );
-        assert_eq!(
-            indexed_model.iterative_objective(),
-            plain_model.iterative_objective(),
-            "{label}: iterative objective"
-        );
-    }
-}
-
 #[test]
 fn fit_end_matches_the_returned_model() {
     for seed in SEEDS {

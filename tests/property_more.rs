@@ -343,18 +343,17 @@ fn orclus_is_scale_invariant_up_to_objective() {
 }
 
 /// Tie-breaking audit: "ties go to the lower cluster index" must hold
-/// identically on every assignment path — the scalar loops (exact and
-/// monotone-prefix pruned), the blocked pool kernels at 1 and 4
-/// threads, and the sketch/triangle-pruned pool kernels. Quantized
+/// identically on every assignment path — the scalar loop, the blocked
+/// pool kernels at 1 and 4 threads, and the round cache's argmin over
+/// cached distance columns (fresh and served from cache). Quantized
 /// integer coordinates make exact distance ties common (including
 /// duplicated medoid rows), so any path that resolved ties by
 /// evaluation order instead of cluster index would diverge here.
 #[test]
 fn tie_breaking_is_identical_across_all_assignment_paths() {
-    use proclus::core::assign::{assign_points, assign_points_pruned};
-    use proclus::core::index::{NeighborIndex, PruneStats};
+    use proclus::core::assign::assign_points;
+    use proclus::core::cache::RoundCache;
     use proclus::core::pool::with_pool;
-    use std::sync::Arc;
 
     for metric in [
         DistanceKind::Manhattan,
@@ -405,26 +404,21 @@ fn tie_breaking_is_identical_across_all_assignment_paths() {
                 .count();
             assert!(tied > 0, "{metric:?} case {case}: no ties generated");
 
-            // Scalar pruned loop.
-            let mut stats = PruneStats::default();
-            let pruned = assign_points_pruned(&m, &medoids, &dims, metric, &mut stats);
-            assert_eq!(reference, pruned, "{metric:?} case {case}: scalar pruned");
-
-            // Pool paths: blocked kernels, plain and index-pruned, at 1
-            // and 4 threads.
+            // Pool paths at 1 and 4 threads: the blocked kernels, then
+            // the round cache computing its columns and serving them.
             for threads in [1usize, 4] {
-                for indexed in [false, true] {
-                    let got = with_pool(&m, metric, threads, |pool| {
-                        if indexed {
-                            pool.set_index(Some(Arc::new(NeighborIndex::build(&m, metric))));
-                        }
-                        pool.assign(&medoids, &dims)
-                    });
-                    assert_eq!(
-                        reference, got,
-                        "{metric:?} case {case}: pool threads={threads} indexed={indexed}"
-                    );
-                }
+                let (got, fresh, cached) = with_pool(&m, metric, threads, |pool| {
+                    let mut cache = RoundCache::new(true, medoids.len());
+                    let fresh = cache.assign(pool, &medoids, &dims);
+                    let cached = cache.assign(pool, &medoids, &dims);
+                    (pool.assign(&medoids, &dims), fresh, cached)
+                });
+                assert_eq!(reference, got, "{metric:?} case {case}: pool t={threads}");
+                assert_eq!(
+                    reference, fresh,
+                    "{metric:?} case {case}: cache t={threads}"
+                );
+                assert_eq!(reference, cached, "{metric:?} case {case}: hit t={threads}");
             }
 
             // Refinement path: the sphere-gated assignment breaks its
@@ -433,20 +427,10 @@ fn tie_breaking_is_identical_across_all_assignment_paths() {
             let reference_refine = with_pool(&m, metric, 1, |pool| {
                 pool.refine_assign(&medoids, &dims, &spheres)
             });
-            for threads in [1usize, 4] {
-                for indexed in [false, true] {
-                    let got = with_pool(&m, metric, threads, |pool| {
-                        if indexed {
-                            pool.set_index(Some(Arc::new(NeighborIndex::build(&m, metric))));
-                        }
-                        pool.refine_assign(&medoids, &dims, &spheres)
-                    });
-                    assert_eq!(
-                        reference_refine, got,
-                        "{metric:?} case {case}: refine threads={threads} indexed={indexed}"
-                    );
-                }
-            }
+            let got = with_pool(&m, metric, 4, |pool| {
+                pool.refine_assign(&medoids, &dims, &spheres)
+            });
+            assert_eq!(reference_refine, got, "{metric:?} case {case}: refine t=4");
             // Non-outliers follow the scalar winner exactly.
             for (p, r) in reference_refine.iter().enumerate() {
                 if let Some(c) = r {

@@ -489,7 +489,8 @@ mod serve_faults {
     use proclus::serve::{start, ServeConfig, ServerHandle};
     use std::io::{Read, Write};
     use std::net::{SocketAddr, TcpStream};
-    use std::sync::Arc;
+    use std::sync::{mpsc, Arc};
+    use std::time::Duration;
 
     fn server(tag: &str) -> ServerHandle {
         let dir =
@@ -666,5 +667,33 @@ mod serve_faults {
         let text = String::from_utf8_lossy(&resp);
         assert!(text.contains("{\"datasets\":[]}"), "{text}");
         server.shutdown();
+    }
+
+    /// A client that pipelines requests and never reads a reply fills
+    /// both socket buffers, so its handler blocks mid-write. Shutdown
+    /// joins every handler; the write timeout must let it drain anyway
+    /// (within the 30 s timeout plus slack, not never).
+    #[test]
+    fn non_reading_client_cannot_stop_the_server_from_draining() {
+        let server = server("noread");
+        let mut s = TcpStream::connect(server.addr()).expect("connect");
+        // Once the server stalls it stops reading too; give up on the
+        // rest of the burst instead of blocking the test.
+        s.set_write_timeout(Some(Duration::from_secs(2)))
+            .expect("write timeout");
+        // Tens of MB of replies: far more than the socket buffers hold.
+        let burst = b"GET /healthz HTTP/1.1\r\n\r\n".repeat(200_000);
+        let _ = s.write_all(&burst);
+        let (done_tx, done_rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            server.shutdown();
+            let _ = done_tx.send(());
+        });
+        let drained = done_rx.recv_timeout(Duration::from_secs(75));
+        drop(s);
+        assert!(
+            drained.is_ok(),
+            "shutdown hung behind a client that never reads its replies"
+        );
     }
 }

@@ -2,7 +2,7 @@
 //! against PROCLUS, ORCLUS, CLIQUE, k-means, and CLARANS under
 //! explicit per-scenario **accuracy budgets** (ARI / matched-accuracy
 //! / coverage floors via `proclus-eval`) and **perf budgets**
-//! (round-count ceilings and cache/index counter floors from the obs
+//! (round-count ceilings and cache counter floors from the obs
 //! layer), plus the determinism contract of the scenario engine
 //! itself (digest-pinned generation) and a drift scenario driven end
 //! to end through the streaming rollover pipeline.
@@ -355,8 +355,8 @@ fn clarans_sweep_meets_accuracy_budgets() {
 
 /// PROCLUS on the easiest scenario must converge within a bounded
 /// number of hill-climbing rounds and actually exercise its round
-/// cache and pruning index (a silent fallback to the slow path is a
-/// perf regression even when the answer stays right).
+/// cache (a silent fallback to the slow path is a perf regression even
+/// when the answer stays right).
 #[test]
 fn proclus_perf_budgets_hold_on_the_baseline_scenario() {
     let spec = by_name("baseline-case1");
@@ -383,11 +383,6 @@ fn proclus_perf_budgets_hold_on_the_baseline_scenario() {
     );
     let fused = rec.counter_value("cache.fused_slot_hits");
     assert!(fused > 0, "round cache never hit (fused_slot_hits = 0)");
-    let pruned = rec.counter_value("index.range_sketch_pruned")
-        + rec.counter_value("index.range_triangle_pruned")
-        + rec.counter_value("index.range_prefix_pruned")
-        + rec.counter_value("index.nearest_pruned");
-    assert!(pruned > 0, "neighbor index never pruned an evaluation");
 }
 
 // ---------------------------------------------------------------

@@ -7,15 +7,21 @@
 //! Two further groups measure the round-level optimizations:
 //!
 //! * `round_pass/10k` — the historical two-sweep locality + X
-//!   computation vs the fused single-sweep kernel, both serial.
-//! * `pooled_round/100k` — one full hill-climbing round (fused pass →
-//!   FindDimensions → assignment) through the persistent worker pool at
-//!   1, 2, 4, and 8 threads on a paper-scale dataset; the per-round
-//!   speedup at `threads ≥ 4` is the pool's acceptance bar. Override
-//!   the dataset size with `PROCLUS_BENCH_N`.
+//!   computation vs the fused single-sweep pass of a cold round cache,
+//!   both serial.
+//! * `pooled_round/100k` — one full cold hill-climbing round (fused
+//!   pass → FindDimensions → assignment) through a fresh round cache
+//!   and the persistent worker pool at 1, 2, 4, and 8 threads on a
+//!   paper-scale dataset; the per-round speedup at `threads ≥ 4` is the
+//!   pool's acceptance bar. Override the dataset size with
+//!   `PROCLUS_BENCH_N`.
+//! * `cached_round/*` — steady-state swap-light rounds through one
+//!   round cache vs a fresh (cold) cache every round; writes
+//!   `BENCH_4.json`.
 //! * `columnar_round/*` — one round through the row-major reference
-//!   kernels vs the pool's dimension-major (columnar) kernels at N = 1M
-//!   on a `projected` and a `separable` fixture; writes `BENCH_6.json`.
+//!   kernels vs a cold round cache over the pool's dimension-major
+//!   (columnar) kernels at N = 1M on a `projected` and a `separable`
+//!   fixture; writes `BENCH_6.json`.
 //! * `trace_overhead/2k` — a full `fit` with the default no-op
 //!   recorder vs an explicit `fit_traced(.., &NoopRecorder)` vs a live
 //!   `RingRecorder`. The first two must be indistinguishable (the
@@ -93,9 +99,10 @@ fn host_cpus() -> usize {
     std::thread::available_parallelism().map_or(0, |n| n.get())
 }
 
-/// Fused single-sweep locality + `X` kernel vs the historical two-sweep
+/// Fused single-sweep locality + `X` pass vs the historical two-sweep
 /// version (`localities` followed by `average_dimension_distances`),
-/// both serial, so the comparison isolates the fusion itself.
+/// both serial, so the comparison isolates the fusion itself. The
+/// fused side is a cold round cache, so every iteration runs the sweep.
 fn bench_fused_vs_unfused(c: &mut Criterion) {
     let data = SyntheticSpec::new(10_000, 20, 5, 5.0)
         .fixed_dims(vec![5; 5])
@@ -117,17 +124,20 @@ fn bench_fused_vs_unfused(c: &mut Criterion) {
     });
     group.bench_function("fused_single_sweep", |b| {
         with_pool(points, metric, 1, |pool| {
-            b.iter(|| black_box(pool.fused_round(&medoids, &deltas)))
+            b.iter(|| {
+                let mut cache = RoundCache::new(medoids.len());
+                black_box(cache.fused_round(pool, &medoids, &deltas))
+            })
         })
     });
     group.finish();
 }
 
-/// One full hill-climbing round (fused pass → FindDimensions →
-/// assignment) through a persistent pool, across thread counts, on a
-/// paper-scale dataset. The pool is created once outside the timing
-/// loop — exactly how `fit` uses it — so the numbers reflect per-round
-/// cost, not thread spawning.
+/// One full cold hill-climbing round (fused pass → FindDimensions →
+/// assignment) through a fresh round cache and a persistent pool,
+/// across thread counts, on a paper-scale dataset. The pool is created
+/// once outside the timing loop — exactly how `fit` uses it — so the
+/// numbers reflect per-round cost, not thread spawning.
 fn bench_pooled_round_throughput(c: &mut Criterion) {
     let n: usize = std::env::var("PROCLUS_BENCH_N")
         .ok()
@@ -152,9 +162,10 @@ fn bench_pooled_round_throughput(c: &mut Criterion) {
             |b, &threads| {
                 with_pool(points, metric, threads, |pool| {
                     b.iter(|| {
-                        let (_locs, x) = pool.fused_round(&medoids, &deltas);
+                        let mut cache = RoundCache::new(medoids.len());
+                        let (_locs, x) = cache.fused_round(pool, &medoids, &deltas);
                         let dims = find_dimensions_from_averages(&x, 25, true);
-                        black_box(pool.assign(&medoids, &dims))
+                        black_box(cache.assign(pool, &medoids, &dims))
                     })
                 })
             },
@@ -187,11 +198,13 @@ fn cached_round(
 /// Cached vs uncached steady-state round cost on the swap-light
 /// workload the hill climb actually produces (one bad medoid replaced
 /// per round, everything else unchanged): `N` = 100k (override with
-/// `PROCLUS_BENCH_N`), d = 20, k = 5. Criterion reports both; the
-/// same fixture is then measured manually and written to
-/// `BENCH_4.json` (override the path with `PROCLUS_BENCH_OUT`) with
-/// the cached-over-uncached speedup, since the vendored criterion shim
-/// has no JSON output of its own.
+/// `PROCLUS_BENCH_N`), d = 20, k = 5. The cached side keeps one round
+/// cache across rounds, as `fit` does; the uncached side starts every
+/// round from a fresh cache, so each round runs cold through the same
+/// kernels. Criterion reports both; the same fixture is then measured
+/// manually and written to `BENCH_4.json` (override the path with
+/// `PROCLUS_BENCH_OUT`) with the cached-over-uncached speedup, since
+/// the vendored criterion shim has no JSON output of its own.
 fn bench_cached_vs_uncached_round(c: &mut Criterion) {
     let n: usize = std::env::var("PROCLUS_BENCH_N")
         .ok()
@@ -220,7 +233,7 @@ fn bench_cached_vs_uncached_round(c: &mut Criterion) {
     // per steady-state round.
     let run_rounds = |cache_on: bool, rounds: usize| -> f64 {
         with_pool(points, metric, 1, |pool| {
-            let mut cache = RoundCache::new(cache_on, k);
+            let mut cache = RoundCache::new(k);
             let mut medoids = initial.clone();
             black_box(cached_round(
                 pool, &mut cache, points, &medoids, metric, total_dims,
@@ -228,6 +241,9 @@ fn bench_cached_vs_uncached_round(c: &mut Criterion) {
             let start = std::time::Instant::now();
             for r in 0..rounds {
                 medoids[r % k] = fresh[r % fresh.len()];
+                if !cache_on {
+                    cache = RoundCache::new(k);
+                }
                 black_box(cached_round(
                     pool, &mut cache, points, &medoids, metric, total_dims,
                 ));
@@ -240,12 +256,15 @@ fn bench_cached_vs_uncached_round(c: &mut Criterion) {
     for (label, cache_on) in [("uncached", false), ("cached", true)] {
         group.bench_function(label, |b| {
             with_pool(points, metric, 1, |pool| {
-                let mut cache = RoundCache::new(cache_on, k);
+                let mut cache = RoundCache::new(k);
                 let mut medoids = initial.clone();
                 let mut r = 0usize;
                 b.iter(|| {
                     medoids[r % k] = fresh[r % fresh.len()];
                     r += 1;
+                    if !cache_on {
+                        cache = RoundCache::new(k);
+                    }
                     black_box(cached_round(
                         pool, &mut cache, points, &medoids, metric, total_dims,
                     ))
@@ -292,10 +311,13 @@ fn bench_cached_vs_uncached_round(c: &mut Criterion) {
 /// round (fused locality + X pass → FindDimensions → assignment) on two
 /// paper-scale fixtures, at `N` = 1M by default (override with
 /// `PROCLUS_BENCH_N6`, falling back to `PROCLUS_BENCH_N`). The columnar
-/// side is a single-threaded pool; the row-major side runs the
-/// reference kernels of `proclus_core::kernel` block by block on one
-/// thread, merged exactly as the pool merges. Results go to
-/// `BENCH_6.json` (override with `PROCLUS_BENCH_OUT6`).
+/// side is a cold round cache over a single-threaded pool, the path
+/// every fit's first round takes; the row-major side runs the reference
+/// kernels of `proclus_core::kernel` block by block on one thread —
+/// `fused_block` merged exactly as the pool merges, then the
+/// assignment as `columns_block` + `argmin_columns`, the reference of
+/// the cache's column pass. Results go to `BENCH_6.json` (override with
+/// `PROCLUS_BENCH_OUT6`).
 ///
 /// * `projected` (d = 20) — small per-medoid dimension sets; the round
 ///   is dominated by the full-space locality sweep where both layouts
@@ -349,14 +371,19 @@ fn bench_columnar_kernels(_c: &mut Criterion) {
             let dims = find_dimensions_from_averages(&x, total_dims, true);
             let assign: Vec<usize> = blocks
                 .iter()
-                .flat_map(|&(lo, hi)| kernel::assign_block(points, metric, &medoids, &dims, lo, hi))
+                .flat_map(|&(lo, hi)| {
+                    let cols = kernel::columns_block(points, metric, &medoids, &dims, lo, hi);
+                    let refs: Vec<&[f64]> = cols.iter().map(Vec::as_slice).collect();
+                    kernel::argmin_columns(&refs, hi - lo)
+                })
                 .collect();
             black_box(assign);
         };
         let col_round = |pool: &mut proclus_core::pool::Pool<'_>| {
-            let (_locs, x) = pool.fused_round(&medoids, &deltas);
+            let mut cache = RoundCache::new(k);
+            let (_locs, x) = cache.fused_round(pool, &medoids, &deltas);
             let dims = find_dimensions_from_averages(&x, total_dims, true);
-            black_box(pool.assign(&medoids, &dims));
+            black_box(cache.assign(pool, &medoids, &dims));
         };
         let (rowmajor_secs, columnar_secs) = with_pool(points, metric, 1, |pool| {
             // Warm up both configurations (page-in, branch warmup).

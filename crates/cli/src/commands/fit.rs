@@ -22,9 +22,6 @@ proclus fit — PROCLUS projected clustering (SIGMOD 1999)
   --metric <name>   manhattan | euclidean | chebyshev [default manhattan]
   --min-deviation <f> bad-medoid threshold factor [default 0.1]
   --paper-literal   disable the inner refinement (see DESIGN.md)
-  --no-round-cache  recompute every round from scratch instead of the
-                    incremental cross-round cache (results are
-                    bit-identical either way; see DESIGN.md §5d)
   --verbose         print the recorded trace summary (convergence,
                     swap history) plus fit diagnostics
   --trace-out <dir> stream events.jsonl + run.json into this directory
@@ -33,7 +30,7 @@ proclus fit — PROCLUS projected clustering (SIGMOD 1999)
 ";
 
 /// The flags of `proclus fit` that take no value.
-pub const SWITCHES: &[&str] = &["paper-literal", "verbose", "no-round-cache"];
+pub const SWITCHES: &[&str] = &["paper-literal", "verbose"];
 
 /// Ring capacity for the `--verbose` summary; old events are evicted
 /// (and counted) beyond this, which the summary reports.
@@ -54,7 +51,6 @@ pub fn parse_metric(name: &str) -> Result<DistanceKind, ArgError> {
 /// The `params` object of the `run.json` manifest.
 fn params_json(input: &Path, params: &Proclus, metric: &str, paper_literal: bool) -> Json {
     Json::Obj(vec![
-        ("round_cache".into(), Json::Bool(params.round_cache)),
         ("algorithm".into(), Json::Str("proclus".into())),
         ("input".into(), Json::Str(input.display().to_string())),
         ("k".into(), Json::Num(params.k as f64)),
@@ -104,8 +100,7 @@ pub fn run(args: &Args, out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
         .restarts(args.get_parsed("restarts", 5usize)?)
         .threads(args.get_parsed("threads", 1usize)?)
         .min_deviation(args.get_parsed("min-deviation", 0.1)?)
-        .distance(parse_metric(&metric)?)
-        .round_cache(!args.switch("no-round-cache"));
+        .distance(parse_metric(&metric)?);
     if paper_literal {
         params = params.inner_refinements(0);
     }
@@ -244,41 +239,44 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// `--no-round-cache` is accepted and produces byte-identical
-    /// output (the cache is a pure performance layer).
+    /// `--restarts 0` means one climb, and the manifest says so: the
+    /// recorded `params.restarts` matches the `fit_start` event.
     #[test]
-    fn no_round_cache_flag_changes_nothing_but_the_manifest() {
-        let input = tmp("nrc.csv");
+    fn zero_restarts_are_recorded_as_one() {
+        let input = tmp("zero-restarts.csv");
+        let dir = std::env::temp_dir().join(format!(
+            "proclus-cli-fit-zero-restarts-{}",
+            std::process::id()
+        ));
         let data = SyntheticSpec::new(300, 5, 2, 3.0).seed(8).generate();
         crate::io::write_dataset(input.as_ref(), &data.points, None).unwrap();
-        let run_with = |extra: &str| {
-            let args = Args::parse(
-                toks(&format!("--input {input} --k 2 --l 3 --seed 2{extra}")),
-                &["paper-literal", "verbose", "no-round-cache"],
-            )
-            .unwrap();
-            let mut buf = Vec::new();
-            run(&args, &mut buf).unwrap();
-            String::from_utf8(buf).unwrap()
-        };
-        let cached = run_with("");
-        let uncached = run_with(" --no-round-cache");
+        let args = Args::parse(
+            toks(&format!(
+                "--input {input} --k 2 --l 3 --restarts 0 --trace-out {}",
+                dir.display()
+            )),
+            SWITCHES,
+        )
+        .unwrap();
+        run(&args, &mut Vec::new()).unwrap();
         std::fs::remove_file(&input).ok();
-        assert_eq!(
-            cached, uncached,
-            "model summary must not depend on the cache"
-        );
+        let manifest = std::fs::read_to_string(dir.join(proclus_obs::MANIFEST_FILE)).unwrap();
+        let events = std::fs::read_to_string(dir.join(proclus_obs::EVENTS_FILE)).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+        assert!(manifest.contains("\"restarts\":1,"), "{manifest}");
+        let first = events.lines().next().unwrap();
+        assert!(first.contains("\"restarts\":1"), "{first}");
     }
 
-    /// The retired `--no-index` and `--fast-math` switches are unknown
-    /// flags now: wherever they appear, the command fails with a usage
-    /// error (exit 2) instead of fitting.
+    /// The retired `--no-index`, `--fast-math` and `--no-round-cache`
+    /// switches are unknown flags now: wherever they appear, the command
+    /// fails with a usage error (exit 2) instead of fitting.
     #[test]
     fn retired_switches_are_usage_errors() {
         let input = tmp("retired.csv");
         let data = SyntheticSpec::new(200, 5, 2, 2.0).seed(5).generate();
         crate::io::write_dataset(input.as_ref(), &data.points, None).unwrap();
-        for flag in ["--no-index", "--fast-math"] {
+        for flag in ["--no-index", "--fast-math", "--no-round-cache"] {
             // Last on the line the flag has no value to take; before
             // another option it swallows that option's name, leaving a
             // stray positional; after the options it swallows a switch

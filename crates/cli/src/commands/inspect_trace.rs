@@ -40,7 +40,9 @@ fn read_to_string(path: &PathBuf) -> Result<String, Box<dyn Error>> {
 
 /// Derived round-cache effectiveness: hits / (hits + recomputes) per
 /// cache layer, from the `cache.*` manifest counters. `None` when the
-/// trace has no cache counters (cache disabled, or a pre-cache trace).
+/// trace has no cache counters (not a fit, or a pre-cache trace). The
+/// retired cluster-row layer's counters, which older manifests carry,
+/// are listed raw but not derived.
 fn cache_summary(manifest: &json::Json) -> Option<String> {
     let counter = |name: &str| {
         manifest
@@ -66,12 +68,7 @@ fn cache_summary(manifest: &json::Json) -> Option<String> {
         "cache.fused_slot_recomputes",
     )?;
     let cols = layer("columns", "cache.column_hits", "cache.column_recomputes")?;
-    let rows = layer(
-        "cluster rows",
-        "cache.cluster_row_hits",
-        "cache.cluster_row_recomputes",
-    )?;
-    Some(format!("round cache: {fused}, {cols}, {rows}"))
+    Some(format!("round cache: {fused}, {cols}"))
 }
 
 /// Derived serving health from a `proclus serve` manifest's `serve.*`
@@ -215,29 +212,31 @@ mod tests {
         // Cache counters surface both raw and as derived hit rates.
         assert!(text.contains("cache.fused_slot_hits"), "{text}");
         assert!(text.contains("round cache: fused "), "{text}");
-        assert!(text.contains("cluster rows "), "{text}");
+        assert!(!text.contains("cluster rows"), "{text}");
     }
 
-    /// A trace without cache counters (cache disabled) renders without
-    /// the derived cache line instead of failing or printing zeros.
+    /// A manifest without cache counters (a pre-cache fit) renders
+    /// without the derived cache line instead of failing or printing
+    /// zeros.
     #[test]
-    fn uncached_trace_omits_the_cache_summary() {
+    fn trace_without_cache_counters_omits_the_cache_summary() {
         let dir = tmp("nocache");
-        let data = SyntheticSpec::new(200, 5, 2, 2.0).seed(6).generate();
-        let rec = proclus_obs::JsonlRecorder::create(&dir).unwrap();
-        Proclus::new(2, 2.0)
-            .seed(1)
-            .restarts(1)
-            .round_cache(false)
-            .fit_traced(&data.points, &rec)
-            .unwrap();
-        rec.finish(json::Json::Obj(Vec::new()), json::Json::Obj(Vec::new()))
-            .unwrap();
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(
+            dir.join(MANIFEST_FILE),
+            concat!(
+                "{\"schema_version\":1,\"events\":0,\"phases\":{},\"counters\":{",
+                "\"pool.dispatches\":12,\"pool.blocks\":12}}"
+            ),
+        )
+        .unwrap();
+        std::fs::write(dir.join(EVENTS_FILE), "").unwrap();
         let args = Args::parse(toks(&format!("--input {}", dir.display())), &[]).unwrap();
         let mut buf = Vec::new();
         run(&args, &mut buf).unwrap();
         std::fs::remove_dir_all(&dir).ok();
         let text = String::from_utf8(buf).unwrap();
+        assert!(text.contains("pool.dispatches"), "{text}");
         assert!(!text.contains("round cache:"), "{text}");
         assert!(!text.contains("cache.fused_slot_hits"), "{text}");
     }
@@ -245,8 +244,9 @@ mod tests {
     /// Counters that exist but total zero (a fit that never exercised
     /// a layer) must render as `n/a`, never as a misleading `0.0%`.
     /// The manifest is an old `run.json` that still carries the
-    /// retired `index.*`, `layout.*` and `fastmath.*` counters: it must
-    /// render, listing them as plain counters with no derived line.
+    /// retired `index.*`, `layout.*`, `fastmath.*` and
+    /// `cache.cluster_row_*` counters: it must render, listing them as
+    /// plain counters with no derived line of their own.
     #[test]
     fn legacy_zero_counter_manifest_still_renders() {
         let dir = tmp("zero-counters");
@@ -275,13 +275,19 @@ mod tests {
         let text = String::from_utf8(buf).unwrap();
         assert!(text.contains("fused n/a (0 lookups)"), "{text}");
         for counter in [
+            "cache.cluster_row_hits",
             "index.range_verified",
             "layout.columnar_blocks",
             "fastmath.screened",
         ] {
             assert!(text.contains(counter), "{counter} not listed: {text}");
         }
-        for derived in ["neighbor index:", "columnar layout:", "fast math:"] {
+        for derived in [
+            "cluster rows",
+            "neighbor index:",
+            "columnar layout:",
+            "fast math:",
+        ] {
             assert!(!text.contains(derived), "{derived} rendered: {text}");
         }
         assert!(!text.contains("0.0%"), "zero-total rate leaked: {text}");

@@ -55,7 +55,6 @@ fit knobs (candidate models):
   --restarts <n>    independent hill climbs [default 5]
   --threads <n>     worker threads [default 1]
   --metric <name>   manhattan | euclidean | chebyshev [default manhattan]
-  --no-round-cache  disable the cross-round cache (bit-identical)
 
 output:
   --verbose         print the recorded trace summary
@@ -63,7 +62,7 @@ output:
 ";
 
 /// The flags of `proclus stream` that take no value.
-pub const SWITCHES: &[&str] = &["verbose", "no-round-cache"];
+pub const SWITCHES: &[&str] = &["verbose"];
 
 fn params_json(params: &Proclus, config: &StreamConfig, metric: &str) -> Json {
     Json::Obj(vec![
@@ -158,8 +157,7 @@ pub fn run(args: &Args, out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
         .seed(args.get_parsed("seed", 0u64)?)
         .restarts(args.get_parsed("restarts", 5usize)?)
         .threads(args.get_parsed("threads", 1usize)?)
-        .distance(parse_metric(&metric)?)
-        .round_cache(!args.switch("no-round-cache"));
+        .distance(parse_metric(&metric)?);
     let batch_rows: usize = args.get_parsed("batch", 256usize)?;
     if batch_rows == 0 {
         return Err(Box::new(ArgError("--batch must be positive".into())));
@@ -393,6 +391,41 @@ mod tests {
         std::fs::remove_file(&input).ok();
         std::fs::remove_dir_all(&registry).ok();
         assert!(err.to_string().contains("patience"), "{err}");
+    }
+
+    /// The retired `--no-index` and `--no-round-cache` switches are
+    /// unknown flags now: wherever they appear, the command fails with a
+    /// usage error (exit 2) instead of streaming.
+    #[test]
+    fn retired_switches_are_usage_errors() {
+        let input = tmp("retired.csv");
+        let registry = tmp("retired-reg");
+        let data = SyntheticSpec::new(200, 5, 2, 2.0).seed(5).generate();
+        crate::io::write_dataset(&input, &data.points, None).unwrap();
+        let head = format!(
+            "--input {} --registry {}",
+            input.display(),
+            registry.display()
+        );
+        for flag in ["--no-index", "--no-round-cache"] {
+            for line in [
+                format!("{head} --k 2 --l 2 {flag}"),
+                format!("{head} {flag} --k 2 --l 2"),
+                format!("{head} --k 2 --l 2 {flag} --verbose"),
+            ] {
+                let err: Box<dyn Error> = match Args::parse(toks(&line), SWITCHES) {
+                    Err(e) => Box::new(e),
+                    Ok(args) => run(&args, &mut Vec::new()).unwrap_err(),
+                };
+                assert!(err.downcast_ref::<ArgError>().is_some(), "{line}: {err}");
+                assert_eq!(crate::exit_code_for(err.as_ref()), 2, "{line}: {err}");
+            }
+        }
+        std::fs::remove_file(&input).ok();
+        assert!(
+            !registry.exists(),
+            "a usage error must not open the registry"
+        );
     }
 
     #[test]

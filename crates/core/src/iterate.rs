@@ -73,7 +73,7 @@ pub fn run_traced(
         // One cache for the whole fit: its entries are value-keyed, so
         // state surviving a restart is either bit-identical (and
         // served) or mismatched (and recomputed) — never stale.
-        let mut cache = RoundCache::new(params.round_cache, params.k);
+        let mut cache = RoundCache::new(params.k);
         let mut best: Option<ProclusModel> = None;
         let mut last_error: Option<ProclusError> = None;
         for r in 0..restarts {
@@ -127,9 +127,8 @@ pub fn run_traced(
 /// Pool work totals → counters, scheduling-dependent facts → gauges.
 ///
 /// `pool.dispatches`/`pool.blocks` are the *logical* (semantic-pass)
-/// totals — identical with the round cache on or off. The `physical_*`
-/// pair counts fan-outs that actually ran; the gap between the two is
-/// the work the cache saved.
+/// totals — independent of what the round cache served. The
+/// `physical_*` pair counts fan-outs that actually ran.
 fn record_pool_measurements(rec: &dyn Recorder, pool: &Pool<'_>) {
     if !rec.enabled() {
         return;
@@ -145,10 +144,9 @@ fn record_pool_measurements(rec: &dyn Recorder, pool: &Pool<'_>) {
 }
 
 /// Round-cache effectiveness → `cache.*` counters (manifest channel
-/// only; emitted only when the cache is enabled so an uncached run's
-/// manifest does not advertise zero-valued cache counters).
+/// only).
 fn record_cache_measurements(rec: &dyn Recorder, cache: &RoundCache) {
-    if !rec.enabled() || !cache.is_enabled() {
+    if !rec.enabled() {
         return;
     }
     let stats = cache.stats();
@@ -156,8 +154,6 @@ fn record_cache_measurements(rec: &dyn Recorder, cache: &RoundCache) {
     rec.counter("cache.fused_slot_recomputes", stats.fused_slot_recomputes);
     rec.counter("cache.column_hits", stats.column_hits);
     rec.counter("cache.column_recomputes", stats.column_recomputes);
-    rec.counter("cache.cluster_row_hits", stats.cluster_row_hits);
-    rec.counter("cache.cluster_row_recomputes", stats.cluster_row_recomputes);
 }
 
 /// Emit `fit_end` for a successful fit.
@@ -270,7 +266,7 @@ pub fn run_from_medoids_traced(
     }
     let result = with_pool(points, params.distance, params.threads, |pool| {
         diag.restarts = 1;
-        let mut cache = RoundCache::new(params.round_cache, params.k);
+        let mut cache = RoundCache::new(params.k);
         let model = run_once(
             params,
             points,

@@ -33,15 +33,18 @@
 //!
 //! # Reference and production kernels
 //!
-//! Each pass has two kernels. The row-major ones ([`fused_block`],
-//! [`assign_block`], [`assign_x_block`], [`columns_block`],
-//! [`cluster_x_block`], [`refine_assign_block`]) loop points outermost
-//! and read `points.row(p)` directly; they are the readable statement
-//! of each pass and serve as the **test oracle**. Production runs only
-//! their columnar twins (`*_columnar`, below), which the pool dispatches
-//! over the tiles of [`crate::layout::ColumnarBlocks`]; the twins are
-//! bit-identical to the references (asserted by the agreement tests
-//! below and by `tests/columnar.rs`).
+//! The row-major kernels ([`fused_block`], [`assign_block`],
+//! [`columns_block`], [`cluster_x_block`], [`refine_assign_block`])
+//! loop points outermost and read `points.row(p)` directly; they are
+//! the readable statement of each pass and serve as the **test
+//! oracle**. Production runs only the columnar twins (`*_columnar`,
+//! below), which the pool dispatches over the tiles of
+//! [`crate::layout::ColumnarBlocks`]. The hill climb's assignment has
+//! no twin of its own: the round cache ([`crate::cache`]) builds it
+//! with [`argmin_columns`] from [`columns_block_columnar`] columns,
+//! which reproduces [`assign_block`]. Every twin is bit-identical to
+//! its reference (asserted by the agreement tests below and by
+//! `tests/columnar.rs`).
 
 use crate::layout::{ColumnarBlocks, TileView};
 use proclus_math::{DistanceKind, Matrix};
@@ -251,85 +254,6 @@ pub fn argmin_columns(columns: &[&[f64]], n: usize) -> Vec<usize> {
         out.push(best);
     }
     out
-}
-
-/// Partial result of the fused assign + cluster-`X` pass.
-#[derive(Clone, Debug, PartialEq)]
-pub struct AssignXPartial {
-    /// Winning medoid per row of the block.
-    pub assignment: Vec<usize>,
-    /// Per-cluster, per-dimension sums of `|p_j − m_j|` to the winning
-    /// medoid, over this block's rows.
-    pub xsums: Vec<Vec<f64>>,
-}
-
-/// Assignment fused with the cluster-based `X` accumulation the inner
-/// refinement loop needs: once a point's winning medoid is known, its
-/// full-dimensional `|p_j − m_j|` differences are added to that
-/// cluster's `X` sums in the same sweep, saving the separate O(N·d)
-/// pass over the freshly formed clusters.
-pub fn assign_x_block(
-    points: &Matrix,
-    metric: DistanceKind,
-    medoids: &[usize],
-    dims: &[Vec<usize>],
-    lo: usize,
-    hi: usize,
-) -> AssignXPartial {
-    let d = points.cols();
-    let mut xsums = vec![vec![0.0; d]; medoids.len()];
-    let mut assignment = Vec::with_capacity(hi - lo);
-    for p in lo..hi {
-        let row = points.row(p);
-        let mut best = 0usize;
-        let mut best_dist = f64::INFINITY;
-        for (i, (&m, di)) in medoids.iter().zip(dims).enumerate() {
-            let dist = metric.eval_segmental(row, points.row(m), di);
-            if dist < best_dist {
-                best_dist = dist;
-                best = i;
-            }
-        }
-        assignment.push(best);
-        let mrow = points.row(medoids[best]);
-        let xi = &mut xsums[best];
-        for j in 0..d {
-            xi[j] += (row[j] - mrow[j]).abs();
-        }
-    }
-    AssignXPartial { assignment, xsums }
-}
-
-/// Merge assign-`X` partials (ascending block order) into the flat
-/// assignment and the per-cluster `X` averages.
-pub fn merge_assign_x(
-    partials: Vec<AssignXPartial>,
-    k: usize,
-    d: usize,
-) -> (Vec<usize>, Vec<Vec<f64>>) {
-    let mut flat = Vec::new();
-    let mut x = vec![vec![0.0; d]; k];
-    for mut part in partials {
-        flat.append(&mut part.assignment);
-        for (xi, pi) in x.iter_mut().zip(&part.xsums) {
-            for (a, b) in xi.iter_mut().zip(pi) {
-                *a += b;
-            }
-        }
-    }
-    let mut counts = vec![0usize; k];
-    for &a in &flat {
-        counts[a] += 1;
-    }
-    for (xi, &c) in x.iter_mut().zip(&counts) {
-        if c > 0 {
-            let inv = 1.0 / c as f64;
-            for v in xi.iter_mut() {
-                *v *= inv;
-            }
-        }
-    }
-    (flat, x)
 }
 
 /// Cluster-based `X` partial sums over rows `lo..hi` for a fixed
@@ -601,54 +525,6 @@ pub fn fused_block_columnar(
         accumulate_members_columnar(tile, mrow, li, xi);
     }
     FusedPartial { locs, xsums }
-}
-
-/// Columnar twin of [`assign_block`]: for every row the slot with the
-/// smallest segmental distance, ties to the lower slot.
-pub fn assign_block_columnar(
-    tile: &TileView<'_>,
-    points: &Matrix,
-    metric: DistanceKind,
-    medoids: &[usize],
-    dims: &[Vec<usize>],
-) -> Vec<usize> {
-    let w = tile.width();
-    let mut best = vec![0usize; w];
-    let mut best_dist = vec![f64::INFINITY; w];
-    let mut col = vec![0.0f64; w];
-    for (i, (&m, di)) in medoids.iter().zip(dims).enumerate() {
-        segmental_column_columnar(tile, metric, points.row(m), di, &mut col);
-        for ((bd, b), &dv) in best_dist.iter_mut().zip(best.iter_mut()).zip(col.iter()) {
-            if dv < *bd {
-                *bd = dv;
-                *b = i;
-            }
-        }
-    }
-    best
-}
-
-/// Columnar twin of [`assign_x_block`]: winners first, then the
-/// per-cluster `X` sums accumulated dimension-outer over each
-/// cluster's members in ascending order — the same per-cell addition
-/// sequence as the row-major sweep.
-pub fn assign_x_block_columnar(
-    tile: &TileView<'_>,
-    points: &Matrix,
-    metric: DistanceKind,
-    medoids: &[usize],
-    dims: &[Vec<usize>],
-) -> AssignXPartial {
-    let assignment = assign_block_columnar(tile, points, metric, medoids, dims);
-    let mut members: Vec<Vec<usize>> = vec![Vec::new(); medoids.len()];
-    for (o, &wi) in assignment.iter().enumerate() {
-        members[wi].push(tile.lo() + o);
-    }
-    let mut xsums = vec![vec![0.0; points.cols()]; medoids.len()];
-    for ((&m, mem), xi) in medoids.iter().zip(&members).zip(xsums.iter_mut()) {
-        accumulate_members_columnar(tile, points.row(m), mem, xi);
-    }
-    AssignXPartial { assignment, xsums }
 }
 
 /// Columnar twin of [`columns_block`].
@@ -1209,33 +1085,6 @@ mod tests {
     }
 
     #[test]
-    fn assign_x_assignment_matches_plain_assign() {
-        let points = random_points(400, 5, 13);
-        let medoids = vec![7usize, 200];
-        let dims = vec![vec![0, 2], vec![1, 3]];
-        let metric = DistanceKind::Manhattan;
-        let partials: Vec<AssignXPartial> = blocks(points.rows())
-            .into_iter()
-            .map(|(lo, hi)| assign_x_block(&points, metric, &medoids, &dims, lo, hi))
-            .collect();
-        let (flat, x) = merge_assign_x(partials, 2, 5);
-        assert_eq!(
-            flat,
-            crate::assign::assign_points(&points, &medoids, &dims, metric)
-        );
-        // X must equal the cluster-based average_dimension_distances up
-        // to accumulation-order rounding.
-        let opt: Vec<Option<usize>> = flat.iter().map(|&a| Some(a)).collect();
-        let clusters = crate::assign::group_members(&opt, 2);
-        let legacy = crate::dims::average_dimension_distances(&points, &medoids, &clusters);
-        for (ra, rb) in x.iter().zip(&legacy) {
-            for (a, b) in ra.iter().zip(rb) {
-                assert!((a - b).abs() <= 1e-9 * a.abs().max(1.0), "{a} vs {b}");
-            }
-        }
-    }
-
-    #[test]
     fn refine_assign_block_marks_outliers() {
         let rows: Vec<[f64; 2]> = vec![[0.0, 0.0], [10.0, 10.0], [500.0, 500.0]];
         let points = Matrix::from_rows(&rows, 2);
@@ -1401,19 +1250,17 @@ mod tests {
                     let fb = fused_block_columnar(&t, &points, metric, &medoids, &deltas);
                     assert_eq!(fa.locs, fb.locs, "{ctx}: fused locs");
                     assert_bits(&fa.xsums, &fb.xsums, &format!("{ctx}: fused X"));
-                    assert_eq!(
-                        assign_block(&points, metric, &medoids, &dims, lo, hi),
-                        assign_block_columnar(&t, &points, metric, &medoids, &dims),
-                        "{ctx}: assign"
-                    );
-                    let xa = assign_x_block(&points, metric, &medoids, &dims, lo, hi);
-                    let xb = assign_x_block_columnar(&t, &points, metric, &medoids, &dims);
-                    assert_eq!(xa.assignment, xb.assignment, "{ctx}: assign+X winners");
-                    assert_bits(&xa.xsums, &xb.xsums, &format!("{ctx}: assign+X sums"));
+                    let cols = columns_block_columnar(&t, &points, metric, &medoids, &dims);
                     assert_bits(
                         &columns_block(&points, metric, &medoids, &dims, lo, hi),
-                        &columns_block_columnar(&t, &points, metric, &medoids, &dims),
+                        &cols,
                         &format!("{ctx}: columns"),
+                    );
+                    let refs: Vec<&[f64]> = cols.iter().map(Vec::as_slice).collect();
+                    assert_eq!(
+                        assign_block(&points, metric, &medoids, &dims, lo, hi),
+                        argmin_columns(&refs, hi - lo),
+                        "{ctx}: assign"
                     );
                     assert_eq!(
                         refine_assign_block(&points, metric, &medoids, &dims, &spheres, lo, hi),

@@ -56,7 +56,6 @@ pub mod kernel;
 pub mod layout;
 pub mod locality;
 pub mod model;
-pub mod parallel;
 pub mod params;
 pub mod pool;
 pub mod refine;

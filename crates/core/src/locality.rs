@@ -143,6 +143,23 @@ mod tests {
         assert!(locs[0].contains(&2) && locs[1].contains(&0), "overlap ok");
     }
 
+    /// The round cache's fused pass, cold and then served from cache;
+    /// both answers must agree.
+    fn fused_round_twice(
+        m: &Matrix,
+        medoids: &[usize],
+        deltas: &[f64],
+    ) -> (Vec<Vec<usize>>, Vec<Vec<f64>>) {
+        crate::pool::with_pool(m, DistanceKind::Manhattan, 1, |pool| {
+            let mut cache = crate::cache::RoundCache::new(medoids.len());
+            let cold = cache.fused_round(pool, medoids, deltas);
+            let hit = cache.fused_round(pool, medoids, deltas);
+            assert_eq!(cache.stats().fused_slot_hits, medoids.len() as u64);
+            assert_eq!(cold, hit, "cache hit must replay the cold pass");
+            cold
+        })
+    }
+
     /// Duplicate points chosen as distinct medoids make `δᵢ = 0`: each
     /// locality degenerates to exactly the set of coordinate-identical
     /// points (distance `0 ≤ δᵢ`), never goes empty, and the fused
@@ -166,8 +183,7 @@ mod tests {
             assert!(loc.contains(&medoids[i]), "medoid {i} in its locality");
         }
 
-        let (fused_locs, x) =
-            crate::pool::with_pool(&m, metric, 1, |pool| pool.fused_round(&medoids, &deltas));
+        let (fused_locs, x) = fused_round_twice(&m, &medoids, &deltas);
         assert_eq!(fused_locs, locs);
         for xi in &x {
             assert!(xi.iter().all(|&v| v == 0.0), "X over duplicates is zero");
@@ -197,8 +213,7 @@ mod tests {
         assert_eq!(legacy[0], vec![1], "NaN medoid degenerates to {{mᵢ}}");
         assert!(legacy[1].contains(&3));
 
-        let (fused, x) =
-            crate::pool::with_pool(&m, metric, 1, |pool| pool.fused_round(&medoids, &deltas));
+        let (fused, x) = fused_round_twice(&m, &medoids, &deltas);
         assert_eq!(fused, legacy, "fused path applies the same fallback");
         assert_eq!(x[0], vec![0.0, 0.0], "fallback X row is zero, not NaN");
     }

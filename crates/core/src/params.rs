@@ -88,17 +88,6 @@ pub struct Proclus {
     /// blocks whose partial results merge in a canonical order, so the
     /// fit is **bit-identical for every thread count**.
     pub threads: usize,
-    /// Reuse unchanged per-medoid round state across hill-climbing
-    /// rounds (default `true`). The paper's iterative phase swaps only
-    /// the *bad* medoids between rounds, so most localities, dimension
-    /// averages, distance columns, and cluster sums are unchanged; the
-    /// [`crate::cache::RoundCache`] serves those from cache and
-    /// recomputes only the slots a swap touched — **bit-identically**,
-    /// so fits, event streams, and golden digests are unaffected.
-    /// Disable to force full recomputation every round (the cache's own
-    /// correctness baseline; also what `cache.*` counters compare
-    /// against).
-    pub round_cache: bool,
 }
 
 impl Proclus {
@@ -120,15 +109,7 @@ impl Proclus {
             inner_refinements: 1,
             standardize_dimensions: true,
             threads: 1,
-            round_cache: true,
         }
-    }
-
-    /// Toggle the incremental cross-round cache (default on; results
-    /// are bit-identical either way — see [`crate::cache`]).
-    pub fn round_cache(mut self, v: bool) -> Self {
-        self.round_cache = v;
-        self
     }
 
     /// Set the worker-thread count for the heavy passes (min 1).
@@ -195,7 +176,7 @@ impl Proclus {
 
     /// Set the number of independent restarts (min 1).
     pub fn restarts(mut self, v: usize) -> Self {
-        self.restarts = v;
+        self.restarts = v.max(1);
         self
     }
 

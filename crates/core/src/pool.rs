@@ -27,27 +27,19 @@
 //!   the same order, so it is the reference the pooled path is compared
 //!   against in the property tests.
 
-use crate::kernel::{self, AssignXPartial, FusedPartial};
+use crate::kernel::{self, FusedPartial};
 use crate::layout::{ColumnarBlocks, TileView};
 use proclus_math::{DistanceKind, Matrix};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{mpsc, Arc, Mutex};
 
 /// Owned per-round job data shipped to the workers. Small (O(k·d) plus
-/// one `Arc`'d assignment for the refinement pass) — the point matrix
+/// one `Arc`'d assignment for the cluster-`X` pass) — the point matrix
 /// and its tiles are borrowed by the workers, never sent.
 enum Task {
     Fused {
         medoids: Arc<Vec<usize>>,
         deltas: Arc<Vec<f64>>,
-    },
-    Assign {
-        medoids: Arc<Vec<usize>>,
-        dims: Arc<Vec<Vec<usize>>>,
-    },
-    AssignX {
-        medoids: Arc<Vec<usize>>,
-        dims: Arc<Vec<Vec<usize>>>,
     },
     Columns {
         medoids: Arc<Vec<usize>>,
@@ -74,8 +66,6 @@ struct Job<'env> {
 /// A tile's partial result, matched to the [`Task`] variant.
 enum Partial {
     Fused(FusedPartial),
-    Assign(Vec<usize>),
-    AssignX(AssignXPartial),
     Columns(Vec<Vec<f64>>),
     ClusterX(Vec<Vec<f64>>),
     RefineAssign(Vec<Option<usize>>),
@@ -87,12 +77,6 @@ impl Task {
         match self {
             Task::Fused { medoids, deltas } => Partial::Fused(kernel::fused_block_columnar(
                 tile, points, metric, medoids, deltas,
-            )),
-            Task::Assign { medoids, dims } => Partial::Assign(kernel::assign_block_columnar(
-                tile, points, metric, medoids, dims,
-            )),
-            Task::AssignX { medoids, dims } => Partial::AssignX(kernel::assign_x_block_columnar(
-                tile, points, metric, medoids, dims,
             )),
             Task::Columns { medoids, dims } => Partial::Columns(kernel::columns_block_columnar(
                 tile, points, metric, medoids, dims,
@@ -118,14 +102,6 @@ impl Task {
             Task::Fused { medoids, deltas } => Task::Fused {
                 medoids: Arc::clone(medoids),
                 deltas: Arc::clone(deltas),
-            },
-            Task::Assign { medoids, dims } => Task::Assign {
-                medoids: Arc::clone(medoids),
-                dims: Arc::clone(dims),
-            },
-            Task::AssignX { medoids, dims } => Task::AssignX {
-                medoids: Arc::clone(medoids),
-                dims: Arc::clone(dims),
             },
             Task::Columns { medoids, dims } => Task::Columns {
                 medoids: Arc::clone(medoids),
@@ -165,22 +141,22 @@ enum Mode<'env> {
 ///
 /// The pool keeps two of these with different contracts:
 ///
-/// * **Logical** stats count *semantic* passes — one per
-///   `fused_round`/`assign`/… as the uncached engine would dispatch
-///   them, always over every row block. They are **deterministic**: a
-///   pure function of `(params, data, seed)`, identical for every
-///   thread count *and* for the cached and uncached engines (the
-///   [`crate::cache::RoundCache`] books a full logical pass even when
-///   it serves the result from cache). Safe to embed in the trace
-///   event stream, and `round` events do.
+/// * **Logical** stats count *semantic* passes — one per round-cache
+///   `fused_round`/`assign`/`assign_x` call and per refinement pass —
+///   each booked as a sweep over every row block. They are
+///   **deterministic**: a pure function of `(params, data, seed)`,
+///   identical for every thread count and independent of what the
+///   [`crate::cache::RoundCache`] held (it books a full logical pass
+///   even when it serves the result from cache). Safe to embed in the
+///   trace event stream, and `round` events do.
 /// * **Physical** stats count the fan-outs that actually ran, which the
 ///   cache shrinks (a pass fully served from cache dispatches
-///   nothing). Scheduling-independent too, but *engine*-dependent, so
-///   they go only to the run-manifest counters, never the event
-///   stream.
+///   nothing). Scheduling-independent too, but they depend on the
+///   cache's hit pattern, so they go only to the run-manifest
+///   counters, never the event stream.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PoolStats {
-    /// Fan-out passes executed (one per `fused_round`/`assign`/…).
+    /// Fan-out passes (one per semantic pass, or per physical fan-out).
     pub dispatches: u64,
     /// Row blocks processed across those passes.
     pub blocks: u64,
@@ -300,15 +276,16 @@ impl<'env> Pool<'env> {
 
     /// Cumulative **logical** work counters since pool creation: the
     /// canonical semantic passes, identical for every thread count and
-    /// for the cached and uncached engines.
+    /// whatever the round cache served.
     pub fn stats(&self) -> PoolStats {
         self.stats
     }
 
     /// Cumulative **physical** work counters since pool creation: the
-    /// fan-outs that actually ran. With the round cache active this is
-    /// at most [`Pool::stats`]; manifest counters only, never the
-    /// event stream.
+    /// fan-outs that actually ran. The round cache skips fan-outs it
+    /// serves from cache but splits `assign_x` into two (columns, then
+    /// cluster `X`), so this may be above or below [`Pool::stats`];
+    /// manifest counters only, never the event stream.
     pub fn physical_stats(&self) -> PoolStats {
         self.physical
     }
@@ -316,8 +293,8 @@ impl<'env> Pool<'env> {
     /// Book one logical pass (a full sweep over every row block)
     /// without running anything. The round cache calls this for every
     /// semantic pass it serves — fully or partially — from cache, so
-    /// the logical counters embedded in `round` events stay identical
-    /// to the uncached engine's.
+    /// the logical counters embedded in `round` events do not depend on
+    /// its hit pattern.
     pub(crate) fn note_logical_pass(&mut self) {
         self.stats.dispatches += 1;
         self.stats.blocks += self.points.rows().div_ceil(kernel::BLOCK) as u64;
@@ -339,7 +316,7 @@ impl<'env> Pool<'env> {
     }
 
     /// Fan a task out over all row blocks, booking both a logical and a
-    /// physical pass (the default for the uncached full passes).
+    /// physical pass (the refinement passes, which the cache never sees).
     fn dispatch(&mut self, task: Task) -> Vec<Partial> {
         self.note_logical_pass();
         self.dispatch_physical(task)
@@ -347,8 +324,8 @@ impl<'env> Pool<'env> {
 
     /// Fan a task out over all row blocks and collect the partials in
     /// ascending block order. Books only a *physical* pass — used
-    /// directly by the cache's subset recomputations, whose logical
-    /// accounting happens at the semantic-pass level instead.
+    /// directly by the round cache's passes, whose logical accounting
+    /// happens at the semantic-pass level instead.
     fn dispatch_physical(&mut self, task: Task) -> Vec<Partial> {
         let tiles: Vec<TileView<'env>> = self.layout.tiles().collect();
         self.physical.dispatches += 1;
@@ -398,22 +375,13 @@ impl<'env> Pool<'env> {
         }
     }
 
-    /// The fused locality + `X` pass: localities of every medoid and
-    /// the per-dimension average distances over them, from one sweep.
-    pub fn fused_round(
-        &mut self,
-        medoids: &[usize],
-        deltas: &[f64],
-    ) -> (Vec<Vec<usize>>, Vec<Vec<f64>>) {
-        self.note_logical_pass();
-        self.fused_pass(medoids, deltas)
-    }
-
-    /// [`Pool::fused_round`] booking only physical work. The cache uses
-    /// this to recompute the invalidated *subset* of medoid slots: each
-    /// slot's locality and `X` row depend only on its own `(mᵢ, δᵢ)`
-    /// pair and the fixed block tiling, so a subset pass is bit-identical
-    /// to the matching slots of the full pass.
+    /// The fused locality + `X` pass over the given medoid slots:
+    /// localities and the per-dimension average distances over them,
+    /// from one sweep. Physical work only — the round cache calls this
+    /// for the invalidated *subset* of slots: each slot's locality and
+    /// `X` row depend only on its own `(mᵢ, δᵢ)` pair and the fixed block
+    /// tiling, so a subset pass is bit-identical to the matching slots
+    /// of a full pass.
     pub(crate) fn fused_pass(
         &mut self,
         medoids: &[usize],
@@ -468,45 +436,6 @@ impl<'env> Pool<'env> {
         cols
     }
 
-    /// Plain assignment pass (no `X` accumulation).
-    pub fn assign(&mut self, medoids: &[usize], dims: &[Vec<usize>]) -> Vec<usize> {
-        let partials = self.dispatch(Task::Assign {
-            medoids: Arc::new(medoids.to_vec()),
-            dims: Arc::new(dims.to_vec()),
-        });
-        let mut flat = Vec::with_capacity(self.points.rows());
-        for p in partials {
-            match p {
-                Partial::Assign(mut a) => flat.append(&mut a),
-                _ => unreachable!("assign task returns assign partials"),
-            }
-        }
-        flat
-    }
-
-    /// Assignment fused with the cluster-based `X` averages of the
-    /// resulting clusters (consumed by the next inner refinement).
-    pub fn assign_x(
-        &mut self,
-        medoids: &[usize],
-        dims: &[Vec<usize>],
-    ) -> (Vec<usize>, Vec<Vec<f64>>) {
-        let k = medoids.len();
-        let d = self.points.cols();
-        let partials = self.dispatch(Task::AssignX {
-            medoids: Arc::new(medoids.to_vec()),
-            dims: Arc::new(dims.to_vec()),
-        });
-        let parts = partials
-            .into_iter()
-            .map(|p| match p {
-                Partial::AssignX(a) => a,
-                _ => unreachable!("assign_x task returns assign_x partials"),
-            })
-            .collect();
-        kernel::merge_assign_x(parts, k, d)
-    }
-
     /// Cluster-based `X` averages for a fixed assignment (outliers —
     /// `None` — contribute nothing). Used by the refinement phase.
     pub fn cluster_x(
@@ -518,12 +447,8 @@ impl<'env> Pool<'env> {
         self.cluster_x_pass(medoids, assignment)
     }
 
-    /// [`Pool::cluster_x`] booking only physical work. The cache uses
-    /// this with a *masked* assignment (`Some` only for the clusters
-    /// whose membership or medoid changed) to recompute just the
-    /// invalidated cluster-`X` rows: each cluster's row accumulates its
-    /// own members in the same block-grouped ascending order either
-    /// way, so the subset rows are bit-identical to the full pass.
+    /// [`Pool::cluster_x`] booking only physical work: the round
+    /// cache's `assign_x` runs it over the assignment it just built.
     pub(crate) fn cluster_x_pass(
         &mut self,
         medoids: &[usize],
@@ -595,6 +520,7 @@ impl<'env> Pool<'env> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::RoundCache;
     use crate::locality::medoid_deltas;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -605,7 +531,9 @@ mod tests {
         Matrix::from_vec(data, n, d)
     }
 
-    /// Every pooled pass must be bit-identical to the serial pool for
+    /// Every pass production runs — the round cache's fused, assign and
+    /// assign+X passes, cold and then served from cache, and the
+    /// refinement passes — must be bit-identical to the serial pool for
     /// any worker count, including counts far above the block count.
     #[test]
     fn pooled_passes_match_serial_bit_for_bit() {
@@ -616,27 +544,26 @@ mod tests {
         let deltas = medoid_deltas(&points, &medoids, metric);
         let spheres = crate::refine::spheres_of_influence(&points, &medoids, &dims, metric);
 
-        let serial = with_pool(&points, metric, 1, |pool| {
-            let fused = pool.fused_round(&medoids, &deltas);
-            let assign = pool.assign(&medoids, &dims);
-            let ax = pool.assign_x(&medoids, &dims);
-            let asg: Arc<Vec<Option<usize>>> = Arc::new(assign.iter().map(|&a| Some(a)).collect());
-            let cx = pool.cluster_x(&medoids, asg);
-            let ra = pool.refine_assign(&medoids, &dims, &spheres);
-            (fused, assign, ax, cx, ra)
-        });
-
-        for threads in [2, 3, 8, 64] {
-            let pooled = with_pool(&points, metric, threads, |pool| {
-                let fused = pool.fused_round(&medoids, &deltas);
-                let assign = pool.assign(&medoids, &dims);
-                let ax = pool.assign_x(&medoids, &dims);
+        let passes = |threads: usize| {
+            with_pool(&points, metric, threads, |pool| {
+                let mut cache = RoundCache::new(medoids.len());
+                let fused = cache.fused_round(pool, &medoids, &deltas);
+                let assign = cache.assign(pool, &medoids, &dims);
+                let ax = RoundCache::new(medoids.len()).assign_x(pool, &medoids, &dims);
+                assert_eq!(fused, cache.fused_round(pool, &medoids, &deltas));
+                assert_eq!(ax, cache.assign_x(pool, &medoids, &dims));
+                let stats = cache.stats();
+                assert_eq!((stats.fused_slot_hits, stats.column_hits), (3, 3));
                 let asg: Arc<Vec<Option<usize>>> =
                     Arc::new(assign.iter().map(|&a| Some(a)).collect());
                 let cx = pool.cluster_x(&medoids, asg);
                 let ra = pool.refine_assign(&medoids, &dims, &spheres);
                 (fused, assign, ax, cx, ra)
-            });
+            })
+        };
+        let serial = passes(1);
+        for threads in [2, 3, 8, 64] {
+            let pooled = passes(threads);
             assert_eq!(serial.0, pooled.0, "fused, threads = {threads}");
             assert_eq!(serial.1, pooled.1, "assign, threads = {threads}");
             assert_eq!(serial.2, pooled.2, "assign_x, threads = {threads}");
@@ -659,7 +586,7 @@ mod tests {
 
         for threads in [1, 4] {
             with_pool(&points, metric, threads, |pool| {
-                let (full_locs, full_x) = pool.fused_round(&medoids, &deltas);
+                let (full_locs, full_x) = pool.fused_pass(&medoids, &deltas);
                 for subset in [vec![1usize], vec![0, 2], vec![3, 1]] {
                     let sub_m: Vec<usize> = subset.iter().map(|&i| medoids[i]).collect();
                     let sub_d: Vec<f64> = subset.iter().map(|&i| deltas[i]).collect();
@@ -683,8 +610,8 @@ mod tests {
     }
 
     /// Logical stats count semantic passes over every block; physical
-    /// stats count what actually ran. A subset pass moves only the
-    /// physical needle.
+    /// stats count what actually ran. A pass served from cache moves
+    /// only the logical needle; a bare subset pass only the physical.
     #[test]
     fn logical_and_physical_stats_diverge_on_subset_passes() {
         let points = random_points(3000, 4, 3);
@@ -693,19 +620,21 @@ mod tests {
         let deltas = medoid_deltas(&points, &medoids, metric);
         with_pool(&points, metric, 1, |pool| {
             let nblocks = kernel::blocks(points.rows()).len() as u64;
-            pool.fused_round(&medoids, &deltas);
+            let mut cache = RoundCache::new(medoids.len());
+            cache.fused_round(pool, &medoids, &deltas);
             assert_eq!(pool.stats(), pool.physical_stats());
             assert_eq!(pool.stats().dispatches, 1);
             assert_eq!(pool.stats().blocks, nblocks);
 
-            pool.fused_pass(&medoids[..1], &deltas[..1]);
-            assert_eq!(pool.stats().dispatches, 1, "subset pass is not logical");
-            assert_eq!(pool.physical_stats().dispatches, 2);
-
-            pool.note_logical_pass();
-            assert_eq!(pool.stats().dispatches, 2);
+            cache.fused_round(pool, &medoids, &deltas);
+            assert_eq!(pool.stats().dispatches, 2, "a hit is still a logical pass");
             assert_eq!(pool.stats().blocks, 2 * nblocks);
+            assert_eq!(pool.physical_stats().dispatches, 1, "a hit runs nothing");
+
+            pool.fused_pass(&medoids[..1], &deltas[..1]);
+            assert_eq!(pool.stats().dispatches, 2, "subset pass is not logical");
             assert_eq!(pool.physical_stats().dispatches, 2);
+            assert_eq!(pool.physical_stats().blocks, 2 * nblocks);
         });
     }
 
@@ -715,25 +644,19 @@ mod tests {
         // the persistent pool).
         let points = random_points(2500, 4, 7);
         let metric = DistanceKind::Manhattan;
-        let total = with_pool(&points, metric, 4, |pool| {
-            let mut sum = 0usize;
-            for round in 0..20 {
-                let medoids = vec![round, 1000 + round];
-                let dims = vec![vec![0, 1], vec![2, 3]];
-                sum += pool.assign(&medoids, &dims).iter().sum::<usize>();
-            }
-            sum
-        });
-        let serial_total = with_pool(&points, metric, 1, |pool| {
-            let mut sum = 0usize;
-            for round in 0..20 {
-                let medoids = vec![round, 1000 + round];
-                let dims = vec![vec![0, 1], vec![2, 3]];
-                sum += pool.assign(&medoids, &dims).iter().sum::<usize>();
-            }
-            sum
-        });
-        assert_eq!(total, serial_total);
+        let total = |threads: usize| {
+            with_pool(&points, metric, threads, |pool| {
+                let mut cache = RoundCache::new(2);
+                let mut sum = 0usize;
+                for round in 0..20 {
+                    let medoids = vec![round, 1000 + round];
+                    let dims = vec![vec![0, 1], vec![2, 3]];
+                    sum += cache.assign(pool, &medoids, &dims).iter().sum::<usize>();
+                }
+                sum
+            })
+        };
+        assert_eq!(total(4), total(1));
     }
 
     #[test]
@@ -744,7 +667,10 @@ mod tests {
         let medoids = vec![0usize, 25];
         let dims = vec![vec![0, 1], vec![1, 2]];
         let metric = DistanceKind::Manhattan;
-        let a = with_pool(&points, metric, 8, |pool| pool.assign(&medoids, &dims));
+        let a = with_pool(&points, metric, 8, |pool| {
+            assert_eq!(pool.workers(), 0);
+            RoundCache::new(2).assign(pool, &medoids, &dims)
+        });
         let b = crate::assign::assign_points(&points, &medoids, &dims, metric);
         assert_eq!(a, b);
     }

@@ -1,11 +1,13 @@
-//! Columnar-layout equivalence tier: every pooled pass runs the
-//! dimension-major blocked kernels, and must be **bit-identical** to
-//! the row-major reference kernels (run over `kernel::blocks` and
-//! merged with `kernel::merge_*`) for every metric and thread count —
-//! on matrices built to expose any deviation (exact distance ties,
-//! duplicated rows, mixed 1e±9 magnitudes).
+//! Columnar-layout equivalence tier: every pass a fit runs — the round
+//! cache's passes, cold and served from cache, and the refinement
+//! passes — runs the dimension-major blocked kernels, and must be
+//! **bit-identical** to the row-major reference kernels (run over
+//! `kernel::blocks` and merged with `kernel::merge_*`) for every metric
+//! and thread count — on matrices built to expose any deviation (exact
+//! distance ties, duplicated rows, mixed 1e±9 magnitudes).
 
 use proclus::core::assign::group_members;
+use proclus::core::cache::RoundCache;
 use proclus::core::evaluate::evaluate_clusters;
 use proclus::core::kernel;
 use proclus::core::locality::medoid_deltas;
@@ -84,6 +86,17 @@ fn reference(
 ) -> Reference {
     let (k, d) = (medoids.len(), points.cols());
     let blocks = kernel::blocks(points.rows());
+    let cluster_x = |labels: &[Option<usize>]| {
+        let counts: Vec<usize> = group_members(labels, k).iter().map(Vec::len).collect();
+        kernel::merge_cluster_x(
+            blocks
+                .iter()
+                .map(|&(lo, hi)| kernel::cluster_x_block(points, medoids, labels, lo, hi))
+                .collect(),
+            &counts,
+            d,
+        )
+    };
     let fused = kernel::merge_fused(
         blocks
             .iter()
@@ -92,33 +105,19 @@ fn reference(
         medoids,
         d,
     );
-    let assign = blocks
+    let assign: Vec<usize> = blocks
         .iter()
         .flat_map(|&(lo, hi)| kernel::assign_block(points, metric, medoids, dims, lo, hi))
         .collect();
-    let assign_x = kernel::merge_assign_x(
-        blocks
-            .iter()
-            .map(|&(lo, hi)| kernel::assign_x_block(points, metric, medoids, dims, lo, hi))
-            .collect(),
-        k,
-        d,
-    );
+    let labels: Vec<Option<usize>> = assign.iter().map(|&a| Some(a)).collect();
+    let assign_x = (assign.clone(), cluster_x(&labels));
     let refined: Vec<Option<usize>> = blocks
         .iter()
         .flat_map(|&(lo, hi)| {
             kernel::refine_assign_block(points, metric, medoids, dims, spheres, lo, hi)
         })
         .collect();
-    let counts: Vec<usize> = group_members(&refined, k).iter().map(Vec::len).collect();
-    let cluster_x = kernel::merge_cluster_x(
-        blocks
-            .iter()
-            .map(|&(lo, hi)| kernel::cluster_x_block(points, medoids, &refined, lo, hi))
-            .collect(),
-        &counts,
-        d,
-    );
+    let cluster_x = cluster_x(&refined);
     Reference {
         fused,
         assign,
@@ -128,9 +127,10 @@ fn reference(
     }
 }
 
-/// Every pooled pass must equal the row-major reference kernels bit
-/// for bit — across 3 metrics, 3 adversarial matrix families, and
-/// thread counts 1/2/8.
+/// Every pass must equal the row-major reference kernels bit for bit —
+/// across 3 metrics, 3 adversarial matrix families, and thread counts
+/// 1/2/8. Each round-cache pass runs on a fresh cache, cold and then
+/// again as a cache hit.
 #[test]
 fn columnar_pool_passes_are_bit_identical_to_row_major() {
     let (n, d) = (1_700usize, 6usize);
@@ -152,14 +152,29 @@ fn columnar_pool_passes_are_bit_identical_to_row_major() {
             for threads in [1usize, 2, 8] {
                 let ctx = format!("{family}/{metric:?}/t{threads}");
                 with_pool(&points, metric, threads, |pool| {
-                    let fused = pool.fused_round(&medoids, &deltas);
-                    assert_eq!(want.fused.0, fused.0, "{ctx}: localities");
-                    assert_bits_eq(&want.fused.1, &fused.1, &format!("{ctx}: locality X"));
-                    let assign = pool.assign(&medoids, &dims);
-                    assert_eq!(want.assign, assign, "{ctx}: assignment");
-                    let (winners, x) = pool.assign_x(&medoids, &dims);
-                    assert_eq!(want.assign_x.0, winners, "{ctx}: assign+X winners");
-                    assert_bits_eq(&want.assign_x.1, &x, &format!("{ctx}: assign+X sums"));
+                    let k = medoids.len();
+                    let mut cache = RoundCache::new(k);
+                    for pass in ["cold", "hit"] {
+                        let ctx = format!("{ctx}/{pass}");
+                        let fused = cache.fused_round(pool, &medoids, &deltas);
+                        assert_eq!(want.fused.0, fused.0, "{ctx}: localities");
+                        assert_bits_eq(&want.fused.1, &fused.1, &format!("{ctx}: locality X"));
+                    }
+                    assert_eq!(cache.stats().fused_slot_hits, k as u64, "{ctx}: fused hit");
+                    let mut cache = RoundCache::new(k);
+                    for pass in ["cold", "hit"] {
+                        let assign = cache.assign(pool, &medoids, &dims);
+                        assert_eq!(want.assign, assign, "{ctx}/{pass}: assignment");
+                    }
+                    assert_eq!(cache.stats().column_hits, k as u64, "{ctx}: column hit");
+                    let mut cache = RoundCache::new(k);
+                    for pass in ["cold", "hit"] {
+                        let ctx = format!("{ctx}/{pass}");
+                        let (winners, x) = cache.assign_x(pool, &medoids, &dims);
+                        assert_eq!(want.assign_x.0, winners, "{ctx}: assign+X winners");
+                        assert_bits_eq(&want.assign_x.1, &x, &format!("{ctx}: assign+X sums"));
+                    }
+                    assert_eq!(cache.stats().column_hits, k as u64, "{ctx}: assign+X hit");
                     let refined = pool.refine_assign(&medoids, &dims, &spheres);
                     assert_eq!(want.refined, refined, "{ctx}: refine assignment");
                     let cluster_x = pool.cluster_x(&medoids, Arc::new(refined));
@@ -202,7 +217,7 @@ fn pool_evaluator_matches_evaluate_clusters_bit_for_bit() {
         for threads in [1usize, 2, 8] {
             let ctx = format!("{family}/t{threads}");
             with_pool(&points, metric, threads, |pool| {
-                let flat = pool.assign(&medoids, &dims);
+                let flat = RoundCache::new(dims.len()).assign(pool, &medoids, &dims);
                 let refined = pool.refine_assign(&medoids, &dims, &spheres);
                 assert_eq!(want.assign, flat, "{ctx}: assignment");
                 assert_eq!(want.refined, refined, "{ctx}: refine assignment");

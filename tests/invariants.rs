@@ -280,30 +280,35 @@ fn event_stream_digest(events: &[Event]) -> u64 {
     h
 }
 
-/// The round cache is a pure performance layer: with it on (default)
-/// and off, a fit must emit the *identical* event stream (compared by
-/// digest and element-wise) and return the identical model — across
-/// datasets that exercise swap-heavy climbs, multi-restart reuse,
-/// candidate-pool exhaustion, and thread counts 1 and 8.
+/// The round cache is a pure performance layer. These five fits pin the
+/// event-stream digests that the engine without a round cache produced
+/// (and the cache reproduced, bit for bit): swap-heavy climbs,
+/// multi-restart reuse, deeper inner refinement, candidate-pool
+/// exhaustion, and thread counts 1 and 8. Any drift in what the cache
+/// serves — a stale slot, a wrong column, a miscounted logical pass —
+/// moves a digest.
 #[test]
-fn cached_and_uncached_fits_emit_identical_event_streams() {
-    // (dataset, params, label): five seeded configurations.
+fn cached_fits_reproduce_pinned_event_digests() {
+    // (dataset, params, label, digest): five seeded configurations.
     let swap_rich = |seed: u64| SyntheticSpec::new(1_500, 10, K, 3.5).seed(seed).generate();
-    let mut cases: Vec<(GeneratedDataset, Proclus, &str)> = vec![
+    let mut cases: Vec<(GeneratedDataset, Proclus, &str, u64)> = vec![
         (
             swap_rich(7),
             Proclus::new(K, L).seed(7).restarts(3),
             "swap-rich seed 7",
+            0x9b68_687b_126d_1bcb,
         ),
         (
             swap_rich(41),
             Proclus::new(K, L).seed(41).restarts(3),
             "swap-rich seed 41",
+            0x014c_8f3f_2de5_8fae,
         ),
         (
             swap_rich(1999),
             Proclus::new(K, L).seed(1999).restarts(3).threads(8),
             "swap-rich seed 1999, 8 threads",
+            0xb3f8_8379_5745_d88f,
         ),
         (
             SyntheticSpec::new(800, 8, 2, 3.0).seed(5).generate(),
@@ -312,58 +317,39 @@ fn cached_and_uncached_fits_emit_identical_event_streams() {
                 .restarts(2)
                 .inner_refinements(2),
             "deeper inner refinement",
+            0x359d_b50a_c95c_01a4,
         ),
     ];
     // Candidate-pool exhaustion: k equals N, so the bad-medoid step
     // runs out of fresh candidates and the climb stops degraded.
     let tiny = SyntheticSpec::new(4, 2, 1, 2.0).seed(2).generate();
-    cases.push((tiny, Proclus::new(4, 2.0).seed(2), "pool exhaustion"));
+    cases.push((
+        tiny,
+        Proclus::new(4, 2.0).seed(2),
+        "pool exhaustion",
+        0xd475_a9d3_d57e_0100,
+    ));
 
-    for (data, params, label) in &mut cases {
-        let run = |cache_on: bool, data: &GeneratedDataset, params: &Proclus| {
-            let rec = RingRecorder::new(1 << 16);
-            let model = params
-                .clone()
-                .round_cache(cache_on)
-                .fit_traced(&data.points, &rec)
-                .expect(label);
-            assert_eq!(rec.dropped(), 0, "{label}: ring too small");
-            (model, rec.events())
-        };
-        let (cached_model, cached_events) = run(true, data, params);
-        let (plain_model, plain_events) = run(false, data, params);
+    for (data, params, label, digest) in &cases {
+        let rec = RingRecorder::new(1 << 16);
+        params.fit_traced(&data.points, &rec).expect(label);
+        assert_eq!(rec.dropped(), 0, "{label}: ring too small");
+        let got = event_stream_digest(&rec.events());
         assert_eq!(
-            event_stream_digest(&cached_events),
-            event_stream_digest(&plain_events),
-            "{label}: cached fit changed the event-stream digest"
-        );
-        assert_eq!(cached_events, plain_events, "{label}: event streams");
-        assert_eq!(
-            cached_model.assignment(),
-            plain_model.assignment(),
-            "{label}: assignments"
-        );
-        assert_eq!(
-            cached_model.objective(),
-            plain_model.objective(),
-            "{label}: objective"
-        );
-        assert_eq!(
-            cached_model.iterative_objective(),
-            plain_model.iterative_objective(),
-            "{label}: iterative objective"
+            got, *digest,
+            "{label}: event-stream digest {got:#018x} moved"
         );
     }
     // The suite must actually cover both degenerate regimes it claims:
     // at least one case with swaps and one with pool exhaustion.
-    let (data, params, _) = &cases[0];
+    let (data, params, _, _) = &cases[0];
     let rec = RingRecorder::new(1 << 16);
     params.fit_traced(&data.points, &rec).expect("swap-rich");
     assert!(
         rec.events().iter().any(|e| matches!(e, Event::Swap { .. })),
         "swap-rich case never swapped"
     );
-    let (data, params, _) = &cases[4];
+    let (data, params, _, _) = &cases[4];
     let model = params.fit(&data.points).expect("tiny");
     assert!(
         model.diagnostics().degradations.iter().any(|d| matches!(

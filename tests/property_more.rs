@@ -344,8 +344,8 @@ fn orclus_is_scale_invariant_up_to_objective() {
 
 /// Tie-breaking audit: "ties go to the lower cluster index" must hold
 /// identically on every assignment path — the scalar loop, the blocked
-/// pool kernels at 1 and 4 threads, and the round cache's argmin over
-/// cached distance columns (fresh and served from cache). Quantized
+/// row-major kernel, and the round cache's argmin over distance columns
+/// at 1 and 4 threads (cold, then served from cache). Quantized
 /// integer coordinates make exact distance ties common (including
 /// duplicated medoid rows), so any path that resolved ties by
 /// evaluation order instead of cluster index would diverge here.
@@ -353,6 +353,7 @@ fn orclus_is_scale_invariant_up_to_objective() {
 fn tie_breaking_is_identical_across_all_assignment_paths() {
     use proclus::core::assign::assign_points;
     use proclus::core::cache::RoundCache;
+    use proclus::core::kernel;
     use proclus::core::pool::with_pool;
 
     for metric in [
@@ -404,16 +405,22 @@ fn tie_breaking_is_identical_across_all_assignment_paths() {
                 .count();
             assert!(tied > 0, "{metric:?} case {case}: no ties generated");
 
-            // Pool paths at 1 and 4 threads: the blocked kernels, then
-            // the round cache computing its columns and serving them.
+            let blocked: Vec<usize> = kernel::blocks(n)
+                .into_iter()
+                .flat_map(|(lo, hi)| kernel::assign_block(&m, metric, &medoids, &dims, lo, hi))
+                .collect();
+            assert_eq!(reference, blocked, "{metric:?} case {case}: blocked kernel");
+
+            // Pool paths at 1 and 4 threads: the round cache computing
+            // its columns, then serving them.
             for threads in [1usize, 4] {
-                let (got, fresh, cached) = with_pool(&m, metric, threads, |pool| {
-                    let mut cache = RoundCache::new(true, medoids.len());
+                let (fresh, cached) = with_pool(&m, metric, threads, |pool| {
+                    let mut cache = RoundCache::new(medoids.len());
                     let fresh = cache.assign(pool, &medoids, &dims);
                     let cached = cache.assign(pool, &medoids, &dims);
-                    (pool.assign(&medoids, &dims), fresh, cached)
+                    assert_eq!(cache.stats().column_hits, medoids.len() as u64);
+                    (fresh, cached)
                 });
-                assert_eq!(reference, got, "{metric:?} case {case}: pool t={threads}");
                 assert_eq!(
                     reference, fresh,
                     "{metric:?} case {case}: cache t={threads}"

@@ -276,17 +276,28 @@ fn brute_force(z: &[Vec<f64>], total: usize) -> f64 {
 /// accumulation order that does not depend on how blocks are scheduled.
 type RoundOutput = (Vec<Vec<usize>>, Vec<Vec<f64>>, Vec<Vec<usize>>, Vec<usize>);
 
-/// One hill-climbing round through the pool: fused locality + `X`
-/// sweep, FindDimensions, assignment.
+/// One hill-climbing round through the round cache and the pool: fused
+/// locality + `X` sweep, FindDimensions, assignment — run cold, then
+/// again served from cache, which must replay it exactly.
 fn pooled_round(
     pool: &mut proclus::core::pool::Pool<'_>,
     medoids: &[usize],
     deltas: &[f64],
 ) -> RoundOutput {
-    let (locs, x) = pool.fused_round(medoids, deltas);
-    let dims = proclus::core::dims::find_dimensions_from_averages(&x, 12, true);
-    let flat = pool.assign(medoids, &dims);
-    (locs, x, dims, flat)
+    let mut cache = proclus::core::cache::RoundCache::new(medoids.len());
+    let mut round = |pool: &mut proclus::core::pool::Pool<'_>| {
+        let (locs, x) = cache.fused_round(pool, medoids, deltas);
+        let dims = proclus::core::dims::find_dimensions_from_averages(&x, 12, true);
+        let flat = cache.assign(pool, medoids, &dims);
+        (locs, x, dims, flat)
+    };
+    let cold = round(pool);
+    let hit = round(pool);
+    assert_eq!(cold, hit, "a cache hit must replay the cold round");
+    let stats = cache.stats();
+    assert_eq!(stats.fused_slot_hits, medoids.len() as u64);
+    assert_eq!(stats.column_hits, medoids.len() as u64);
+    cold
 }
 
 #[test]

@@ -163,7 +163,7 @@ fn bench_pooled_round_throughput(c: &mut Criterion) {
                 with_pool(points, metric, threads, |pool| {
                     b.iter(|| {
                         let mut cache = RoundCache::new(medoids.len());
-                        let (_locs, x) = cache.fused_round(pool, &medoids, &deltas);
+                        let (_sizes, x) = cache.fused_round(pool, &medoids, &deltas);
                         let dims = find_dimensions_from_averages(&x, 25, true);
                         black_box(cache.assign(pool, &medoids, &dims))
                     })
@@ -187,7 +187,7 @@ fn cached_round(
     total_dims: usize,
 ) -> usize {
     let deltas = medoid_deltas(points, medoids, metric);
-    let (_locs, x) = cache.fused_round(pool, medoids, &deltas);
+    let (_sizes, x) = cache.fused_round(pool, medoids, &deltas);
     let dims = find_dimensions_from_averages(&x, total_dims, true);
     let (flat, cx) = cache.assign_x(pool, medoids, &dims);
     let dims2 = find_dimensions_from_averages(&cx, total_dims, true);
@@ -367,7 +367,7 @@ fn bench_columnar_kernels(_c: &mut Criterion) {
                 .iter()
                 .map(|&(lo, hi)| kernel::fused_block(points, metric, &medoids, &deltas, lo, hi))
                 .collect();
-            let (_locs, x) = kernel::merge_fused(fused, &medoids, d);
+            let (_sizes, x) = kernel::merge_fused(fused, k, d);
             let dims = find_dimensions_from_averages(&x, total_dims, true);
             let assign: Vec<usize> = blocks
                 .iter()
@@ -381,7 +381,7 @@ fn bench_columnar_kernels(_c: &mut Criterion) {
         };
         let col_round = |pool: &mut proclus_core::pool::Pool<'_>| {
             let mut cache = RoundCache::new(k);
-            let (_locs, x) = cache.fused_round(pool, &medoids, &deltas);
+            let (_sizes, x) = cache.fused_round(pool, &medoids, &deltas);
             let dims = find_dimensions_from_averages(&x, total_dims, true);
             black_box(cache.assign(pool, &medoids, &dims));
         };

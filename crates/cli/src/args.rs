@@ -1,5 +1,6 @@
-//! Minimal dependency-free argument parsing: `--flag value` pairs plus
-//! boolean `--flag` switches, collected into a map with typed getters.
+//! Minimal dependency-free argument parsing: `--flag value` pairs,
+//! boolean `--flag` switches and two-value `--flag a b` options,
+//! collected into maps with typed getters.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -20,20 +21,34 @@ fn err(msg: impl ToString) -> ArgError {
     ArgError(msg.to_string())
 }
 
-/// Parsed arguments: `--key value` options and bare `--key` switches.
+/// Parsed arguments: `--key value` options, bare `--key` switches and
+/// `--key a b` pairs.
 #[derive(Debug, Default, Clone)]
 pub struct Args {
     values: BTreeMap<String, String>,
+    pairs: BTreeMap<String, (String, String)>,
     switches: Vec<String>,
     used: std::cell::RefCell<Vec<String>>,
 }
 
 impl Args {
-    /// Parse a token stream. `switches` lists the flags that take no
-    /// value; everything else starting with `--` expects one.
+    /// [`Args::parse_with_pairs`] for a command without two-value
+    /// flags (the commands' tests parse this way).
+    #[cfg(test)]
     pub fn parse<I: IntoIterator<Item = String>>(
         tokens: I,
         switches: &[&str],
+    ) -> Result<Args, ArgError> {
+        Self::parse_with_pairs(tokens, switches, &[])
+    }
+
+    /// Parse a token stream. `switches` lists the flags that take no
+    /// value and `pairs` those that take two; everything else starting
+    /// with `--` expects one.
+    pub fn parse_with_pairs<I: IntoIterator<Item = String>>(
+        tokens: I,
+        switches: &[&str],
+        pairs: &[&str],
     ) -> Result<Args, ArgError> {
         let mut out = Args::default();
         let mut it = tokens.into_iter().peekable();
@@ -46,6 +61,13 @@ impl Args {
             }
             if switches.contains(&name) {
                 out.switches.push(name.to_string());
+            } else if pairs.contains(&name) {
+                let (Some(a), Some(b)) = (it.next(), it.next()) else {
+                    return Err(err(format!("--{name} expects two values")));
+                };
+                if out.pairs.insert(name.to_string(), (a, b)).is_some() {
+                    return Err(err(format!("--{name} given twice")));
+                }
             } else {
                 let value = it
                     .next()
@@ -68,6 +90,12 @@ impl Args {
     pub fn get(&self, name: &str) -> Option<&str> {
         self.used.borrow_mut().push(name.to_string());
         self.values.get(name).map(|s| s.as_str())
+    }
+
+    /// Two-value option.
+    pub fn get_pair(&self, name: &str) -> Option<(&str, &str)> {
+        self.used.borrow_mut().push(name.to_string());
+        self.pairs.get(name).map(|(a, b)| (a.as_str(), b.as_str()))
     }
 
     /// Required string option.
@@ -97,7 +125,7 @@ impl Args {
     /// about (catches typos like `--sedd 42`).
     pub fn reject_unknown(&self) -> Result<(), ArgError> {
         let used = self.used.borrow();
-        for k in self.values.keys() {
+        for k in self.values.keys().chain(self.pairs.keys()) {
             if !used.iter().any(|u| u == k) {
                 return Err(err(format!("unknown option --{k}")));
             }
@@ -134,6 +162,18 @@ mod tests {
         assert!(Args::parse(toks("file.csv"), &[]).is_err());
         assert!(Args::parse(toks("--n"), &[]).is_err());
         assert!(Args::parse(toks("--n 1 --n 2"), &[]).is_err());
+    }
+
+    #[test]
+    fn pairs_take_two_values() {
+        let a = Args::parse_with_pairs(toks("--diff a b --n 3"), &[], &["diff"]).unwrap();
+        assert_eq!(a.get_pair("diff"), Some(("a", "b")));
+        assert_eq!(a.get("n"), Some("3"));
+        assert!(a.reject_unknown().is_ok());
+        assert!(Args::parse_with_pairs(toks("--diff a"), &[], &["diff"]).is_err());
+        assert!(Args::parse_with_pairs(toks("--diff a b --diff c d"), &[], &["diff"]).is_err());
+        let unused = Args::parse_with_pairs(toks("--diff a b"), &[], &["diff"]).unwrap();
+        assert!(unused.reject_unknown().is_err());
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! `proclus inspect-trace` — summarize a trace directory written by
 //! `proclus fit --trace-out`: manifest header, per-phase time
-//! breakdown, convergence curve, and swap history.
+//! breakdown, convergence curve, and swap history. With `--diff A B`
+//! it compares two runs' manifests phase by phase and counter by
+//! counter instead.
 
 use crate::args::Args;
 use proclus_obs::json;
@@ -13,9 +15,16 @@ pub const HELP: &str = "\
 proclus inspect-trace — summarize a fit trace (run.json + events.jsonl)
 
   --input <dir>    trace directory written by `proclus fit --trace-out`
-                   (required)
+                   (required unless --diff is given)
   --events <path>  read this events.jsonl instead of <dir>/events.jsonl
+  --diff <A> <B>   compare two runs instead: each a trace directory or
+                   its run.json. Prints calls, total, max and share per
+                   phase and every counter, for A and B with the ratio
+                   B/A; a key missing on one side shows as —
 ";
+
+/// Flags of this command that take two values.
+pub const PAIRS: &[&str] = &["diff"];
 
 /// A malformed trace file: carries the offending path and line.
 #[derive(Debug)]
@@ -115,8 +124,160 @@ fn stream_summary(manifest: &json::Json) -> Option<String> {
     ))
 }
 
+/// Read and parse the `run.json` at `path`, or inside it when `path`
+/// is a directory.
+fn read_manifest(path: impl Into<PathBuf>) -> Result<(PathBuf, json::Json), Box<dyn Error>> {
+    let mut path = path.into();
+    if path.is_dir() {
+        path.push(MANIFEST_FILE);
+    }
+    let text = read_to_string(&path)?;
+    let manifest =
+        json::parse(&text).map_err(|e| MalformedTrace(format!("{}: {e}", path.display())))?;
+    Ok((path, manifest))
+}
+
+/// The members of the manifest object `key`, in file order (none when
+/// it is absent).
+fn members<'a>(manifest: &'a json::Json, key: &str) -> &'a [(String, json::Json)] {
+    match manifest.get(key) {
+        Some(json::Json::Obj(members)) => members,
+        _ => &[],
+    }
+}
+
+/// Every key of `a`, then the keys only `b` has, each once.
+fn union_keys<'a>(a: &'a [(String, json::Json)], b: &'a [(String, json::Json)]) -> Vec<&'a str> {
+    let mut keys: Vec<&str> = Vec::new();
+    for (k, _) in a.iter().chain(b) {
+        if !keys.contains(&k.as_str()) {
+            keys.push(k);
+        }
+    }
+    keys
+}
+
+/// Width of a table's name column: its longest name, at least 8.
+fn name_width(names: &[&str]) -> usize {
+    names.iter().map(|n| n.chars().count()).fold(8, usize::max)
+}
+
+/// A value cell: `—` when the key is missing on that side.
+fn value_cell(v: Option<f64>, decimals: usize) -> String {
+    v.map_or_else(|| "—".to_string(), |v| format!("{v:.decimals$}"))
+}
+
+/// The ratio B/A: `1.00` for equal values (zero included), `n/a` when
+/// only A is zero, `—` when either side is missing.
+fn ratio_cell(a: Option<f64>, b: Option<f64>) -> String {
+    match (a, b) {
+        (Some(a), Some(b)) if a == b => "1.00".to_string(),
+        (Some(a), Some(b)) if a != 0.0 => format!("{:.2}", b / a),
+        (Some(_), Some(_)) => "n/a".to_string(),
+        _ => "—".to_string(),
+    }
+}
+
+/// One phase of a manifest: calls, total ms, max ms and share of the
+/// manifest's summed phase time, in percent.
+fn phase_stats(phases: &[(String, json::Json)], name: &str) -> Option<[f64; 4]> {
+    let total_us = |p: &json::Json| p.get("total_us").and_then(json::Json::as_f64);
+    let grand: f64 = phases.iter().filter_map(|(_, p)| total_us(p)).sum();
+    let p = &phases.iter().find(|(k, _)| k == name)?.1;
+    let total = total_us(p).unwrap_or(0.0);
+    let share = if grand > 0.0 {
+        total * 100.0 / grand
+    } else {
+        0.0
+    };
+    Some([
+        p.get("count").and_then(json::Json::as_f64).unwrap_or(0.0),
+        total / 1e3,
+        p.get("max_us").and_then(json::Json::as_f64).unwrap_or(0.0) / 1e3,
+        share,
+    ])
+}
+
+/// Two manifests side by side: per phase the calls, total ms, max ms
+/// and share (%), per counter its value, each for A and B with the
+/// ratio B/A. Keys come in A's order, then those only B has.
+fn render_diff(a: &json::Json, b: &json::Json) -> String {
+    let mut out = String::new();
+    let (pa, pb) = (members(a, "phases"), members(b, "phases"));
+    let names = union_keys(pa, pb);
+    let width = name_width(&names);
+    // Per column: title, decimals, cell width.
+    let columns = [
+        ("calls", 0, 6),
+        ("total ms", 3, 10),
+        ("max ms", 3, 10),
+        ("share %", 1, 6),
+    ];
+    let (mut titles, mut heads) = (" ".repeat(width), format!("{:<width$}", "phase"));
+    for (title, _, cell) in columns {
+        titles.push_str(&format!("  {title:^w$}", w = 2 * cell + 9));
+        heads.push_str(&format!("  {:>cell$} {:>cell$} {:>7}", "A", "B", "B/A"));
+    }
+    out.push_str(titles.trim_end());
+    out.push('\n');
+    out.push_str(&heads);
+    out.push('\n');
+    for name in &names {
+        let (sa, sb) = (phase_stats(pa, name), phase_stats(pb, name));
+        let mut line = format!("{name:<width$}");
+        for (col, (_, decimals, cell)) in columns.into_iter().enumerate() {
+            let (va, vb) = (sa.map(|s| s[col]), sb.map(|s| s[col]));
+            line.push_str(&format!(
+                "  {:>cell$} {:>cell$} {:>7}",
+                value_cell(va, decimals),
+                value_cell(vb, decimals),
+                ratio_cell(va, vb)
+            ));
+        }
+        out.push_str(line.trim_end());
+        out.push('\n');
+    }
+    let (ca, cb) = (members(a, "counters"), members(b, "counters"));
+    let names = union_keys(ca, cb);
+    let width = name_width(&names);
+    out.push_str(&format!(
+        "{:<width$}  {:>14} {:>14} {:>7}\n",
+        "counter", "A", "B", "B/A"
+    ));
+    let value = |members: &[(String, json::Json)], name: &str| {
+        members
+            .iter()
+            .find(|(k, _)| k == name)
+            .and_then(|(_, v)| v.as_f64())
+    };
+    for name in &names {
+        let (va, vb) = (value(ca, name), value(cb, name));
+        out.push_str(&format!(
+            "{name:<width$}  {:>14} {:>14} {:>7}\n",
+            value_cell(va, 0),
+            value_cell(vb, 0),
+            ratio_cell(va, vb)
+        ));
+    }
+    out
+}
+
+/// `--diff A B`: the two manifests side by side.
+fn run_diff(a: &str, b: &str, out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
+    let (path_a, a) = read_manifest(a)?;
+    let (path_b, b) = read_manifest(b)?;
+    writeln!(out, "run diff: A = {}", path_a.display())?;
+    writeln!(out, "          B = {}", path_b.display())?;
+    write!(out, "{}", render_diff(&a, &b))?;
+    Ok(())
+}
+
 /// Run the command.
 pub fn run(args: &Args, out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
+    if let Some((a, b)) = args.get_pair("diff") {
+        args.reject_unknown()?;
+        return run_diff(a, b, out);
+    }
     let dir = PathBuf::from(args.require("input")?);
     let events_path = args
         .get("events")
@@ -124,10 +285,7 @@ pub fn run(args: &Args, out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
     args.reject_unknown()?;
 
     // Manifest: measurement side (timings, counters, gauges).
-    let manifest_path = dir.join(MANIFEST_FILE);
-    let manifest_text = read_to_string(&manifest_path)?;
-    let manifest = json::parse(&manifest_text)
-        .map_err(|e| MalformedTrace(format!("{}: {e}", manifest_path.display())))?;
+    let (manifest_path, manifest) = read_manifest(&dir)?;
     let rendered = render_manifest(&manifest)
         .map_err(|e| MalformedTrace(format!("{}: {e}", manifest_path.display())))?;
     write!(out, "{rendered}")?;
@@ -347,6 +505,123 @@ mod tests {
             text.contains("scenario: zipf-sizes  seed=17 epochs=4"),
             "{text}"
         );
+    }
+
+    fn write_manifest(dir: &PathBuf, text: &str) {
+        std::fs::create_dir_all(dir).unwrap();
+        std::fs::write(dir.join(MANIFEST_FILE), text).unwrap();
+    }
+
+    fn diff(a: &str, b: &str) -> Result<String, Box<dyn Error>> {
+        let args = Args::parse_with_pairs(toks(&format!("--diff {a} {b}")), &[], PAIRS).unwrap();
+        let mut buf = Vec::new();
+        run(&args, &mut buf)?;
+        Ok(String::from_utf8(buf).unwrap())
+    }
+
+    /// The row of `name` in a diff table, split on whitespace.
+    fn row<'a>(text: &'a str, name: &str) -> Vec<&'a str> {
+        text.lines()
+            .map(|l| l.split_whitespace().collect::<Vec<_>>())
+            .find(|cells| cells.first() == Some(&name))
+            .unwrap_or_else(|| panic!("no row {name}: {text}"))
+    }
+
+    /// Two fixture manifests: ratios B/A per phase column and per
+    /// counter, `—` for a key one side lacks, `n/a` over a zero A. A is
+    /// a legacy manifest carrying the retired `index.*`, `layout.*` and
+    /// `cache.cluster_row_*` counters; it must still parse.
+    #[test]
+    fn diff_renders_ratios_and_missing_keys() {
+        let (a, b) = (tmp("diff-a"), tmp("diff-b"));
+        write_manifest(
+            &a,
+            concat!(
+                "{\"schema_version\":1,\"events\":9,\"phases\":{",
+                "\"locality\":{\"count\":4,\"total_us\":3000,\"max_us\":900},",
+                "\"index\":{\"count\":1,\"total_us\":1000,\"max_us\":1000}},",
+                "\"counters\":{\"cache.fused_slot_hits\":10,",
+                "\"cache.cluster_row_hits\":7,\"index.range_verified\":3,",
+                "\"layout.columnar_blocks\":2,\"pool.blocks\":0}}"
+            ),
+        );
+        write_manifest(
+            &b,
+            concat!(
+                "{\"schema_version\":1,\"events\":9,\"phases\":{",
+                "\"locality\":{\"count\":4,\"total_us\":1500,\"max_us\":450},",
+                "\"assign\":{\"count\":2,\"total_us\":500,\"max_us\":300}},",
+                "\"counters\":{\"cache.fused_slot_hits\":15,\"pool.blocks\":8}}"
+            ),
+        );
+        let text = diff(
+            &a.display().to_string(),
+            &b.join(MANIFEST_FILE).display().to_string(),
+        );
+        std::fs::remove_dir_all(&a).ok();
+        std::fs::remove_dir_all(&b).ok();
+        let text = text.unwrap();
+        // calls, total ms, max ms, share %: A, B, B/A each. Shares are
+        // of each side's summed phase time: 75% → 75%.
+        assert_eq!(
+            row(&text, "locality")[1..],
+            [
+                "4", "4", "1.00", "3.000", "1.500", "0.50", "0.900", "0.450", "0.50", "75.0",
+                "75.0", "1.00"
+            ],
+            "{text}"
+        );
+        assert_eq!(row(&text, "index")[1..4], ["1", "—", "—"], "{text}");
+        assert_eq!(row(&text, "assign")[1..4], ["—", "2", "—"], "{text}");
+        assert_eq!(
+            row(&text, "cache.fused_slot_hits")[1..],
+            ["10", "15", "1.50"]
+        );
+        assert_eq!(row(&text, "pool.blocks")[1..], ["0", "8", "n/a"]);
+        for legacy in [
+            "cache.cluster_row_hits",
+            "index.range_verified",
+            "layout.columnar_blocks",
+        ] {
+            assert_eq!(row(&text, legacy)[2..], ["—", "—"], "{legacy}: {text}");
+        }
+    }
+
+    /// A real trace diffed against itself reads 1.00 in every ratio
+    /// column of every phase and counter.
+    #[test]
+    fn self_diff_of_a_real_trace_is_all_ones() {
+        let dir = tmp("self-diff");
+        let data = SyntheticSpec::new(300, 6, 2, 3.0).seed(9).generate();
+        let rec = proclus_obs::JsonlRecorder::create(&dir).unwrap();
+        Proclus::new(2, 3.0)
+            .seed(1)
+            .fit_traced(&data.points, &rec)
+            .unwrap();
+        rec.finish(json::Json::Obj(Vec::new()), json::Json::Obj(Vec::new()))
+            .unwrap();
+        let path = dir.display().to_string();
+        let text = diff(&path, &path);
+        std::fs::remove_dir_all(&dir).ok();
+        let text = text.unwrap();
+        for phase in ["locality", "dims", "assign", "evaluate"] {
+            let cells = row(&text, phase);
+            assert_eq!(cells.len(), 13, "{text}");
+            for ratio in [3, 6, 9, 12] {
+                assert_eq!(cells[ratio], "1.00", "{phase}: {text}");
+            }
+        }
+        assert_eq!(row(&text, "cache.column_hits")[3], "1.00", "{text}");
+    }
+
+    /// `--diff` needs both runs, and takes no `--input` beside it.
+    #[test]
+    fn diff_usage_errors() {
+        assert!(Args::parse_with_pairs(toks("--diff only-one"), &[], PAIRS).is_err());
+        let args = Args::parse_with_pairs(toks("--diff a b --input c"), &[], PAIRS).unwrap();
+        let err = run(&args, &mut Vec::new()).unwrap_err();
+        assert!(err.to_string().contains("--input"), "{err}");
+        assert!(diff("/nonexistent/a", "/nonexistent/b").is_err());
     }
 
     #[test]

@@ -28,7 +28,8 @@ commands:
   serve      resident HTTP server (upload / fit / assign / classify)
   evaluate   confusion matrix / ARI / NMI of two labeled files
   inspect    summarize a dataset file
-  inspect-trace  summarize a fit trace written by `fit --trace-out`
+  inspect-trace  summarize a fit trace written by `fit --trace-out`,
+             or diff two of them phase by phase
   help       show this message (or `proclus <command> --help`)
 
 Dataset files ending in .csv are text; any other extension uses the
@@ -180,7 +181,12 @@ fn main() -> ExitCode {
         print!("{help}");
         return ExitCode::SUCCESS;
     }
-    let parsed = match Args::parse(rest, switches) {
+    let pairs: &[&str] = if command == "inspect-trace" {
+        commands::inspect_trace::PAIRS
+    } else {
+        &[]
+    };
+    let parsed = match Args::parse_with_pairs(rest, switches, pairs) {
         Ok(a) => a,
         Err(e) => {
             eprintln!("error: {e}\n");

@@ -11,8 +11,10 @@
 //! # What is cached, and its invalidation key
 //!
 //! * **Fused locality + `X` slots** — for each medoid slot, the
-//!   locality `Lᵢ` and the per-dimension average distances `Xᵢⱼ`,
-//!   keyed by `(mᵢ, δᵢ)` (the δ value compared *bitwise*). A slot's
+//!   locality size `|Lᵢ|` and the per-dimension average distances
+//!   `Xᵢⱼ`, keyed by `(mᵢ, δᵢ)` (the δ value compared *bitwise*). The
+//!   members themselves are never kept: a round reads only the size
+//!   and `X`. A slot's
 //!   fused result depends only on its own medoid and radius: swapping
 //!   medoid `j` invalidates slot `j` directly and exactly those slots
 //!   whose nearest-other-medoid distance changed — which is precisely a
@@ -38,7 +40,7 @@
 //! [`crate::kernel`]), so a cached value and a recomputed one are the
 //! same bits. The assignment is rebuilt from columns by
 //! [`crate::kernel::argmin_columns`], whose loop is literally the
-//! comparison loop of the row-major [`crate::kernel::assign_block`].
+//! comparison loop of the scalar [`crate::assign::assign_points`].
 //! Logical pool accounting (`pool_dispatches`/`pool_blocks` in `round`
 //! events) is booked per *semantic* pass via
 //! [`Pool::note_logical_pass`] whether or not any physical work ran,
@@ -65,11 +67,12 @@ pub struct CacheStats {
     pub column_recomputes: u64,
 }
 
-/// One cached fused slot: the locality and `X` row of a `(mᵢ, δᵢ)` pair.
+/// One cached fused slot: the locality size `|Lᵢ|` and `X` row of a
+/// `(mᵢ, δᵢ)` pair.
 struct FusedSlot {
     medoid: usize,
     delta_bits: u64,
-    locs: Vec<usize>,
+    size: usize,
     x: Vec<f64>,
 }
 
@@ -119,14 +122,15 @@ impl RoundCache {
 
     /// The fused locality + `X` pass, serving unchanged `(mᵢ, δᵢ)`
     /// slots from cache and recomputing the rest in one subset pass.
-    /// Bit-identical to [`crate::kernel::fused_block`] over
+    /// Returns the locality sizes `|Lᵢ|` and the `X` averages,
+    /// bit-identical to [`crate::kernel::fused_block`] over
     /// [`crate::kernel::blocks`], merged by [`crate::kernel::merge_fused`].
     pub fn fused_round(
         &mut self,
         pool: &mut Pool<'_>,
         medoids: &[usize],
         deltas: &[f64],
-    ) -> (Vec<Vec<usize>>, Vec<Vec<f64>>) {
+    ) -> (Vec<usize>, Vec<Vec<f64>>) {
         pool.note_logical_pass();
         self.grow_to(medoids.len());
         let missing: Vec<usize> = medoids
@@ -147,12 +151,12 @@ impl RoundCache {
         if !missing.is_empty() {
             let sub_m: Vec<usize> = missing.iter().map(|&i| medoids[i]).collect();
             let sub_d: Vec<f64> = missing.iter().map(|&i| deltas[i]).collect();
-            let (locs, x) = pool.fused_pass(&sub_m, &sub_d);
-            for ((&slot, li), xi) in missing.iter().zip(locs).zip(x) {
+            let (sizes, x) = pool.fused_pass(&sub_m, &sub_d);
+            for ((&slot, size), xi) in missing.iter().zip(sizes).zip(x) {
                 self.fused[slot] = Some(FusedSlot {
                     medoid: medoids[slot],
                     delta_bits: deltas[slot].to_bits(),
-                    locs: li,
+                    size,
                     x: xi,
                 });
             }
@@ -161,12 +165,12 @@ impl RoundCache {
             .iter()
             .take(medoids.len())
             .flatten()
-            .map(|s| (s.locs.clone(), s.x.clone()))
+            .map(|s| (s.size, s.x.clone()))
             .unzip()
     }
 
     /// Plain assignment pass via cached distance columns. Bit-identical
-    /// to [`crate::kernel::assign_block`] over [`crate::kernel::blocks`].
+    /// to [`crate::assign::assign_points`].
     pub fn assign(
         &mut self,
         pool: &mut Pool<'_>,
@@ -180,9 +184,9 @@ impl RoundCache {
     /// Assignment fused with the per-cluster `X` averages (the inner
     /// refinement's input): the assignment from cached columns, then
     /// one cluster-`X` pass over all `k` clusters. Bit-identical to
-    /// [`crate::kernel::assign_block`], then
-    /// [`crate::kernel::cluster_x_block`] merged by
-    /// [`crate::kernel::merge_cluster_x`].
+    /// [`crate::assign::assign_points`], then
+    /// [`crate::kernel::cluster_x_block`] over [`crate::kernel::blocks`]
+    /// merged by [`crate::kernel::merge_cluster_x`].
     pub fn assign_x(
         &mut self,
         pool: &mut Pool<'_>,
@@ -283,9 +287,9 @@ mod tests {
         Matrix::from_vec(data, n, d)
     }
 
-    /// One round of the row-major reference kernels over
-    /// [`crate::kernel::blocks`]: the fused pass, the assignment, and
-    /// the assignment's cluster-`X` rows.
+    /// One round of the reference kernels: the row-major fused pass
+    /// over [`crate::kernel::blocks`], the scalar assignment, and the
+    /// assignment's row-major cluster-`X` rows.
     #[allow(clippy::type_complexity)]
     fn reference_round(
         points: &Matrix,
@@ -293,7 +297,7 @@ mod tests {
         medoids: &[usize],
         deltas: &[f64],
         dims: &[Vec<usize>],
-    ) -> ((Vec<Vec<usize>>, Vec<Vec<f64>>), Vec<usize>, Vec<Vec<f64>>) {
+    ) -> ((Vec<usize>, Vec<Vec<f64>>), Vec<usize>, Vec<Vec<f64>>) {
         use crate::kernel;
         let d = points.cols();
         let blocks = kernel::blocks(points.rows());
@@ -302,13 +306,10 @@ mod tests {
                 .iter()
                 .map(|&(lo, hi)| kernel::fused_block(points, metric, medoids, deltas, lo, hi))
                 .collect(),
-            medoids,
+            medoids.len(),
             d,
         );
-        let flat: Vec<usize> = blocks
-            .iter()
-            .flat_map(|&(lo, hi)| kernel::assign_block(points, metric, medoids, dims, lo, hi))
-            .collect();
+        let flat = crate::assign::assign_points(points, medoids, dims, metric);
         let labels: Vec<Option<usize>> = flat.iter().map(|&a| Some(a)).collect();
         let mut counts = vec![0usize; medoids.len()];
         flat.iter().for_each(|&a| counts[a] += 1);
@@ -324,11 +325,11 @@ mod tests {
     }
 
     /// S1 cross-path equivalence property test: the scalar
-    /// `assign_points`, the row-major blocked kernel, and the cached
-    /// column-argmin path (cold, then served from cache) must agree bit
-    /// for bit over seeded random matrices — including tie-heavy ones
-    /// where quantized coordinates make many distances exactly equal —
-    /// for every metric and thread count tried.
+    /// `assign_points` and the cached column-argmin path (cold, then
+    /// served from cache) must agree bit for bit over seeded random
+    /// matrices — including tie-heavy ones where quantized coordinates
+    /// make many distances exactly equal — for every metric and thread
+    /// count tried.
     #[test]
     fn all_assignment_paths_agree_on_seeded_matrices() {
         for metric in [
@@ -344,13 +345,6 @@ mod tests {
                     let medoids = vec![4usize, 600, 1100];
                     let dims = vec![vec![0, 1], vec![1, 2, 3], vec![0, 4]];
                     let scalar = crate::assign::assign_points(&points, &medoids, &dims, metric);
-                    let blocked: Vec<usize> = crate::kernel::blocks(points.rows())
-                        .into_iter()
-                        .flat_map(|(lo, hi)| {
-                            crate::kernel::assign_block(&points, metric, &medoids, &dims, lo, hi)
-                        })
-                        .collect();
-                    assert_eq!(scalar, blocked, "{metric:?} seed {seed}: blocked kernel");
                     for threads in [1usize, 4] {
                         let (cached, cached_again) = with_pool(&points, metric, threads, |pool| {
                             let mut cache = RoundCache::new(medoids.len());
@@ -370,7 +364,7 @@ mod tests {
     }
 
     /// A swap-style workload: cached rounds must be bit-identical to
-    /// the row-major reference kernels while actually hitting the cache,
+    /// the reference kernels while actually hitting the cache,
     /// and the logical pool accounting must not see the cache.
     #[test]
     fn cached_rounds_match_row_major_rounds_bit_for_bit() {
@@ -392,7 +386,7 @@ mod tests {
                     medoids[slot] = 123 * round + 17;
                 }
                 let deltas = medoid_deltas(&points, &medoids, metric);
-                let (locs, x) = cache.fused_round(pool, &medoids, &deltas);
+                let (sizes, x) = cache.fused_round(pool, &medoids, &deltas);
                 let dims = crate::dims::find_dimensions_from_averages(&x, total_dims, true);
                 let (flat, cx) = cache.assign_x(pool, &medoids, &dims);
                 let dims2 = crate::dims::find_dimensions_from_averages(&cx, total_dims, true);
@@ -407,7 +401,7 @@ mod tests {
 
                 let (want_fused, want_flat, want_cx) =
                     reference_round(&points, metric, &medoids, &deltas, &dims);
-                assert_eq!((locs, x), want_fused, "round {round}: fused pass");
+                assert_eq!((sizes, x), want_fused, "round {round}: fused pass");
                 assert_eq!(flat, want_flat, "round {round}: assignment");
                 assert_eq!(cx, want_cx, "round {round}: cluster X");
                 let (_, want_flat2, _) =

@@ -344,11 +344,11 @@ fn run_once(
 
     loop {
         rounds += 1;
-        // Fused pass: locality membership and the per-dimension average
+        // Fused pass: the locality sizes and the per-dimension average
         // distances X over the localities come from a single O(N·k·d)
-        // sweep (the localities themselves are only needed for the X
+        // sweep (the members themselves are only needed for the X
         // reference sets, which the kernel folds in as it tests them).
-        let (locs, x) = timed(rec, Phase::Locality, || {
+        let (locality_sizes, x) = timed(rec, Phase::Locality, || {
             let deltas = medoid_deltas(points, &current, metric);
             cache.fused_round(pool, &current, &deltas)
         });
@@ -426,7 +426,7 @@ fn run_once(
             rec.event(&Event::Round {
                 restart,
                 round: rounds,
-                locality_sizes: locs.iter().map(Vec::len).collect(),
+                locality_sizes,
                 dims: dims.clone(),
                 dim_scores: std::mem::take(&mut dim_scores),
                 cluster_sizes: cluster_sizes_snapshot,

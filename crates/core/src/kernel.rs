@@ -4,16 +4,26 @@
 //!
 //! # The fused pass
 //!
-//! A round of the iterative phase historically made two sweeps over the
-//! data: one to test every point against every medoid's locality radius
-//! (full-space segmental distance) and one to accumulate the
-//! per-dimension average distances `Xᵢⱼ` over each locality. Both need
-//! the same `|p_j − m_j|` values, so [`fused_block`] computes them once
-//! per (point, medoid) pair: the absolute differences fill a scratch
-//! buffer, the locality test folds them into the segmental distance,
-//! and — when the point is inside the locality — the very same buffer
-//! is added into the `Xᵢⱼ` accumulator. One O(N·k·d) sweep instead of
-//! two.
+//! A round of the iterative phase needs two things from each locality
+//! `Lᵢ` (Figures 2–3): its size `|Lᵢ|` and the per-dimension average
+//! distances `Xᵢⱼ` over its members. Both come from the same
+//! `|p_j − m_j|` values, so [`fused_block`] computes them once per
+//! (point, medoid) pair: the locality test folds the differences into
+//! the full-space segmental distance, and a point inside the locality
+//! is counted and its differences are added into the `Xᵢⱼ` sums. The
+//! pass yields **counts and `X` sums**, never member lists: nothing
+//! downstream reads which points a locality holds
+//! ([`crate::locality::localities`] stays as the membership oracle).
+//!
+//! # Member sweeps
+//!
+//! Every per-member sum of the engine — the fused pass's `X` sums, the
+//! cluster-based `X` sums of the inner refinement, and both passes of
+//! the tile evaluator — goes through one primitive, `sweep_members`: a
+//! list of ascending tile-local `u32` member offsets, and up to four
+//! cells fed side by side. Each cell stays one running sum that gets
+//! its members in ascending order, so the side-by-side walk only hides
+//! the add latency; it never reassociates a sum.
 //!
 //! # Determinism
 //!
@@ -23,7 +33,7 @@
 //! thread in ascending block order. Floating-point accumulation order
 //! is therefore *canonical*: every thread count (including the serial
 //! path, which runs the identical per-block code) produces bit-identical
-//! localities, `X` sums, dimension sets, and assignments.
+//! locality sizes, `X` sums, dimension sets, and assignments.
 //!
 //! The segmental distances computed from the scratch buffer are
 //! bit-identical to [`DistanceKind::eval_segmental`] over the full
@@ -33,18 +43,19 @@
 //!
 //! # Reference and production kernels
 //!
-//! The row-major kernels ([`fused_block`], [`assign_block`],
-//! [`columns_block`], [`cluster_x_block`], [`refine_assign_block`])
-//! loop points outermost and read `points.row(p)` directly; they are
-//! the readable statement of each pass and serve as the **test
-//! oracle**. Production runs only the columnar twins (`*_columnar`,
-//! below), which the pool dispatches over the tiles of
-//! [`crate::layout::ColumnarBlocks`]. The hill climb's assignment has
-//! no twin of its own: the round cache ([`crate::cache`]) builds it
+//! The row-major kernels ([`fused_block`], [`columns_block`],
+//! [`cluster_x_block`]) loop points outermost and read `points.row(p)`
+//! directly; with the `merge_*` functions they are the **test oracle**
+//! of the passes whose block merge order defines the bits. Production
+//! runs only the columnar twins (`*_columnar`, below), which the pool
+//! dispatches over the tiles of [`crate::layout::ColumnarBlocks`]. The
+//! per-point passes are checked against scalar code instead: the hill
+//! climb's assignment, which the round cache ([`crate::cache`]) builds
 //! with [`argmin_columns`] from [`columns_block_columnar`] columns,
-//! which reproduces [`assign_block`]. Every twin is bit-identical to
-//! its reference (asserted by the agreement tests below and by
-//! `tests/columnar.rs`).
+//! against [`crate::assign::assign_points`], and the refinement's
+//! [`refine_assign_columnar`] against [`crate::refine::reassign`].
+//! Every production kernel is bit-identical to its reference (asserted
+//! by the agreement tests below and by `tests/columnar.rs`).
 
 use crate::layout::{ColumnarBlocks, TileView};
 use proclus_math::{DistanceKind, Matrix};
@@ -69,11 +80,13 @@ pub fn blocks(n: usize) -> Vec<(usize, usize)> {
     out
 }
 
-/// Partial result of the fused locality + `X` pass over one block.
+/// Partial result of the fused locality + `X` pass over one block:
+/// per medoid slot, how many of the block's points lie in the locality
+/// and the sums of their differences.
 #[derive(Clone, Debug, PartialEq)]
 pub struct FusedPartial {
-    /// Per-medoid locality members found in this block (ascending).
-    pub locs: Vec<Vec<usize>>,
+    /// Per-medoid count of this block's locality members.
+    pub counts: Vec<usize>,
     /// Per-medoid, per-dimension sums of `|p_j − m_j|` over this
     /// block's locality members.
     pub xsums: Vec<Vec<f64>>,
@@ -94,9 +107,9 @@ fn segmental_from_diffs(metric: DistanceKind, diffs: &[f64]) -> f64 {
     }
 }
 
-/// The fused pass over rows `lo..hi`: locality membership for every
-/// (point, medoid) pair plus the `Xᵢⱼ` partial sums over the members,
-/// from a single computation of the `|p_j − m_j|` differences.
+/// The fused pass over rows `lo..hi`: for every medoid, the number of
+/// points inside its locality plus the `Xᵢⱼ` partial sums over those
+/// points, from a single computation of the `|p_j − m_j|` differences.
 pub fn fused_block(
     points: &Matrix,
     metric: DistanceKind,
@@ -107,7 +120,7 @@ pub fn fused_block(
 ) -> FusedPartial {
     let d = points.cols();
     let k = medoids.len();
-    let mut locs: Vec<Vec<usize>> = vec![Vec::new(); k];
+    let mut counts = vec![0usize; k];
     let mut xsums = vec![vec![0.0; d]; k];
     let mut diffs = vec![0.0; d];
     for p in lo..hi {
@@ -118,7 +131,7 @@ pub fn fused_block(
                 diffs[j] = (prow[j] - mrow[j]).abs();
             }
             if segmental_from_diffs(metric, &diffs) <= deltas[i] {
-                locs[i].push(p);
+                counts[i] += 1;
                 let xi = &mut xsums[i];
                 for j in 0..d {
                     xi[j] += diffs[j];
@@ -126,31 +139,26 @@ pub fn fused_block(
             }
         }
     }
-    FusedPartial { locs, xsums }
+    FusedPartial { counts, xsums }
 }
 
-/// Merge fused partials (given in ascending block order) into the final
-/// localities and the `X` averages (`Xᵢⱼ` = mean over locality `i` of
-/// `|p_j − m_j|`).
+/// Merge fused partials (given in ascending block order) into the
+/// locality sizes `|Lᵢ|` and the `X` averages (`Xᵢⱼ` = mean over
+/// locality `i` of `|p_j − m_j|`).
 ///
 /// An empty locality — only reachable when a medoid's coordinates are
 /// non-finite, since a finite medoid is always within `δᵢ ≥ 0` of
-/// itself — falls back to the singleton `Lᵢ = {mᵢ}` with an all-zero
-/// `X` row (`|m_j − m_j| = 0` in exact arithmetic; pinning the row
-/// avoids poisoning FindDimensions with NaN differences). The same
+/// itself — falls back to the singleton `Lᵢ = {mᵢ}`: size 1 with an
+/// all-zero `X` row (`|m_j − m_j| = 0` in exact arithmetic; pinning the
+/// row avoids poisoning FindDimensions with NaN differences). The same
 /// fallback lives in [`crate::locality::localities`], so the fused and
-/// legacy paths stay identical.
-pub fn merge_fused(
-    partials: Vec<FusedPartial>,
-    medoids: &[usize],
-    d: usize,
-) -> (Vec<Vec<usize>>, Vec<Vec<f64>>) {
-    let k = medoids.len();
-    let mut locs: Vec<Vec<usize>> = vec![Vec::new(); k];
+/// scalar paths stay identical.
+pub fn merge_fused(partials: Vec<FusedPartial>, k: usize, d: usize) -> (Vec<usize>, Vec<Vec<f64>>) {
+    let mut sizes = vec![0usize; k];
     let mut x = vec![vec![0.0; d]; k];
-    for mut part in partials {
-        for (i, local) in part.locs.iter_mut().enumerate() {
-            locs[i].append(local);
+    for part in partials {
+        for (size, count) in sizes.iter_mut().zip(&part.counts) {
+            *size += count;
         }
         for (xi, pi) in x.iter_mut().zip(&part.xsums) {
             for (a, b) in xi.iter_mut().zip(pi) {
@@ -158,59 +166,30 @@ pub fn merge_fused(
             }
         }
     }
-    for ((xi, li), &m) in x.iter_mut().zip(locs.iter_mut()).zip(medoids) {
-        if li.is_empty() {
-            li.push(m);
+    for (xi, size) in x.iter_mut().zip(sizes.iter_mut()) {
+        if *size == 0 {
+            *size = 1;
             for v in xi.iter_mut() {
                 *v = 0.0;
             }
         } else {
-            let inv = 1.0 / li.len() as f64;
+            let inv = 1.0 / *size as f64;
             for v in xi.iter_mut() {
                 *v *= inv;
             }
         }
     }
-    (locs, x)
-}
-
-/// Assignment over rows `lo..hi`: each point goes to the medoid with the
-/// smallest segmental distance under that medoid's dimension set, ties
-/// to the lower index — bit-identical to
-/// [`crate::assign::assign_points`] restricted to the block.
-pub fn assign_block(
-    points: &Matrix,
-    metric: DistanceKind,
-    medoids: &[usize],
-    dims: &[Vec<usize>],
-    lo: usize,
-    hi: usize,
-) -> Vec<usize> {
-    let mut out = Vec::with_capacity(hi - lo);
-    for p in lo..hi {
-        let row = points.row(p);
-        let mut best = 0usize;
-        let mut best_dist = f64::INFINITY;
-        for (i, (&m, di)) in medoids.iter().zip(dims).enumerate() {
-            let dist = metric.eval_segmental(row, points.row(m), di);
-            if dist < best_dist {
-                best_dist = dist;
-                best = i;
-            }
-        }
-        out.push(best);
-    }
-    out
+    (sizes, x)
 }
 
 /// Per-slot segmental-distance columns over rows `lo..hi`:
 /// `out[s][p − lo] = metric.eval_segmental(points.row(p),
 /// points.row(medoids[s]), &dims[s])`.
 ///
-/// Each value is exactly the scalar the assignment kernels compare —
-/// there is no accumulation across rows — so a column computed here and
-/// cached across rounds is bit-identical to recomputing the distance
-/// inside [`assign_block`].
+/// Each value is exactly the scalar [`crate::assign::assign_points`]
+/// compares — there is no accumulation across rows — so a column
+/// computed here and cached across rounds is bit-identical to
+/// recomputing the distance.
 pub fn columns_block(
     points: &Matrix,
     metric: DistanceKind,
@@ -234,11 +213,18 @@ pub fn columns_block(
 /// to the lower slot index.
 ///
 /// Iterates slots in ascending order with a strict `<` comparison —
-/// exactly the loop of [`assign_block`]/[`crate::assign::assign_points`]
-/// — so feeding it columns produced by [`columns_block`] (cached or
-/// fresh) reproduces the direct assignment bit for bit, including the
-/// NaN behavior (a NaN distance never wins; a row whose every distance
-/// is NaN lands on slot 0).
+/// exactly the loop of [`crate::assign::assign_points`] — so feeding it
+/// columns produced by [`columns_block`] (cached or fresh) reproduces
+/// the direct assignment bit for bit, including the NaN behavior (a NaN
+/// distance never wins; a row whose every distance is NaN lands on slot
+/// 0).
+///
+/// The loop stays point-outer with a branch on purpose: it keeps each
+/// row's `best` pair in registers. Two column-outer, branch-free select
+/// variants were measured on fit-d20 (20k × 20, k = 5, one thread on a
+/// 2-vCPU x86-64 host) and both made the assign phase slower: a select
+/// over all `N` rows per column took it from 171–185 to 262 ms per fit,
+/// and the same select in 256-row chunks to 268–277 ms per fit.
 pub fn argmin_columns(columns: &[&[f64]], n: usize) -> Vec<usize> {
     let mut out = Vec::with_capacity(n);
     for p in 0..n {
@@ -301,40 +287,6 @@ pub fn merge_cluster_x(partials: Vec<Vec<Vec<f64>>>, counts: &[usize], d: usize)
         }
     }
     x
-}
-
-/// Refinement assignment over rows `lo..hi`: nearest medoid under the
-/// per-medoid dimension sets, `None` when the point lies inside no
-/// medoid's sphere of influence — bit-identical to the loop in
-/// [`crate::refine::refine_opt`] restricted to the block.
-pub fn refine_assign_block(
-    points: &Matrix,
-    metric: DistanceKind,
-    medoids: &[usize],
-    dims: &[Vec<usize>],
-    spheres: &[f64],
-    lo: usize,
-    hi: usize,
-) -> Vec<Option<usize>> {
-    let mut out = Vec::with_capacity(hi - lo);
-    for p in lo..hi {
-        let row = points.row(p);
-        let mut best = 0usize;
-        let mut best_dist = f64::INFINITY;
-        let mut inside_any = false;
-        for (i, (&m, di)) in medoids.iter().zip(dims).enumerate() {
-            let dist = metric.eval_segmental(row, points.row(m), di);
-            if dist <= spheres[i] {
-                inside_any = true;
-            }
-            if dist < best_dist {
-                best_dist = dist;
-                best = i;
-            }
-        }
-        out.push(inside_any.then_some(best));
-    }
-    out
 }
 
 // ---------------------------------------------------------------------
@@ -471,31 +423,93 @@ fn segmental_column_columnar(
     finalize_segmental(metric, out, di.len());
 }
 
-/// Add each listed member's `|p_j − m_j|` row into the cluster's `X`
-/// sums, dimension-outer. Per `X` cell the members are visited in the
-/// same ascending order as the row-major kernels, and the local
-/// read-accumulate-writeback is bitwise the sequential in-place adds.
-fn accumulate_members_columnar(
-    tile: &TileView<'_>,
-    mrow: &[f64],
-    members: &[usize],
-    xi: &mut [f64],
+// ---------------------------------------------------------------------
+// Member sweeps
+// ---------------------------------------------------------------------
+//
+// Walking the members once per cell makes every add wait on the one
+// before it; walking them once per group of four cells runs four
+// independent chains side by side. Splitting one cell into partial
+// sums instead would reassociate it and move every digest.
+
+/// `|x − c|`, the per-member term of every `X` sum and of the
+/// evaluator's spread.
+#[inline(always)]
+fn abs_diff(x: f64, c: f64) -> f64 {
+    (x - c).abs()
+}
+
+/// Feed `W` accumulators — one per dimension column in `cols` — the
+/// values `f(x, center)` of the listed members, in member order. Each
+/// accumulator stays a single running sum; the `W` chains only run side
+/// by side.
+#[inline(always)]
+fn accumulate_group<const W: usize>(
+    cols: [&[f64]; W],
+    centers: [f64; W],
+    members: &[u32],
+    acc: &mut [f64],
+    f: impl Fn(f64, f64) -> f64,
+) {
+    let mut a: [f64; W] = [0.0; W];
+    a.copy_from_slice(&acc[..W]);
+    for &o in members {
+        let o = o as usize;
+        for g in 0..W {
+            a[g] += f(cols[g][o], centers[g]);
+        }
+    }
+    acc[..W].copy_from_slice(&a);
+}
+
+/// The one member sweep: for every position `g` of `acc`, `acc[g] +=
+/// f(col(g)[o], centers[g])` over the tile-local member offsets `o`, in
+/// list order — four positions side by side, then a 3-, 2- or 1-wide
+/// remainder group.
+fn sweep_members<'t>(
+    col: impl Fn(usize) -> &'t [f64],
+    centers: &[f64],
+    members: &[u32],
+    acc: &mut [f64],
+    f: impl Fn(f64, f64) -> f64 + Copy,
 ) {
     if members.is_empty() {
         return;
     }
-    let lo = tile.lo();
-    for (j, &mj) in mrow.iter().enumerate() {
-        let col = tile.col(j);
-        let mut s = xi[j];
-        for &gp in members {
-            s += (col[gp - lo] - mj).abs();
-        }
-        xi[j] = s;
+    let len = acc.len();
+    let mut g = 0;
+    while g + 4 <= len {
+        let cols = [col(g), col(g + 1), col(g + 2), col(g + 3)];
+        let cen = [centers[g], centers[g + 1], centers[g + 2], centers[g + 3]];
+        accumulate_group(cols, cen, members, &mut acc[g..], f);
+        g += 4;
+    }
+    let rest = &mut acc[g..];
+    match len - g {
+        3 => accumulate_group(
+            [col(g), col(g + 1), col(g + 2)],
+            [centers[g], centers[g + 1], centers[g + 2]],
+            members,
+            rest,
+            f,
+        ),
+        2 => accumulate_group(
+            [col(g), col(g + 1)],
+            [centers[g], centers[g + 1]],
+            members,
+            rest,
+            f,
+        ),
+        1 => accumulate_group([col(g)], [centers[g]], members, rest, f),
+        _ => {}
     }
 }
 
-/// Columnar twin of [`fused_block`].
+/// Columnar twin of [`fused_block`]. Each slot's distances are tested
+/// against `δᵢ` without a branch: every row offset is written at the
+/// member cursor, which advances only for a member (a NaN distance
+/// never passes `<=`, so it never joins). The member list then feeds
+/// the slot's `X` sums through `sweep_members`.
 pub fn fused_block_columnar(
     tile: &TileView<'_>,
     points: &Matrix,
@@ -505,26 +519,29 @@ pub fn fused_block_columnar(
 ) -> FusedPartial {
     let d = points.cols();
     let k = medoids.len();
-    let mut locs: Vec<Vec<usize>> = vec![Vec::new(); k];
+    let mut counts = vec![0usize; k];
     let mut xsums = vec![vec![0.0; d]; k];
-    let lo = tile.lo();
     let mut dist = Vec::new();
-    for ((&m, &delta), (li, xi)) in medoids
+    let mut members = vec![0u32; tile.width()];
+    for ((&m, &delta), (count, xi)) in medoids
         .iter()
         .zip(deltas)
-        .zip(locs.iter_mut().zip(xsums.iter_mut()))
+        .zip(counts.iter_mut().zip(xsums.iter_mut()))
     {
         let mrow = points.row(m);
         raw_full_distances_columnar(tile, metric, mrow, &mut dist);
         finalize_segmental(metric, &mut dist, d);
+        let mut n = 0usize;
         for (o, &dv) in dist.iter().enumerate() {
-            if dv <= delta {
-                li.push(lo + o);
-            }
+            // Tile-local offsets are < BLOCK, so they fit in u32; the
+            // cursor never passes `o`, so the write stays in bounds.
+            members[n] = o as u32;
+            n += usize::from(dv <= delta);
         }
-        accumulate_members_columnar(tile, mrow, li, xi);
+        *count = n;
+        sweep_members(|j| tile.col(j), mrow, &members[..n], xi, abs_diff);
     }
-    FusedPartial { locs, xsums }
+    FusedPartial { counts, xsums }
 }
 
 /// Columnar twin of [`columns_block`].
@@ -546,7 +563,9 @@ pub fn columns_block_columnar(
         .collect()
 }
 
-/// Columnar twin of [`cluster_x_block`].
+/// Columnar twin of [`cluster_x_block`]: each cluster's members in
+/// the tile, as ascending tile-local offsets, feed its `X` sums through
+/// `sweep_members`.
 pub fn cluster_x_block_columnar(
     tile: &TileView<'_>,
     points: &Matrix,
@@ -555,25 +574,24 @@ pub fn cluster_x_block_columnar(
 ) -> Vec<Vec<f64>> {
     let d = points.cols();
     let mut xsums = vec![vec![0.0; d]; medoids.len()];
-    let mut members: Vec<Vec<usize>> = vec![Vec::new(); medoids.len()];
-    for (p, a) in assignment
-        .iter()
-        .enumerate()
-        .take(tile.hi())
-        .skip(tile.lo())
-    {
+    let mut members: Vec<Vec<u32>> = vec![Vec::new(); medoids.len()];
+    for (o, a) in assignment[tile.lo()..tile.hi()].iter().enumerate() {
         if let Some(i) = *a {
-            members[i].push(p);
+            // Tile-local offsets are < BLOCK, so they fit in u32.
+            members[i].push(o as u32);
         }
     }
     for ((&m, mem), xi) in medoids.iter().zip(&members).zip(xsums.iter_mut()) {
-        accumulate_members_columnar(tile, points.row(m), mem, xi);
+        sweep_members(|j| tile.col(j), points.row(m), mem, xi, abs_diff);
     }
     xsums
 }
 
-/// Columnar twin of [`refine_assign_block`].
-pub fn refine_assign_block_columnar(
+/// Refinement assignment over one tile: nearest medoid under the
+/// per-medoid dimension sets, `None` when the point lies inside no
+/// medoid's sphere of influence — bit-identical per point to
+/// [`crate::refine::reassign`].
+pub fn refine_assign_columnar(
     tile: &TileView<'_>,
     points: &Matrix,
     metric: DistanceKind,
@@ -720,33 +738,9 @@ impl TileMembers {
     }
 }
 
-/// Feed `W` accumulators — one per dimension column in `cols` — the
-/// values `f(x, center)` of the listed members, in member order. Each
-/// accumulator stays a single running sum; the `W` chains only run side
-/// by side.
-#[inline(always)]
-fn accumulate_group<const W: usize>(
-    cols: [&[f64]; W],
-    centers: [f64; W],
-    members: &[u32],
-    acc: &mut [f64],
-    f: impl Fn(f64, f64) -> f64,
-) {
-    let mut a: [f64; W] = [0.0; W];
-    a.copy_from_slice(&acc[..W]);
-    for &o in members {
-        let o = o as usize;
-        for g in 0..W {
-            a[g] += f(cols[g][o], centers[g]);
-        }
-    }
-    acc[..W].copy_from_slice(&a);
-}
-
-/// One sweep over every tile: for each cluster with members and
-/// dimensions, `acc[i][t] += f(x_pj, centers[i][t])` over its members
-/// `p` (ascending, tile after tile) for each position `t` of `j` in
-/// `dims[i]`, four positions at a time plus a narrower remainder group.
+/// One sweep over every tile: for each cluster, `acc[i][t] += f(x_pj,
+/// centers[i][t])` over its members `p` (ascending, tile after tile)
+/// for each position `t` of `j` in `dims[i]`.
 fn sweep_clusters(
     layout: &ColumnarBlocks,
     members: &TileMembers,
@@ -759,39 +753,9 @@ fn sweep_clusters(
         let Some(tile) = layout.tile(lo, hi) else {
             return;
         };
-        let col = |j: usize| tile.col(j);
         for (i, di) in dims.iter().enumerate() {
-            let mem = members.of(t, i);
-            if mem.is_empty() {
-                continue;
-            }
-            let (ci, ai) = (&centers[i], &mut acc[i]);
-            let mut g = 0;
-            while g + 4 <= di.len() {
-                let cols = [col(di[g]), col(di[g + 1]), col(di[g + 2]), col(di[g + 3])];
-                let cen = [ci[g], ci[g + 1], ci[g + 2], ci[g + 3]];
-                accumulate_group(cols, cen, mem, &mut ai[g..], f);
-                g += 4;
-            }
-            let rest = &mut ai[g..];
-            match di.len() - g {
-                3 => accumulate_group(
-                    [col(di[g]), col(di[g + 1]), col(di[g + 2])],
-                    [ci[g], ci[g + 1], ci[g + 2]],
-                    mem,
-                    rest,
-                    f,
-                ),
-                2 => accumulate_group(
-                    [col(di[g]), col(di[g + 1])],
-                    [ci[g], ci[g + 1]],
-                    mem,
-                    rest,
-                    f,
-                ),
-                1 => accumulate_group([col(di[g])], [ci[g]], mem, rest, f),
-                _ => {}
-            }
+            let col = |g: usize| tile.col(di[g]);
+            sweep_members(col, &centers[i], members.of(t, i), &mut acc[i], f);
         }
     }
 }
@@ -825,9 +789,7 @@ pub(crate) fn evaluate_tiles<L: ClusterLabel>(
         }
     }
     let mut spread: Vec<Vec<f64>> = dims.iter().map(zeros).collect();
-    sweep_clusters(layout, &members, dims, &centers, &mut spread, |x, c| {
-        (x - c).abs()
-    });
+    sweep_clusters(layout, &members, dims, &centers, &mut spread, abs_diff);
     let mut objective = 0.0;
     if n > 0 {
         for (y, &size) in spread.iter().zip(&members.sizes) {
@@ -1038,8 +1000,9 @@ mod tests {
                 .into_iter()
                 .map(|(lo, hi)| fused_block(&points, metric, &medoids, &deltas, lo, hi))
                 .collect();
-            let (locs, _) = merge_fused(partials, &medoids, points.cols());
-            assert_eq!(locs, legacy, "{metric:?}");
+            let (sizes, _) = merge_fused(partials, medoids.len(), points.cols());
+            let legacy_sizes: Vec<usize> = legacy.iter().map(Vec::len).collect();
+            assert_eq!(sizes, legacy_sizes, "{metric:?}");
         }
     }
 
@@ -1053,13 +1016,13 @@ mod tests {
         let metric = DistanceKind::Manhattan;
         let deltas = medoid_deltas(&points, &medoids, metric);
         let one_block = fused_block(&points, metric, &medoids, &deltas, 0, 300);
-        let (locs_a, x_a) = merge_fused(vec![one_block], &medoids, 4);
+        let (sizes_a, x_a) = merge_fused(vec![one_block], 2, 4);
         let partials: Vec<FusedPartial> = [(0, 77), (77, 200), (200, 300)]
             .into_iter()
             .map(|(lo, hi)| fused_block(&points, metric, &medoids, &deltas, lo, hi))
             .collect();
-        let (locs_b, x_b) = merge_fused(partials, &medoids, 4);
-        assert_eq!(locs_a, locs_b);
+        let (sizes_b, x_b) = merge_fused(partials, 2, 4);
+        assert_eq!(sizes_a, sizes_b);
         // Note: different groupings may differ in the last ulp of the
         // sums; the canonical tiling is fixed, so production paths never
         // regroup. Here the values should still be essentially equal.
@@ -1068,32 +1031,6 @@ mod tests {
                 assert!((a - b).abs() <= 1e-12 * a.abs().max(1.0));
             }
         }
-    }
-
-    #[test]
-    fn assign_block_matches_assign_points() {
-        let points = random_points(500, 5, 9);
-        let medoids = vec![0usize, 100, 300];
-        let dims = vec![vec![0, 1], vec![2, 3], vec![1, 4]];
-        let metric = DistanceKind::Manhattan;
-        let legacy = crate::assign::assign_points(&points, &medoids, &dims, metric);
-        let flat: Vec<usize> = blocks(points.rows())
-            .into_iter()
-            .flat_map(|(lo, hi)| assign_block(&points, metric, &medoids, &dims, lo, hi))
-            .collect();
-        assert_eq!(flat, legacy);
-    }
-
-    #[test]
-    fn refine_assign_block_marks_outliers() {
-        let rows: Vec<[f64; 2]> = vec![[0.0, 0.0], [10.0, 10.0], [500.0, 500.0]];
-        let points = Matrix::from_rows(&rows, 2);
-        let medoids = vec![0usize, 1];
-        let dims = vec![vec![0, 1], vec![0, 1]];
-        let metric = DistanceKind::Manhattan;
-        let spheres = crate::refine::spheres_of_influence(&points, &medoids, &dims, metric);
-        let out = refine_assign_block(&points, metric, &medoids, &dims, &spheres, 0, 3);
-        assert_eq!(out, vec![Some(0), Some(1), None]);
     }
 
     #[test]
@@ -1152,10 +1089,10 @@ mod tests {
         let metric = DistanceKind::Manhattan;
         let deltas = crate::locality::medoid_deltas(&points, &medoids, metric);
         let partials = vec![fused_block(&points, metric, &medoids, &deltas, 0, 3)];
-        let (locs, x) = merge_fused(partials, &medoids, 2);
-        assert_eq!(locs[1], vec![1], "empty locality becomes {{medoid}}");
+        let (sizes, x) = merge_fused(partials, 2, 2);
+        assert_eq!(sizes[1], 1, "empty locality becomes {{medoid}}");
         assert_eq!(x[1], vec![0.0, 0.0], "fallback X row is pinned to zero");
-        assert!(!locs[0].is_empty());
+        assert!(sizes[0] >= 1);
     }
 
     #[test]
@@ -1220,12 +1157,13 @@ mod tests {
         }
     }
 
-    /// Every columnar twin must be bit-identical to its row-major
-    /// original — localities, X sums, assignments, distance columns,
-    /// refine outcomes — across all three metrics on tie-heavy,
-    /// duplicate-row, mixed-magnitude and NaN-carrying matrices.
+    /// Every columnar kernel must be bit-identical to its reference —
+    /// the row-major fused, column and cluster-`X` kernels, and the
+    /// scalar assignment and reassignment — across all three metrics on
+    /// tie-heavy, duplicate-row, mixed-magnitude and NaN-carrying
+    /// matrices.
     #[test]
-    fn columnar_kernels_are_bit_identical_to_row_major() {
+    fn columnar_kernels_are_bit_identical_to_references() {
         for (name, points) in tricky_matrices() {
             let cb = ColumnarBlocks::build(&points);
             let medoids = vec![3usize, 700, 1_200];
@@ -1237,18 +1175,14 @@ mod tests {
             ] {
                 let deltas = medoid_deltas(&points, &medoids, metric);
                 let spheres: Vec<f64> = deltas.iter().map(|d| d * 0.8).collect();
-                let refined: Vec<Option<usize>> = blocks(points.rows())
-                    .into_iter()
-                    .flat_map(|(lo, hi)| {
-                        refine_assign_block(&points, metric, &medoids, &dims, &spheres, lo, hi)
-                    })
-                    .collect();
+                let assigned = crate::assign::assign_points(&points, &medoids, &dims, metric);
+                let refined = crate::refine::reassign(&points, &medoids, &dims, &spheres, metric);
                 for (lo, hi) in blocks(points.rows()) {
                     let ctx = format!("{name}/{metric:?}/[{lo},{hi})");
                     let t = cb.tile(lo, hi).unwrap();
                     let fa = fused_block(&points, metric, &medoids, &deltas, lo, hi);
                     let fb = fused_block_columnar(&t, &points, metric, &medoids, &deltas);
-                    assert_eq!(fa.locs, fb.locs, "{ctx}: fused locs");
+                    assert_eq!(fa.counts, fb.counts, "{ctx}: fused counts");
                     assert_bits(&fa.xsums, &fb.xsums, &format!("{ctx}: fused X"));
                     let cols = columns_block_columnar(&t, &points, metric, &medoids, &dims);
                     assert_bits(
@@ -1258,15 +1192,13 @@ mod tests {
                     );
                     let refs: Vec<&[f64]> = cols.iter().map(Vec::as_slice).collect();
                     assert_eq!(
-                        assign_block(&points, metric, &medoids, &dims, lo, hi),
+                        assigned[lo..hi],
                         argmin_columns(&refs, hi - lo),
                         "{ctx}: assign"
                     );
                     assert_eq!(
-                        refine_assign_block(&points, metric, &medoids, &dims, &spheres, lo, hi),
-                        refine_assign_block_columnar(
-                            &t, &points, metric, &medoids, &dims, &spheres
-                        ),
+                        refined[lo..hi],
+                        refine_assign_columnar(&t, &points, metric, &medoids, &dims, &spheres),
                         "{ctx}: refine"
                     );
                     assert_bits(

@@ -91,7 +91,7 @@ impl Task {
                 medoids,
                 dims,
                 spheres,
-            } => Partial::RefineAssign(kernel::refine_assign_block_columnar(
+            } => Partial::RefineAssign(kernel::refine_assign_columnar(
                 tile, points, metric, medoids, dims, spheres,
             )),
         }
@@ -376,17 +376,17 @@ impl<'env> Pool<'env> {
     }
 
     /// The fused locality + `X` pass over the given medoid slots:
-    /// localities and the per-dimension average distances over them,
-    /// from one sweep. Physical work only — the round cache calls this
-    /// for the invalidated *subset* of slots: each slot's locality and
-    /// `X` row depend only on its own `(mᵢ, δᵢ)` pair and the fixed block
-    /// tiling, so a subset pass is bit-identical to the matching slots
-    /// of a full pass.
+    /// locality sizes and the per-dimension average distances over the
+    /// localities, from one sweep. Physical work only — the round cache
+    /// calls this for the invalidated *subset* of slots: each slot's
+    /// size and `X` row depend only on its own `(mᵢ, δᵢ)` pair and the
+    /// fixed block tiling, so a subset pass is bit-identical to the
+    /// matching slots of a full pass.
     pub(crate) fn fused_pass(
         &mut self,
         medoids: &[usize],
         deltas: &[f64],
-    ) -> (Vec<Vec<usize>>, Vec<Vec<f64>>) {
+    ) -> (Vec<usize>, Vec<Vec<f64>>) {
         let d = self.points.cols();
         let partials = self.dispatch_physical(Task::Fused {
             medoids: Arc::new(medoids.to_vec()),
@@ -399,7 +399,7 @@ impl<'env> Pool<'env> {
                 _ => unreachable!("fused task returns fused partials"),
             })
             .collect();
-        kernel::merge_fused(fused, medoids, d)
+        kernel::merge_fused(fused, medoids.len(), d)
     }
 
     /// Segmental-distance columns for the given medoid slots: one
@@ -586,13 +586,13 @@ mod tests {
 
         for threads in [1, 4] {
             with_pool(&points, metric, threads, |pool| {
-                let (full_locs, full_x) = pool.fused_pass(&medoids, &deltas);
+                let (full_sizes, full_x) = pool.fused_pass(&medoids, &deltas);
                 for subset in [vec![1usize], vec![0, 2], vec![3, 1]] {
                     let sub_m: Vec<usize> = subset.iter().map(|&i| medoids[i]).collect();
                     let sub_d: Vec<f64> = subset.iter().map(|&i| deltas[i]).collect();
-                    let (locs, x) = pool.fused_pass(&sub_m, &sub_d);
+                    let (sizes, x) = pool.fused_pass(&sub_m, &sub_d);
                     for (j, &slot) in subset.iter().enumerate() {
-                        assert_eq!(locs[j], full_locs[slot], "threads {threads} slot {slot}");
+                        assert_eq!(sizes[j], full_sizes[slot], "threads {threads} slot {slot}");
                         assert_eq!(x[j], full_x[slot], "threads {threads} slot {slot}");
                     }
                 }

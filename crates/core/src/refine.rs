@@ -105,13 +105,34 @@ pub fn refine_opt(
     let spheres = spheres_of_influence(points, medoids, &dims, metric);
 
     // 3. Reassign points; a point beyond every sphere is an outlier.
+    let assignment = reassign(points, medoids, &dims, &spheres, metric);
+
+    Refined {
+        dims,
+        assignment,
+        spheres,
+    }
+}
+
+/// The refinement's reassignment: every point goes to the medoid with
+/// the smallest segmental distance under that medoid's dimension set
+/// (ties to the lower index; a NaN distance never wins), or `None` —
+/// an outlier — when it lies inside no medoid's sphere of influence.
+/// The scalar reference of the pool's [`Pool::refine_assign`].
+pub fn reassign(
+    points: &Matrix,
+    medoids: &[usize],
+    dims: &[Vec<usize>],
+    spheres: &[f64],
+    metric: DistanceKind,
+) -> Vec<Option<usize>> {
     let mut assignment = Vec::with_capacity(points.rows());
     for p in 0..points.rows() {
         let row = points.row(p);
         let mut best = 0usize;
         let mut best_dist = f64::INFINITY;
         let mut inside_any = false;
-        for (i, (&m, di)) in medoids.iter().zip(&dims).enumerate() {
+        for (i, (&m, di)) in medoids.iter().zip(dims).enumerate() {
             let dist = metric.eval_segmental(row, points.row(m), di);
             if dist <= spheres[i] {
                 inside_any = true;
@@ -123,12 +144,7 @@ pub fn refine_opt(
         }
         assignment.push(inside_any.then_some(best));
     }
-
-    Refined {
-        dims,
-        assignment,
-        spheres,
-    }
+    assignment
 }
 
 /// [`refine_opt`] running its two O(N·d) passes (cluster-based `X`
@@ -290,6 +306,18 @@ mod tests {
             DistanceKind::Manhattan,
         );
         assert_eq!(spheres, vec![10.0, 10.0, 10.0]);
+    }
+
+    #[test]
+    fn reassign_marks_outliers() {
+        let rows: Vec<[f64; 2]> = vec![[0.0, 0.0], [10.0, 10.0], [500.0, 500.0]];
+        let points = Matrix::from_rows(&rows, 2);
+        let medoids = vec![0usize, 1];
+        let dims = vec![vec![0, 1], vec![0, 1]];
+        let metric = DistanceKind::Manhattan;
+        let spheres = spheres_of_influence(&points, &medoids, &dims, metric);
+        let out = reassign(&points, &medoids, &dims, &spheres, metric);
+        assert_eq!(out, vec![Some(0), Some(1), None]);
     }
 
     #[test]

@@ -1,17 +1,21 @@
 //! Columnar-layout equivalence tier: every pass a fit runs — the round
 //! cache's passes, cold and served from cache, and the refinement
 //! passes — runs the dimension-major blocked kernels, and must be
-//! **bit-identical** to the row-major reference kernels (run over
-//! `kernel::blocks` and merged with `kernel::merge_*`) for every metric
-//! and thread count — on matrices built to expose any deviation (exact
-//! distance ties, duplicated rows, mixed 1e±9 magnitudes).
+//! **bit-identical** to the reference for every metric and thread count
+//! — on matrices built to expose any deviation (exact distance ties,
+//! duplicated rows, mixed 1e±9 magnitudes). The references are the
+//! row-major kernels (run over `kernel::blocks` and merged with
+//! `kernel::merge_*`) for the sums, whose block merge order defines the
+//! bits, and the scalar `assign_points` and `refine::reassign` for the
+//! per-point assignments.
 
-use proclus::core::assign::group_members;
+use proclus::core::assign::{assign_points, group_members};
 use proclus::core::cache::RoundCache;
 use proclus::core::evaluate::evaluate_clusters;
 use proclus::core::kernel;
 use proclus::core::locality::medoid_deltas;
 use proclus::core::pool::with_pool;
+use proclus::core::refine::reassign;
 use proclus::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -65,9 +69,9 @@ fn assert_bits_eq(a: &[Vec<f64>], b: &[Vec<f64>], ctx: &str) {
     }
 }
 
-/// The row-major reference answer of each pass the pool runs.
+/// The reference answer of each pass the pool runs.
 struct Reference {
-    fused: (Vec<Vec<usize>>, Vec<Vec<f64>>),
+    fused: (Vec<usize>, Vec<Vec<f64>>),
     assign: Vec<usize>,
     assign_x: (Vec<usize>, Vec<Vec<f64>>),
     refined: Vec<Option<usize>>,
@@ -75,7 +79,8 @@ struct Reference {
 }
 
 /// Run the row-major reference kernels block by block over
-/// `kernel::blocks` and merge them in ascending block order.
+/// `kernel::blocks`, merging them in ascending block order, and the
+/// scalar assignments over all points.
 fn reference(
     points: &Matrix,
     metric: DistanceKind,
@@ -102,21 +107,13 @@ fn reference(
             .iter()
             .map(|&(lo, hi)| kernel::fused_block(points, metric, medoids, deltas, lo, hi))
             .collect(),
-        medoids,
+        k,
         d,
     );
-    let assign: Vec<usize> = blocks
-        .iter()
-        .flat_map(|&(lo, hi)| kernel::assign_block(points, metric, medoids, dims, lo, hi))
-        .collect();
+    let assign = assign_points(points, medoids, dims, metric);
     let labels: Vec<Option<usize>> = assign.iter().map(|&a| Some(a)).collect();
     let assign_x = (assign.clone(), cluster_x(&labels));
-    let refined: Vec<Option<usize>> = blocks
-        .iter()
-        .flat_map(|&(lo, hi)| {
-            kernel::refine_assign_block(points, metric, medoids, dims, spheres, lo, hi)
-        })
-        .collect();
+    let refined = reassign(points, medoids, dims, spheres, metric);
     let cluster_x = cluster_x(&refined);
     Reference {
         fused,
@@ -127,7 +124,7 @@ fn reference(
     }
 }
 
-/// Every pass must equal the row-major reference kernels bit for bit —
+/// Every pass must equal the reference bit for bit —
 /// across 3 metrics, 3 adversarial matrix families, and thread counts
 /// 1/2/8. Each round-cache pass runs on a fresh cache, cold and then
 /// again as a cache hit.
@@ -157,7 +154,7 @@ fn columnar_pool_passes_are_bit_identical_to_row_major() {
                     for pass in ["cold", "hit"] {
                         let ctx = format!("{ctx}/{pass}");
                         let fused = cache.fused_round(pool, &medoids, &deltas);
-                        assert_eq!(want.fused.0, fused.0, "{ctx}: localities");
+                        assert_eq!(want.fused.0, fused.0, "{ctx}: locality sizes");
                         assert_bits_eq(&want.fused.1, &fused.1, &format!("{ctx}: locality X"));
                     }
                     assert_eq!(cache.stats().fused_slot_hits, k as u64, "{ctx}: fused hit");
@@ -188,8 +185,8 @@ fn columnar_pool_passes_are_bit_identical_to_row_major() {
 /// `Pool::evaluate` — the one production evaluator, for both the
 /// per-round objective (flat labels) and the final objective (labels
 /// with outliers) — must equal the `evaluate_clusters` oracle bit for
-/// bit at threads 1/2/8, on labels that themselves match the row-major
-/// reference kernels.
+/// bit at threads 1/2/8, on labels that themselves match the scalar
+/// references.
 #[test]
 fn pool_evaluator_matches_evaluate_clusters_bit_for_bit() {
     let (n, d) = (3_073usize, 7usize);
@@ -239,6 +236,94 @@ fn pool_evaluator_matches_evaluate_clusters_bit_for_bit() {
                     );
                 }
             });
+        }
+    }
+}
+
+/// The member sweep runs four cells side by side and a 3-, 2- or 1-wide
+/// remainder group; the e2e workloads (d = 20 and 100) never reach the
+/// remainders. Every dimensionality here does, for the fused pass (all
+/// `d` dims), cluster-`X` (all `d` dims) and the evaluator (each
+/// `|Dᵢ|`), on tie-heavy data whose last tile is partial.
+/// The last medoid has a NaN coordinate, so its locality must fall
+/// back to size 1 with a zero `X` row. Each round-cache pass runs cold,
+/// then from cache, at threads 1 and 4.
+#[test]
+fn member_sweeps_match_references_at_every_remainder_width() {
+    let metric = DistanceKind::Manhattan;
+    for d in [1usize, 2, 3, 5, 6, 7] {
+        for n in [1usize, 1023, 1025, 2049] {
+            let mut points = tie_heavy(n, d, 40 + (n * d) as u64);
+            let medoids: Vec<usize> = if n == 1 {
+                vec![0]
+            } else {
+                vec![0, n / 3, 2 * n / 3, n - 1]
+            };
+            let k = medoids.len();
+            if k > 1 {
+                let mut data = points.as_slice().to_vec();
+                data[(n - 1) * d + d - 1] = f64::NAN;
+                points = Matrix::from_vec(data, n, d);
+            }
+            let mut rng = StdRng::seed_from_u64(d as u64);
+            let dims: Vec<Vec<usize>> = (0..k)
+                .map(|i| rand::seq::index::sample(&mut rng, d, d - i % d).into_vec())
+                .collect();
+            let deltas = medoid_deltas(&points, &medoids, metric);
+            let spheres: Vec<f64> = deltas.iter().map(|v| v * 0.8).collect();
+            let want = reference(&points, metric, &medoids, &dims, &deltas, &spheres);
+            let localities =
+                proclus::core::locality::localities(&points, &medoids, &deltas, metric);
+            let locality_sizes: Vec<usize> = localities.iter().map(Vec::len).collect();
+            assert_eq!(
+                want.fused.0, locality_sizes,
+                "d={d} n={n}: fused oracle sizes"
+            );
+            if k > 1 {
+                assert_eq!(want.fused.0[k - 1], 1, "d={d} n={n}: NaN medoid size");
+                assert!(
+                    want.fused.1[k - 1].iter().all(|&v| v.to_bits() == 0),
+                    "d={d} n={n}: NaN medoid X row"
+                );
+            }
+            for threads in [1usize, 4] {
+                let ctx = format!("d={d}/n={n}/t{threads}");
+                with_pool(&points, metric, threads, |pool| {
+                    let mut cache = RoundCache::new(k);
+                    for pass in ["cold", "hit"] {
+                        let ctx = format!("{ctx}/{pass}");
+                        let (sizes, x) = cache.fused_round(pool, &medoids, &deltas);
+                        assert_eq!(want.fused.0, sizes, "{ctx}: locality sizes");
+                        assert_bits_eq(&want.fused.1, &x, &format!("{ctx}: locality X"));
+                        let (winners, cx) = cache.assign_x(pool, &medoids, &dims);
+                        assert_eq!(want.assign_x.0, winners, "{ctx}: assign+X winners");
+                        assert_bits_eq(&want.assign_x.1, &cx, &format!("{ctx}: cluster X"));
+                    }
+                    let stats = cache.stats();
+                    assert_eq!(
+                        (stats.fused_slot_hits, stats.column_hits),
+                        (k as u64, k as u64)
+                    );
+                    let round: Vec<Option<usize>> = want.assign.iter().map(|&a| Some(a)).collect();
+                    for (form, labels) in [("round", &round), ("final", &want.refined)] {
+                        let clusters = group_members(labels, k);
+                        let oracle = evaluate_clusters(&points, &clusters, &dims, n);
+                        let got = if form == "round" {
+                            pool.evaluate(&want.assign, &dims)
+                        } else {
+                            pool.evaluate(labels, &dims)
+                        };
+                        let sizes: Vec<usize> = clusters.iter().map(Vec::len).collect();
+                        assert_eq!(got.sizes, sizes, "{ctx}/{form}: sizes");
+                        assert!(
+                            got.objective.to_bits() == oracle.to_bits()
+                                || (got.objective.is_nan() && oracle.is_nan()),
+                            "{ctx}/{form}: {:e} vs {oracle:e}",
+                            got.objective
+                        );
+                    }
+                });
+            }
         }
     }
 }

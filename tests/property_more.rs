@@ -343,9 +343,9 @@ fn orclus_is_scale_invariant_up_to_objective() {
 }
 
 /// Tie-breaking audit: "ties go to the lower cluster index" must hold
-/// identically on every assignment path — the scalar loop, the blocked
-/// row-major kernel, and the round cache's argmin over distance columns
-/// at 1 and 4 threads (cold, then served from cache). Quantized
+/// identically on every assignment path — the scalar loop and the round
+/// cache's argmin over distance columns at 1 and 4 threads (cold, then
+/// served from cache). Quantized
 /// integer coordinates make exact distance ties common (including
 /// duplicated medoid rows), so any path that resolved ties by
 /// evaluation order instead of cluster index would diverge here.
@@ -353,7 +353,6 @@ fn orclus_is_scale_invariant_up_to_objective() {
 fn tie_breaking_is_identical_across_all_assignment_paths() {
     use proclus::core::assign::assign_points;
     use proclus::core::cache::RoundCache;
-    use proclus::core::kernel;
     use proclus::core::pool::with_pool;
 
     for metric in [
@@ -404,12 +403,6 @@ fn tie_breaking_is_identical_across_all_assignment_paths() {
                 })
                 .count();
             assert!(tied > 0, "{metric:?} case {case}: no ties generated");
-
-            let blocked: Vec<usize> = kernel::blocks(n)
-                .into_iter()
-                .flat_map(|(lo, hi)| kernel::assign_block(&m, metric, &medoids, &dims, lo, hi))
-                .collect();
-            assert_eq!(reference, blocked, "{metric:?} case {case}: blocked kernel");
 
             // Pool paths at 1 and 4 threads: the round cache computing
             // its columns, then serving them.

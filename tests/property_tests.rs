@@ -270,11 +270,11 @@ fn brute_force(z: &[Vec<f64>], total: usize) -> f64 {
     rec(z, 0, total)
 }
 
-/// The fused pooled kernel must produce bit-identical localities,
+/// The fused pooled kernel must produce bit-identical locality sizes,
 /// `X` averages, dimension sets, and assignments to the serial path for
 /// every thread count: the fixed block tiling defines one canonical
 /// accumulation order that does not depend on how blocks are scheduled.
-type RoundOutput = (Vec<Vec<usize>>, Vec<Vec<f64>>, Vec<Vec<usize>>, Vec<usize>);
+type RoundOutput = (Vec<usize>, Vec<Vec<f64>>, Vec<Vec<usize>>, Vec<usize>);
 
 /// One hill-climbing round through the round cache and the pool: fused
 /// locality + `X` sweep, FindDimensions, assignment — run cold, then
@@ -286,10 +286,10 @@ fn pooled_round(
 ) -> RoundOutput {
     let mut cache = proclus::core::cache::RoundCache::new(medoids.len());
     let mut round = |pool: &mut proclus::core::pool::Pool<'_>| {
-        let (locs, x) = cache.fused_round(pool, medoids, deltas);
+        let (sizes, x) = cache.fused_round(pool, medoids, deltas);
         let dims = proclus::core::dims::find_dimensions_from_averages(&x, 12, true);
         let flat = cache.assign(pool, medoids, &dims);
-        (locs, x, dims, flat)
+        (sizes, x, dims, flat)
     };
     let cold = round(pool);
     let hit = round(pool);
@@ -322,7 +322,10 @@ fn pooled_kernel_is_bit_identical_across_thread_counts() {
             let got = with_pool(points, metric, threads, |pool| {
                 pooled_round(pool, &medoids, &deltas)
             });
-            assert_eq!(got.0, reference.0, "localities differ at {threads} threads");
+            assert_eq!(
+                got.0, reference.0,
+                "locality sizes differ at {threads} threads"
+            );
             for (a, b) in got.1.iter().flatten().zip(reference.1.iter().flatten()) {
                 assert_eq!(
                     a.to_bits(),

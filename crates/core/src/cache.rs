@@ -41,15 +41,18 @@
 //! same bits. The assignment is rebuilt from columns by
 //! [`crate::kernel::argmin_columns`], whose loop is literally the
 //! comparison loop of the scalar [`crate::assign::assign_points`].
-//! Logical pool accounting (`pool_dispatches`/`pool_blocks` in `round`
-//! events) is booked per *semantic* pass via
-//! [`Pool::note_logical_pass`] whether or not any physical work ran,
-//! so the event stream does not depend on what the cache held.
+//! The cache books no semantic passes: [`crate::iterate`] counts those
+//! (`pool_dispatches`/`pool_blocks` in `round` events) from the shape
+//! of each round, so the event stream does not depend on what the
+//! cache held. Its recomputes are [`Pool::map_tiles`] fan-outs, which
+//! the pool counts as physical work; a slot served from cache runs
+//! nothing.
 //!
 //! Cache effectiveness is observable through the `cache.*` manifest
 //! counters and the per-round `cache.medoids_recomputed` gauge — both
 //! flow through the measurement channel only, never the event stream.
 
+use crate::kernel;
 use crate::pool::Pool;
 use std::sync::Arc;
 
@@ -131,7 +134,6 @@ impl RoundCache {
         medoids: &[usize],
         deltas: &[f64],
     ) -> (Vec<usize>, Vec<Vec<f64>>) {
-        pool.note_logical_pass();
         self.grow_to(medoids.len());
         let missing: Vec<usize> = medoids
             .iter()
@@ -149,9 +151,16 @@ impl RoundCache {
         self.stats.fused_slot_recomputes += missing.len() as u64;
         self.round_recomputed += missing.len() as u64;
         if !missing.is_empty() {
+            // Each slot's size and `X` row depend only on its own
+            // `(mᵢ, δᵢ)` and the fixed tiling, so a pass over the missing
+            // slots alone is bit-identical to those slots of a full pass.
+            let (points, metric) = (pool.points(), pool.metric());
             let sub_m: Vec<usize> = missing.iter().map(|&i| medoids[i]).collect();
             let sub_d: Vec<f64> = missing.iter().map(|&i| deltas[i]).collect();
-            let (sizes, x) = pool.fused_pass(&sub_m, &sub_d);
+            let partials = pool.map_tiles(move |tile| {
+                kernel::fused_block_columnar(tile, points, metric, &sub_m, &sub_d)
+            });
+            let (sizes, x) = kernel::merge_fused(partials, missing.len(), points.cols());
             for ((&slot, size), xi) in missing.iter().zip(sizes).zip(x) {
                 self.fused[slot] = Some(FusedSlot {
                     medoid: medoids[slot],
@@ -169,18 +178,6 @@ impl RoundCache {
             .unzip()
     }
 
-    /// Plain assignment pass via cached distance columns. Bit-identical
-    /// to [`crate::assign::assign_points`].
-    pub fn assign(
-        &mut self,
-        pool: &mut Pool<'_>,
-        medoids: &[usize],
-        dims: &[Vec<usize>],
-    ) -> Vec<usize> {
-        pool.note_logical_pass();
-        self.assign_via_columns(pool, medoids, dims)
-    }
-
     /// Assignment fused with the per-cluster `X` averages (the inner
     /// refinement's input): the assignment from cached columns, then
     /// one cluster-`X` pass over all `k` clusters. Bit-identical to
@@ -193,17 +190,17 @@ impl RoundCache {
         medoids: &[usize],
         dims: &[Vec<usize>],
     ) -> (Vec<usize>, Vec<Vec<f64>>) {
-        pool.note_logical_pass();
-        let flat = self.assign_via_columns(pool, medoids, dims);
+        let flat = self.assign(pool, medoids, dims);
         let labels: Vec<Option<usize>> = flat.iter().map(|&a| Some(a)).collect();
-        let x = pool.cluster_x_pass(medoids, Arc::new(labels));
+        let x = pool.cluster_x(medoids, Arc::new(labels));
         (flat, x)
     }
 
-    /// Ensure a cached column per slot for `(medoids[i], dims[i])`,
-    /// recomputing misses in one subset pass, then assign every point
-    /// to its argmin slot.
-    fn assign_via_columns(
+    /// Plain assignment pass via cached distance columns, bit-identical
+    /// to [`crate::assign::assign_points`]: a column per slot for
+    /// `(medoids[i], dims[i])`, misses recomputed in one subset pass,
+    /// then every point goes to its argmin slot.
+    pub fn assign(
         &mut self,
         pool: &mut Pool<'_>,
         medoids: &[usize],
@@ -226,9 +223,21 @@ impl RoundCache {
         }
         self.stats.column_hits += (k - missing.len()) as u64;
         self.stats.column_recomputes += missing.len() as u64;
-        let sub_m: Vec<usize> = missing.iter().map(|&i| medoids[i]).collect();
-        let sub_d: Vec<Vec<usize>> = missing.iter().map(|&i| dims[i].clone()).collect();
-        let fresh = pool.distance_columns(&sub_m, &sub_d);
+        let (points, metric) = (pool.points(), pool.metric());
+        let n = points.rows();
+        let mut fresh: Vec<Vec<f64>> = missing.iter().map(|_| Vec::with_capacity(n)).collect();
+        if !missing.is_empty() {
+            let sub_m: Vec<usize> = missing.iter().map(|&i| medoids[i]).collect();
+            let sub_d: Vec<Vec<usize>> = missing.iter().map(|&i| dims[i].clone()).collect();
+            let parts = pool.map_tiles(move |tile| {
+                kernel::columns_block_columnar(tile, points, metric, &sub_m, &sub_d)
+            });
+            for part in parts {
+                for (col, mut piece) in fresh.iter_mut().zip(part) {
+                    col.append(&mut piece);
+                }
+            }
+        }
         for (&slot, col) in missing.iter().zip(fresh) {
             let entries = &mut self.columns[slot];
             if entries.len() >= COLUMNS_PER_SLOT {
@@ -246,7 +255,7 @@ impl RoundCache {
             .zip(&self.columns)
             .map(|(&e, entries)| entries[e].col.as_slice())
             .collect();
-        crate::kernel::argmin_columns(&refs, pool.points().rows())
+        kernel::argmin_columns(&refs, n)
     }
 
     /// Grow the per-slot tables to at least `k` slots (`run_once` is
@@ -364,23 +373,19 @@ mod tests {
     }
 
     /// A swap-style workload: cached rounds must be bit-identical to
-    /// the reference kernels while actually hitting the cache,
-    /// and the logical pool accounting must not see the cache.
+    /// the reference kernels while actually hitting the cache.
     #[test]
     fn cached_rounds_match_row_major_rounds_bit_for_bit() {
         let points = random_points(4000, 8, 11);
         let metric = DistanceKind::Manhattan;
         let mut medoids = vec![10usize, 900, 2100, 3300];
         let total_dims = 12;
-        let nblocks = crate::kernel::blocks(points.rows()).len() as u64;
 
         let stats = with_pool(&points, metric, 1, |pool| {
             let mut cache = RoundCache::new(medoids.len());
             for round in 0..6 {
                 // Swap one slot every other round, like the bad-medoid
-                // step; the quiet rounds re-evaluate an unchanged vertex.
-                let quiet = round % 2 == 0 && round > 0;
-                let physical_before = pool.physical_stats().dispatches;
+                // step; the rounds between re-evaluate an unchanged vertex.
                 if round % 2 == 1 {
                     let slot = round % medoids.len();
                     medoids[slot] = 123 * round + 17;
@@ -391,13 +396,6 @@ mod tests {
                 let (flat, cx) = cache.assign_x(pool, &medoids, &dims);
                 let dims2 = crate::dims::find_dimensions_from_averages(&cx, total_dims, true);
                 let flat2 = cache.assign(pool, &medoids, &dims2);
-                if quiet {
-                    assert_eq!(
-                        pool.physical_stats().dispatches - physical_before,
-                        1,
-                        "round {round}: an unchanged vertex runs only the cluster-X pass"
-                    );
-                }
 
                 let (want_fused, want_flat, want_cx) =
                     reference_round(&points, metric, &medoids, &deltas, &dims);
@@ -408,15 +406,65 @@ mod tests {
                     reference_round(&points, metric, &medoids, &deltas, &dims2);
                 assert_eq!(flat2, want_flat2, "round {round}: refined assignment");
             }
-            // Three semantic passes per round, each a full logical sweep.
-            let logical = pool.stats();
-            assert_eq!(logical.dispatches, 18);
-            assert_eq!(logical.blocks, 18 * nblocks);
             cache.stats()
         });
         assert!(
             stats.fused_slot_hits > 0 && stats.column_hits > 0,
             "workload must exercise the cache: {stats:?}"
         );
+    }
+
+    /// The pool counts only fan-outs that ran: a pass served from cache
+    /// runs none, a recompute of a subset of slots runs one over every
+    /// tile, and a round that re-evaluates an unchanged vertex runs only
+    /// its cluster-`X` pass. Recomputed slots match the same slots of a
+    /// full pass bit for bit.
+    #[test]
+    fn fan_outs_count_only_what_the_cache_recomputes() {
+        let points = random_points(3000, 6, 3);
+        let metric = DistanceKind::Manhattan;
+        let nblocks = crate::kernel::blocks(points.rows()).len() as u64;
+        let total_dims = 8;
+        for threads in [1, 4] {
+            with_pool(&points, metric, threads, |pool| {
+                let mut medoids = vec![1usize, 900, 2000, 2700];
+                let mut cache = RoundCache::new(medoids.len());
+                let deltas = medoid_deltas(&points, &medoids, metric);
+                let full = cache.fused_round(pool, &medoids, &deltas);
+                assert_eq!(cache.take_round_recomputed(), 4);
+                assert_eq!(pool.physical_stats().dispatches, 1);
+                assert_eq!(pool.physical_stats().blocks, nblocks);
+
+                assert_eq!(cache.fused_round(pool, &medoids, &deltas), full);
+                assert_eq!(cache.take_round_recomputed(), 0);
+                assert_eq!(pool.physical_stats().dispatches, 1, "a hit runs nothing");
+
+                // A swap recomputes the swapped slot and the slots whose
+                // δ it moved, not all of them.
+                medoids[3] = 2100;
+                let deltas2 = medoid_deltas(&points, &medoids, metric);
+                let (sizes, x) = cache.fused_round(pool, &medoids, &deltas2);
+                let recomputed = cache.take_round_recomputed();
+                assert!((1..4).contains(&recomputed), "{recomputed}");
+                assert_eq!(pool.physical_stats().dispatches, 2, "a subset pass is one");
+                assert_eq!(pool.physical_stats().blocks, 2 * nblocks);
+                let want = RoundCache::new(medoids.len()).fused_round(pool, &medoids, &deltas2);
+                assert_eq!((sizes, x.clone()), want, "threads {threads}");
+
+                let dims = crate::dims::find_dimensions_from_averages(&x, total_dims, true);
+                let (_, cx) = cache.assign_x(pool, &medoids, &dims);
+                let dims2 = crate::dims::find_dimensions_from_averages(&cx, total_dims, true);
+                cache.assign(pool, &medoids, &dims2);
+                let before = pool.physical_stats().dispatches;
+                cache.fused_round(pool, &medoids, &deltas2);
+                cache.assign_x(pool, &medoids, &dims);
+                cache.assign(pool, &medoids, &dims2);
+                assert_eq!(
+                    pool.physical_stats().dispatches - before,
+                    1,
+                    "an unchanged vertex runs only the cluster-X pass"
+                );
+            });
+        }
     }
 }

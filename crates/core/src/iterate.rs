@@ -30,10 +30,6 @@ use rand::SeedableRng;
 /// Execute the full three-phase PROCLUS algorithm: `restarts`
 /// independent climbs, keeping the run with the lowest iterative
 /// objective.
-///
-/// The worker pool (see [`crate::pool`]) is created once here and
-/// shared by every restart, round, and the refinement phase — no
-/// per-round thread spawning.
 pub fn run(params: &Proclus, points: &Matrix) -> Result<ProclusModel, ProclusError> {
     run_traced(params, points, &NoopRecorder)
 }
@@ -47,17 +43,41 @@ pub fn run(params: &Proclus, points: &Matrix) -> Result<ProclusModel, ProclusErr
 ///
 /// Event determinism: everything emitted here is a pure function of
 /// `(params, points, seed)` — in particular it does **not** depend on
-/// `params.threads` (pool dispatch/block counts are identical in serial
-/// and pooled mode). Timings and queue depths go only to the
+/// `params.threads` or on what the round cache served (the semantic
+/// pass counts in `round` events are booked here, see
+/// [`round_passes`]). Timings and queue depths go only to the
 /// span/gauge channel.
 pub fn run_traced(
     params: &Proclus,
     points: &Matrix,
     rec: &dyn Recorder,
 ) -> Result<ProclusModel, ProclusError> {
+    drive(params, points, None, rec)
+}
+
+/// The one fit driver: `restarts` independent climbs keeping the run
+/// with the lowest iterative objective, or — when `forced` pins the
+/// first vertex — one climb from `rng_seed`.
+///
+/// The worker pool (see [`crate::pool`]) is created once here and
+/// shared by every restart, round, and the refinement phase — no
+/// per-round thread spawning.
+fn drive(
+    params: &Proclus,
+    points: &Matrix,
+    forced: Option<&[usize]>,
+    rec: &dyn Recorder,
+) -> Result<ProclusModel, ProclusError> {
     params.validate(points.rows(), points.cols())?;
+    if let Some(initial) = forced {
+        check_initial(params, points, initial)?;
+    }
     let mut diag = preflight(params, points)?;
-    let restarts = params.restarts.max(1);
+    let restarts = if forced.is_some() {
+        1
+    } else {
+        params.restarts.max(1)
+    };
     if rec.enabled() {
         rec.event(&Event::FitStart {
             algorithm: "proclus",
@@ -88,7 +108,7 @@ pub fn run_traced(
             // long as some other restart produces a usable model: record
             // it and keep climbing from the remaining seeds.
             match run_once(
-                params, points, seed, None, r, pool, &mut cache, &mut diag, rec,
+                params, points, seed, forced, r, pool, &mut cache, &mut diag, rec,
             ) {
                 Ok(model) => {
                     if best
@@ -108,8 +128,13 @@ pub fn run_traced(
                 }
             }
         }
-        record_pool_measurements(rec, pool);
-        record_cache_measurements(rec, &cache);
+        if rec.enabled() {
+            // Every climb ends in exactly one refinement.
+            let passes = diag.total_rounds as u64 * round_passes(params)
+                + diag.restarts as u64 * REFINE_PASSES;
+            record_pool_measurements(rec, pool, passes);
+            record_cache_measurements(rec, &cache);
+        }
         match best {
             Some(model) => Ok(model.with_diagnostics(diag.clone())),
             // Every restart collapsed. One restart: surface its error
@@ -124,18 +149,32 @@ pub fn run_traced(
     result
 }
 
+/// Semantic O(N·k·d) passes per hill-climbing round (Figure 2): the
+/// fused locality pass, then one assignment per dimension estimate —
+/// the locality-based one and one per inner refinement. The count is a
+/// function of the parameters alone: the round cache may serve a pass
+/// without running it, and the pool counts only what ran.
+fn round_passes(params: &Proclus) -> u64 {
+    2 + params.inner_refinements as u64
+}
+
+/// Semantic passes of the refinement phase (§2.3): the cluster-`X`
+/// sweep and the final reassignment.
+const REFINE_PASSES: u64 = 2;
+
+/// Row blocks one semantic pass sweeps.
+fn blocks_per_pass(points: &Matrix) -> u64 {
+    points.rows().div_ceil(crate::kernel::BLOCK) as u64
+}
+
 /// Pool work totals → counters, scheduling-dependent facts → gauges.
 ///
-/// `pool.dispatches`/`pool.blocks` are the *logical* (semantic-pass)
-/// totals — independent of what the round cache served. The
-/// `physical_*` pair counts fan-outs that actually ran.
-fn record_pool_measurements(rec: &dyn Recorder, pool: &Pool<'_>) {
-    if !rec.enabled() {
-        return;
-    }
-    let stats = pool.stats();
-    rec.counter("pool.dispatches", stats.dispatches);
-    rec.counter("pool.blocks", stats.blocks);
+/// `pool.dispatches`/`pool.blocks` are the semantic-pass totals booked
+/// by this module, `passes` of them, each a sweep over every row block.
+/// The `physical_*` pair counts the fan-outs that actually ran.
+fn record_pool_measurements(rec: &dyn Recorder, pool: &Pool<'_>, passes: u64) {
+    rec.counter("pool.dispatches", passes);
+    rec.counter("pool.blocks", passes * blocks_per_pass(pool.points()));
     let physical = pool.physical_stats();
     rec.counter("pool.physical_dispatches", physical.dispatches);
     rec.counter("pool.physical_blocks", physical.blocks);
@@ -146,9 +185,6 @@ fn record_pool_measurements(rec: &dyn Recorder, pool: &Pool<'_>) {
 /// Round-cache effectiveness → `cache.*` counters (manifest channel
 /// only).
 fn record_cache_measurements(rec: &dyn Recorder, cache: &RoundCache) {
-    if !rec.enabled() {
-        return;
-    }
     let stats = cache.stats();
     rec.counter("cache.fused_slot_hits", stats.fused_slot_hits);
     rec.counter("cache.fused_slot_recomputes", stats.fused_slot_recomputes);
@@ -226,7 +262,11 @@ pub fn run_from_medoids_traced(
     initial: &[usize],
     rec: &dyn Recorder,
 ) -> Result<ProclusModel, ProclusError> {
-    params.validate(points.rows(), points.cols())?;
+    drive(params, points, Some(initial), rec)
+}
+
+/// Reject a forced start that is not `k` distinct in-range rows.
+fn check_initial(params: &Proclus, points: &Matrix, initial: &[usize]) -> Result<(), ProclusError> {
     if initial.len() != params.k {
         return Err(ProclusError::InvalidParameters(format!(
             "expected {} initial medoids, got {}",
@@ -248,42 +288,7 @@ pub fn run_from_medoids_traced(
             points.rows()
         )));
     }
-    let mut diag = preflight(params, points)?;
-    if rec.enabled() {
-        rec.event(&Event::FitStart {
-            algorithm: "proclus",
-            n: points.rows(),
-            d: points.cols(),
-            k: params.k,
-            l: params.l,
-            seed: params.rng_seed,
-            restarts: 1,
-        });
-        rec.event(&Event::RestartStart {
-            restart: 0,
-            seed: params.rng_seed,
-        });
-    }
-    let result = with_pool(points, params.distance, params.threads, |pool| {
-        diag.restarts = 1;
-        let mut cache = RoundCache::new(params.k);
-        let model = run_once(
-            params,
-            points,
-            params.rng_seed,
-            Some(initial),
-            0,
-            pool,
-            &mut cache,
-            &mut diag,
-            rec,
-        )?;
-        record_pool_measurements(rec, pool);
-        record_cache_measurements(rec, &cache);
-        Ok(model.with_diagnostics(diag.clone()))
-    });
-    record_fit_end(rec, &result);
-    result
+    Ok(())
 }
 
 /// One initialization + hill climb + refinement, from `seed`.
@@ -422,7 +427,14 @@ fn run_once(
                 "cache.medoids_recomputed",
                 cache.take_round_recomputed() as f64,
             );
-            let delta = pool.take_round_delta();
+            // This round's semantic passes. A restart's refinement
+            // passes are booked in the next restart's first round.
+            let carried = if restart > 0 && rounds == 1 {
+                REFINE_PASSES
+            } else {
+                0
+            };
+            let passes = round_passes(params) + carried;
             rec.event(&Event::Round {
                 restart,
                 round: rounds,
@@ -433,8 +445,8 @@ fn run_once(
                 objective,
                 best_objective,
                 improved,
-                pool_dispatches: delta.dispatches,
-                pool_blocks: delta.blocks,
+                pool_dispatches: passes,
+                pool_blocks: passes * blocks_per_pass(points),
             });
         }
 
@@ -726,6 +738,53 @@ mod tests {
         assert!(rec.span_stats(Phase::Assign).is_some());
         assert!(rec.span_stats(Phase::Refine).is_some());
         assert!(rec.counter_value("pool.dispatches") > 0);
+    }
+
+    /// The climb books its own semantic passes: `2 + inner_refinements`
+    /// per round, each over every row block, plus the previous restart's
+    /// two refinement passes in each later restart's first round. The
+    /// `pool.dispatches` total adds the last restart's refinement. Events
+    /// and every manifest counter are the same at 1 and 4 threads.
+    #[test]
+    fn round_events_book_two_plus_inner_passes_per_round() {
+        use proclus_obs::{Event, RingRecorder};
+        let data = SyntheticSpec::new(2_500, 10, 3, 3.0).seed(6).generate();
+        let nblocks = 3u64; // 2 500 rows in 1 024-row blocks
+        for inner in 0..=2usize {
+            let mut runs = Vec::new();
+            for threads in [1, 4] {
+                let rec = RingRecorder::new(1 << 14);
+                let params = Proclus::new(3, 3.0)
+                    .seed(9)
+                    .restarts(3)
+                    .inner_refinements(inner)
+                    .threads(threads);
+                params.fit_traced(&data.points, &rec).unwrap();
+                let mut booked = 0u64;
+                let mut first_rounds = 0;
+                for event in rec.events() {
+                    if let Event::Round {
+                        restart,
+                        round,
+                        pool_dispatches,
+                        pool_blocks,
+                        ..
+                    } = event
+                    {
+                        let carried = if restart > 0 && round == 1 { 2 } else { 0 };
+                        first_rounds += usize::from(round == 1);
+                        assert_eq!(pool_dispatches, 2 + inner as u64 + carried);
+                        assert_eq!(pool_blocks, pool_dispatches * nblocks);
+                        booked += pool_dispatches;
+                    }
+                }
+                assert_eq!(first_rounds, 3, "inner {inner}");
+                assert_eq!(rec.counter_value("pool.dispatches"), booked + 2);
+                assert_eq!(rec.counter_value("pool.blocks"), (booked + 2) * nblocks);
+                runs.push((rec.events(), rec.counters()));
+            }
+            assert_eq!(runs[0], runs[1], "inner {inner}: threads 1 vs 4");
+        }
     }
 
     #[test]

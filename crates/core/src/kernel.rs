@@ -47,8 +47,9 @@
 //! [`cluster_x_block`]) loop points outermost and read `points.row(p)`
 //! directly; with the `merge_*` functions they are the **test oracle**
 //! of the passes whose block merge order defines the bits. Production
-//! runs only the columnar twins (`*_columnar`, below), which the pool
-//! dispatches over the tiles of [`crate::layout::ColumnarBlocks`]. The
+//! runs only the columnar twins (`*_columnar`, below), which callers
+//! map over the tiles of [`crate::layout::ColumnarBlocks`] with
+//! [`crate::pool::Pool::map_tiles`]. The
 //! per-point passes are checked against scalar code instead: the hill
 //! climb's assignment, which the round cache ([`crate::cache`]) builds
 //! with [`argmin_columns`] from [`columns_block_columnar`] columns,

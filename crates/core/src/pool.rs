@@ -1,4 +1,4 @@
-//! A persistent worker pool for the per-round O(N·k·d) passes.
+//! A persistent worker pool that maps a closure over the columnar tiles.
 //!
 //! The previous parallel path spawned a fresh set of scoped threads for
 //! *every* locality and assignment call — hundreds of spawn/join cycles
@@ -14,161 +14,54 @@
 //!   no copying the data (the crate forbids unsafe code).
 //! * The matrix is mirrored once per fit into dimension-major tiles
 //!   ([`ColumnarBlocks`], one per fixed-size row block of
-//!   [`crate::kernel::BLOCK`] rows), and every pass runs the columnar
-//!   kernel of [`crate::kernel`] over them. A shared queue lets fast
-//!   workers steal the remaining tiles, so an unlucky scheduling of one
-//!   tile never idles the rest of the pool.
-//! * Every block result is tagged with its block index and merged on
-//!   the coordinating thread in ascending index order. Together with
-//!   the fixed tiling this makes the result **bit-identical for every
-//!   thread count** — see [`crate::kernel`] for the argument.
+//!   [`crate::kernel::BLOCK`] rows). The pool has one fan-out,
+//!   [`Pool::map_tiles`], which applies a closure to every tile; callers
+//!   pass a columnar kernel of [`crate::kernel`] and merge its per-tile
+//!   results with the matching `kernel::merge_*`. A shared queue lets
+//!   fast workers steal the remaining tiles, so an unlucky scheduling of
+//!   one tile never idles the rest of the pool.
+//! * Every tile result is tagged with its tile index and returned in
+//!   ascending index order. Together with the fixed tiling this makes
+//!   every merged result **bit-identical for every thread count** — see
+//!   [`crate::kernel`] for the argument.
 //! * `threads <= 1` (or a dataset smaller than one block) skips the
-//!   workers entirely; the serial path runs the *same* tile kernels in
-//!   the same order, so it is the reference the pooled path is compared
-//!   against in the property tests.
+//!   workers entirely; the serial path runs the *same* closure over the
+//!   tiles in the same order, so it is the reference the pooled path is
+//!   compared against in the property tests.
+//! * The pool counts only the fan-outs that actually ran
+//!   ([`Pool::physical_stats`]). It does not know which pass of the
+//!   algorithm a fan-out serves: the semantic passes recorded in `round`
+//!   events and the `pool.dispatches`/`pool.blocks` counters are booked
+//!   by [`crate::iterate`].
 
-use crate::kernel::{self, FusedPartial};
+use crate::kernel;
 use crate::layout::{ColumnarBlocks, TileView};
 use proclus_math::{DistanceKind, Matrix};
-use std::sync::mpsc::{Receiver, Sender};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::mpsc::{self, Sender};
+use std::sync::{Arc, Mutex, PoisonError};
 
-/// Owned per-round job data shipped to the workers. Small (O(k·d) plus
-/// one `Arc`'d assignment for the cluster-`X` pass) — the point matrix
-/// and its tiles are borrowed by the workers, never sent.
-enum Task {
-    Fused {
-        medoids: Arc<Vec<usize>>,
-        deltas: Arc<Vec<f64>>,
-    },
-    Columns {
-        medoids: Arc<Vec<usize>>,
-        dims: Arc<Vec<Vec<usize>>>,
-    },
-    ClusterX {
-        medoids: Arc<Vec<usize>>,
-        assignment: Arc<Vec<Option<usize>>>,
-    },
-    RefineAssign {
-        medoids: Arc<Vec<usize>>,
-        dims: Arc<Vec<Vec<usize>>>,
-        spheres: Arc<Vec<f64>>,
-    },
-}
-
-/// One unit of work: a task applied to one tile.
-struct Job<'env> {
-    task: Task,
-    tile: TileView<'env>,
-    index: usize,
-}
-
-/// A tile's partial result, matched to the [`Task`] variant.
-enum Partial {
-    Fused(FusedPartial),
-    Columns(Vec<Vec<f64>>),
-    ClusterX(Vec<Vec<f64>>),
-    RefineAssign(Vec<Option<usize>>),
-}
-
-impl Task {
-    /// Run the task's columnar kernel over one tile.
-    fn run(&self, points: &Matrix, metric: DistanceKind, tile: &TileView<'_>) -> Partial {
-        match self {
-            Task::Fused { medoids, deltas } => Partial::Fused(kernel::fused_block_columnar(
-                tile, points, metric, medoids, deltas,
-            )),
-            Task::Columns { medoids, dims } => Partial::Columns(kernel::columns_block_columnar(
-                tile, points, metric, medoids, dims,
-            )),
-            Task::ClusterX {
-                medoids,
-                assignment,
-            } => Partial::ClusterX(kernel::cluster_x_block_columnar(
-                tile, points, medoids, assignment,
-            )),
-            Task::RefineAssign {
-                medoids,
-                dims,
-                spheres,
-            } => Partial::RefineAssign(kernel::refine_assign_columnar(
-                tile, points, metric, medoids, dims, spheres,
-            )),
-        }
-    }
-
-    fn clone_refs(&self) -> Task {
-        match self {
-            Task::Fused { medoids, deltas } => Task::Fused {
-                medoids: Arc::clone(medoids),
-                deltas: Arc::clone(deltas),
-            },
-            Task::Columns { medoids, dims } => Task::Columns {
-                medoids: Arc::clone(medoids),
-                dims: Arc::clone(dims),
-            },
-            Task::ClusterX {
-                medoids,
-                assignment,
-            } => Task::ClusterX {
-                medoids: Arc::clone(medoids),
-                assignment: Arc::clone(assignment),
-            },
-            Task::RefineAssign {
-                medoids,
-                dims,
-                spheres,
-            } => Task::RefineAssign {
-                medoids: Arc::clone(medoids),
-                dims: Arc::clone(dims),
-                spheres: Arc::clone(spheres),
-            },
-        }
-    }
-}
+/// One unit of work: one tile of one fan-out, which reports its result
+/// over that fan-out's own channel. The point matrix and its tiles are
+/// borrowed by the job, never copied.
+type Job<'env> = Box<dyn FnOnce() + Send + 'env>;
 
 enum Mode<'env> {
     /// No workers: tiles run inline, in order, on the calling thread.
     Serial,
     /// Persistent workers consuming from a shared job queue.
-    Pooled {
-        job_tx: Sender<Job<'env>>,
-        result_rx: Receiver<(usize, Partial)>,
-    },
+    Pooled { job_tx: Sender<Job<'env>> },
 }
 
-/// Work counters maintained by the pool.
-///
-/// The pool keeps two of these with different contracts:
-///
-/// * **Logical** stats count *semantic* passes — one per round-cache
-///   `fused_round`/`assign`/`assign_x` call and per refinement pass —
-///   each booked as a sweep over every row block. They are
-///   **deterministic**: a pure function of `(params, data, seed)`,
-///   identical for every thread count and independent of what the
-///   [`crate::cache::RoundCache`] held (it books a full logical pass
-///   even when it serves the result from cache). Safe to embed in the
-///   trace event stream, and `round` events do.
-/// * **Physical** stats count the fan-outs that actually ran, which the
-///   cache shrinks (a pass fully served from cache dispatches
-///   nothing). Scheduling-independent too, but they depend on the
-///   cache's hit pattern, so they go only to the run-manifest
-///   counters, never the event stream.
+/// Physical work counters: the fan-outs that actually ran. The round
+/// cache shrinks them (a pass fully served from cache runs nothing), so
+/// they go only to the run-manifest counters, never the event stream.
+/// They do not depend on the thread count.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PoolStats {
-    /// Fan-out passes (one per semantic pass, or per physical fan-out).
+    /// [`Pool::map_tiles`] fan-outs.
     pub dispatches: u64,
-    /// Row blocks processed across those passes.
+    /// Tiles processed across those fan-outs.
     pub blocks: u64,
-}
-
-impl PoolStats {
-    fn diff(self, earlier: PoolStats) -> PoolStats {
-        PoolStats {
-            dispatches: self.dispatches - earlier.dispatches,
-            blocks: self.blocks - earlier.blocks,
-        }
-    }
 }
 
 /// Handle to the per-fit worker pool (or its serial stand-in). Obtained
@@ -180,9 +73,7 @@ pub struct Pool<'env> {
     layout: &'env ColumnarBlocks,
     mode: Mode<'env>,
     workers: usize,
-    stats: PoolStats,
     physical: PoolStats,
-    round_mark: PoolStats,
     queue_high_water: u64,
 }
 
@@ -209,9 +100,7 @@ pub fn with_pool<R>(
         layout: &layout,
         mode,
         workers,
-        stats: PoolStats::default(),
         physical: PoolStats::default(),
-        round_mark: PoolStats::default(),
         queue_high_water: 0,
     };
     if workers <= 1 {
@@ -220,32 +109,25 @@ pub fn with_pool<R>(
     std::thread::scope(|s| {
         let (job_tx, job_rx) = mpsc::channel::<Job<'_>>();
         let job_rx = Arc::new(Mutex::new(job_rx));
-        let (result_tx, result_rx) = mpsc::channel::<(usize, Partial)>();
         for _ in 0..workers {
             let rx = Arc::clone(&job_rx);
-            let tx = result_tx.clone();
             s.spawn(move || {
                 loop {
-                    // Hold the lock only to pop; compute unlocked. A
+                    // Hold the lock only to pop; run unlocked. A
                     // poisoned lock (a worker died mid-pop) is still a
                     // usable receiver — take it and keep draining.
-                    let job = match rx
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner)
-                        .recv()
-                    {
+                    let job = match rx.lock().unwrap_or_else(PoisonError::into_inner).recv() {
                         Ok(job) => job,
                         Err(_) => break, // pool dropped: fit is over
                     };
-                    let partial = job.task.run(points, metric, &job.tile);
-                    if tx.send((job.index, partial)).is_err() {
-                        break;
-                    }
+                    job();
                 }
             });
         }
-        drop(result_tx);
-        let mut pool = pool(Mode::Pooled { job_tx, result_rx }, workers);
+        // Only the workers hold the queue: if they all die, it closes,
+        // its pending jobs are dropped, and `map_tiles` falls back.
+        drop(job_rx);
+        let mut pool = pool(Mode::Pooled { job_tx }, workers);
         let out = f(&mut pool);
         // Dropping the pool closes the job channel; every worker's next
         // recv fails and it exits, letting the scope join them.
@@ -257,7 +139,8 @@ pub fn with_pool<R>(
 impl<'env> Pool<'env> {
     /// The point matrix this pool's workers operate on. The returned
     /// reference outlives the pool borrow, so callers can hold it
-    /// across further (mutable) pool calls.
+    /// across further (mutable) pool calls and move it into
+    /// [`Pool::map_tiles`] closures.
     pub fn points(&self) -> &'env Matrix {
         self.points
     }
@@ -274,204 +157,84 @@ impl<'env> Pool<'env> {
         self.workers
     }
 
-    /// Cumulative **logical** work counters since pool creation: the
-    /// canonical semantic passes, identical for every thread count and
-    /// whatever the round cache served.
-    pub fn stats(&self) -> PoolStats {
-        self.stats
-    }
-
-    /// Cumulative **physical** work counters since pool creation: the
-    /// fan-outs that actually ran. The round cache skips fan-outs it
-    /// serves from cache but splits `assign_x` into two (columns, then
-    /// cluster `X`), so this may be above or below [`Pool::stats`];
-    /// manifest counters only, never the event stream.
+    /// Cumulative physical work counters since pool creation: the
+    /// [`Pool::map_tiles`] fan-outs that actually ran. Manifest counters
+    /// only, never the event stream.
     pub fn physical_stats(&self) -> PoolStats {
         self.physical
     }
 
-    /// Book one logical pass (a full sweep over every row block)
-    /// without running anything. The round cache calls this for every
-    /// semantic pass it serves — fully or partially — from cache, so
-    /// the logical counters embedded in `round` events do not depend on
-    /// its hit pattern.
-    pub(crate) fn note_logical_pass(&mut self) {
-        self.stats.dispatches += 1;
-        self.stats.blocks += self.points.rows().div_ceil(kernel::BLOCK) as u64;
-    }
-
-    /// Work counters accumulated since the previous call (or pool
-    /// creation). The iterative phase calls this once per round to tag
-    /// its `round` events with per-round pool work.
-    pub fn take_round_delta(&mut self) -> PoolStats {
-        let delta = self.stats.diff(self.round_mark);
-        self.round_mark = self.stats;
-        delta
-    }
-
-    /// Largest number of jobs queued by a single dispatch (0 in serial
+    /// Largest number of jobs queued by a single fan-out (0 in serial
     /// mode). Scheduling-dependent by nature: manifest gauges only.
     pub fn queue_high_water(&self) -> u64 {
         self.queue_high_water
     }
 
-    /// Fan a task out over all row blocks, booking both a logical and a
-    /// physical pass (the refinement passes, which the cache never sees).
-    fn dispatch(&mut self, task: Task) -> Vec<Partial> {
-        self.note_logical_pass();
-        self.dispatch_physical(task)
-    }
-
-    /// Fan a task out over all row blocks and collect the partials in
-    /// ascending block order. Books only a *physical* pass — used
-    /// directly by the round cache's passes, whose logical accounting
-    /// happens at the semantic-pass level instead.
-    fn dispatch_physical(&mut self, task: Task) -> Vec<Partial> {
+    /// Apply `f` to every tile and return the results in ascending tile
+    /// order: the pool's one fan-out. Serial pools run the tiles inline;
+    /// pooled ones queue one job per tile, each reporting over this
+    /// call's own channel. A tile no worker reported (a hung-up pool) is
+    /// computed on the calling thread, so the call always returns the
+    /// exact serial result.
+    pub fn map_tiles<T, F>(&mut self, f: F) -> Vec<T>
+    where
+        T: Send + 'env,
+        F: Fn(&TileView<'env>) -> T + Send + Sync + 'env,
+    {
         let tiles: Vec<TileView<'env>> = self.layout.tiles().collect();
         self.physical.dispatches += 1;
         self.physical.blocks += tiles.len() as u64;
-        match &self.mode {
-            Mode::Serial => tiles
-                .iter()
-                .map(|tile| task.run(self.points, self.metric, tile))
-                .collect(),
-            Mode::Pooled { job_tx, result_rx } => {
-                let total = tiles.len();
-                let mut slots: Vec<Option<Partial>> = (0..total).map(|_| None).collect();
-                let mut queued = 0usize;
-                for (index, &tile) in tiles.iter().enumerate() {
-                    let job = Job {
-                        task: task.clone_refs(),
-                        tile,
-                        index,
-                    };
-                    if job_tx.send(job).is_err() {
-                        break; // workers gone: the serial sweep below covers it
-                    }
-                    queued += 1;
-                }
-                self.queue_high_water = self.queue_high_water.max(queued as u64);
-                let mut received = 0usize;
-                while received < queued {
-                    match result_rx.recv() {
-                        Ok((index, partial)) => {
-                            if slots[index].replace(partial).is_none() {
-                                received += 1;
-                            }
-                        }
-                        Err(_) => break, // all workers gone mid-dispatch
-                    }
-                }
-                // Graceful degradation: any tile no worker reported (a
-                // hung-up pool) is computed on this thread, so the pass
-                // always completes with the exact serial result.
-                for (slot, tile) in slots.iter_mut().zip(&tiles) {
-                    if slot.is_none() {
-                        *slot = Some(task.run(self.points, self.metric, tile));
-                    }
-                }
-                slots.into_iter().flatten().collect()
+        let Mode::Pooled { job_tx } = &self.mode else {
+            return tiles.iter().map(f).collect();
+        };
+        let f = Arc::new(f);
+        let (result_tx, result_rx) = mpsc::channel();
+        let mut queued = 0u64;
+        for (index, &tile) in tiles.iter().enumerate() {
+            let (f, tx) = (Arc::clone(&f), result_tx.clone());
+            let job: Job<'env> = Box::new(move || {
+                // The receiver outlives every job of this call.
+                let _ = tx.send((index, f(&tile)));
+            });
+            if job_tx.send(job).is_err() {
+                break; // workers gone: the serial sweep below covers it
             }
+            queued += 1;
         }
-    }
-
-    /// The fused locality + `X` pass over the given medoid slots:
-    /// locality sizes and the per-dimension average distances over the
-    /// localities, from one sweep. Physical work only — the round cache
-    /// calls this for the invalidated *subset* of slots: each slot's
-    /// size and `X` row depend only on its own `(mᵢ, δᵢ)` pair and the
-    /// fixed block tiling, so a subset pass is bit-identical to the
-    /// matching slots of a full pass.
-    pub(crate) fn fused_pass(
-        &mut self,
-        medoids: &[usize],
-        deltas: &[f64],
-    ) -> (Vec<usize>, Vec<Vec<f64>>) {
-        let d = self.points.cols();
-        let partials = self.dispatch_physical(Task::Fused {
-            medoids: Arc::new(medoids.to_vec()),
-            deltas: Arc::new(deltas.to_vec()),
-        });
-        let fused = partials
+        self.queue_high_water = self.queue_high_water.max(queued);
+        // Every job owns a sender, so the receiving loop ends once each
+        // job has reported or been dropped unrun.
+        drop(result_tx);
+        let mut slots: Vec<Option<T>> = tiles.iter().map(|_| None).collect();
+        for (index, result) in result_rx {
+            slots[index] = Some(result);
+        }
+        slots
             .into_iter()
-            .map(|p| match p {
-                Partial::Fused(f) => f,
-                _ => unreachable!("fused task returns fused partials"),
-            })
-            .collect();
-        kernel::merge_fused(fused, medoids.len(), d)
-    }
-
-    /// Segmental-distance columns for the given medoid slots: one
-    /// `Vec<f64>` of length `N` per slot, `cols[s][p]` the distance of
-    /// point `p` to `medoids[s]` under `dims[s]`. Physical work only —
-    /// this is the cache's column-recomputation pass; see
-    /// [`crate::kernel::columns_block`] for the bit-identity argument.
-    pub(crate) fn distance_columns(
-        &mut self,
-        medoids: &[usize],
-        dims: &[Vec<usize>],
-    ) -> Vec<Vec<f64>> {
-        if medoids.is_empty() {
-            return Vec::new();
-        }
-        let partials = self.dispatch_physical(Task::Columns {
-            medoids: Arc::new(medoids.to_vec()),
-            dims: Arc::new(dims.to_vec()),
-        });
-        let mut cols: Vec<Vec<f64>> = medoids
-            .iter()
-            .map(|_| Vec::with_capacity(self.points.rows()))
-            .collect();
-        for p in partials {
-            match p {
-                Partial::Columns(c) => {
-                    for (full, mut part) in cols.iter_mut().zip(c) {
-                        full.append(&mut part);
-                    }
-                }
-                _ => unreachable!("columns task returns column partials"),
-            }
-        }
-        cols
+            .zip(&tiles)
+            .map(|(slot, tile)| slot.unwrap_or_else(|| f(tile)))
+            .collect()
     }
 
     /// Cluster-based `X` averages for a fixed assignment (outliers —
-    /// `None` — contribute nothing). Used by the refinement phase.
+    /// `None` — contribute nothing): one [`Pool::map_tiles`] fan-out of
+    /// [`kernel::cluster_x_block_columnar`], merged by
+    /// [`kernel::merge_cluster_x`]. The round cache's `assign_x` and the
+    /// refinement phase both run it.
     pub fn cluster_x(
         &mut self,
         medoids: &[usize],
         assignment: Arc<Vec<Option<usize>>>,
     ) -> Vec<Vec<f64>> {
-        self.note_logical_pass();
-        self.cluster_x_pass(medoids, assignment)
-    }
-
-    /// [`Pool::cluster_x`] booking only physical work: the round
-    /// cache's `assign_x` runs it over the assignment it just built.
-    pub(crate) fn cluster_x_pass(
-        &mut self,
-        medoids: &[usize],
-        assignment: Arc<Vec<Option<usize>>>,
-    ) -> Vec<Vec<f64>> {
-        let k = medoids.len();
-        let d = self.points.cols();
-        let mut counts = vec![0usize; k];
+        let mut counts = vec![0usize; medoids.len()];
         for a in assignment.iter().flatten() {
             counts[*a] += 1;
         }
-        let partials = self.dispatch_physical(Task::ClusterX {
-            medoids: Arc::new(medoids.to_vec()),
-            assignment,
+        let (points, medoids) = (self.points, medoids.to_vec());
+        let parts = self.map_tiles(move |tile| {
+            kernel::cluster_x_block_columnar(tile, points, &medoids, &assignment)
         });
-        let parts = partials
-            .into_iter()
-            .map(|p| match p {
-                Partial::ClusterX(x) => x,
-                _ => unreachable!("cluster_x task returns cluster_x partials"),
-            })
-            .collect();
-        kernel::merge_cluster_x(parts, &counts, d)
+        kernel::merge_cluster_x(parts, &counts, points.cols())
     }
 
     /// EvaluateClusters over the columnar tiles: the objective and the
@@ -481,9 +244,8 @@ impl<'env> Pool<'env> {
     /// [`crate::evaluate::evaluate_clusters`]; see `kernel::evaluate_tiles`
     /// for the argument.
     ///
-    /// Runs on the calling thread and books no pool work: the
-    /// `dispatches`/`blocks` counters embedded in `round` events stay
-    /// what they were.
+    /// Runs on the calling thread and is not a fan-out, so it moves no
+    /// pool counter.
     pub fn evaluate<L: kernel::ClusterLabel>(
         &self,
         labels: &[L],
@@ -494,29 +256,22 @@ impl<'env> Pool<'env> {
     }
 
     /// Refinement assignment: nearest medoid, `None` outside every
-    /// sphere of influence.
+    /// sphere of influence. One [`Pool::map_tiles`] fan-out of
+    /// [`kernel::refine_assign_columnar`].
     pub fn refine_assign(
         &mut self,
         medoids: &[usize],
         dims: &[Vec<usize>],
         spheres: &[f64],
     ) -> Vec<Option<usize>> {
-        let partials = self.dispatch(Task::RefineAssign {
-            medoids: Arc::new(medoids.to_vec()),
-            dims: Arc::new(dims.to_vec()),
-            spheres: Arc::new(spheres.to_vec()),
-        });
-        let mut flat = Vec::with_capacity(self.points.rows());
-        for p in partials {
-            match p {
-                Partial::RefineAssign(mut a) => flat.append(&mut a),
-                _ => unreachable!("refine task returns refine partials"),
-            }
-        }
-        flat
+        let (points, metric) = (self.points, self.metric);
+        let (medoids, dims, spheres) = (medoids.to_vec(), dims.to_vec(), spheres.to_vec());
+        self.map_tiles(move |tile| {
+            kernel::refine_assign_columnar(tile, points, metric, &medoids, &dims, &spheres)
+        })
+        .concat()
     }
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -572,70 +327,25 @@ mod tests {
         }
     }
 
-    /// A subset fused pass (the cache's invalidation recompute) must be
-    /// bit-identical to the matching slots of the full pass, and the
-    /// column pass must reproduce the exact distances the assignment
-    /// kernels compare.
+    /// The one fan-out returns one result per tile, in ascending tile
+    /// order, for any worker count, and counts one physical dispatch of
+    /// every tile per call.
     #[test]
-    fn subset_passes_match_full_pass_slots() {
-        let points = random_points(2600, 6, 17);
-        let medoids = vec![5usize, 700, 1800, 2100];
-        let dims = vec![vec![0, 1], vec![2, 3], vec![4, 5], vec![0, 5]];
+    fn map_tiles_returns_tiles_in_order_and_counts_one_dispatch() {
+        let points = random_points(3500, 3, 9);
         let metric = DistanceKind::Manhattan;
-        let deltas = medoid_deltas(&points, &medoids, metric);
-
-        for threads in [1, 4] {
+        let ranges = kernel::blocks(points.rows());
+        for threads in [1, 2, 3, 8] {
             with_pool(&points, metric, threads, |pool| {
-                let (full_sizes, full_x) = pool.fused_pass(&medoids, &deltas);
-                for subset in [vec![1usize], vec![0, 2], vec![3, 1]] {
-                    let sub_m: Vec<usize> = subset.iter().map(|&i| medoids[i]).collect();
-                    let sub_d: Vec<f64> = subset.iter().map(|&i| deltas[i]).collect();
-                    let (sizes, x) = pool.fused_pass(&sub_m, &sub_d);
-                    for (j, &slot) in subset.iter().enumerate() {
-                        assert_eq!(sizes[j], full_sizes[slot], "threads {threads} slot {slot}");
-                        assert_eq!(x[j], full_x[slot], "threads {threads} slot {slot}");
-                    }
+                for call in 1..=3u64 {
+                    let got = pool.map_tiles(|tile| (tile.lo(), tile.hi()));
+                    assert_eq!(got, ranges, "threads {threads}");
+                    let stats = pool.physical_stats();
+                    assert_eq!(stats.dispatches, call, "threads {threads}");
+                    assert_eq!(stats.blocks, call * ranges.len() as u64);
                 }
-
-                let cols = pool.distance_columns(&medoids, &dims);
-                for (s, (&m, di)) in medoids.iter().zip(&dims).enumerate() {
-                    for (p, &got) in cols[s].iter().enumerate() {
-                        let direct = metric.eval_segmental(points.row(p), points.row(m), di);
-                        assert_eq!(got.to_bits(), direct.to_bits(), "slot {s} row {p}");
-                    }
-                }
-                assert!(pool.distance_columns(&[], &[]).is_empty());
             });
         }
-    }
-
-    /// Logical stats count semantic passes over every block; physical
-    /// stats count what actually ran. A pass served from cache moves
-    /// only the logical needle; a bare subset pass only the physical.
-    #[test]
-    fn logical_and_physical_stats_diverge_on_subset_passes() {
-        let points = random_points(3000, 4, 3);
-        let medoids = vec![1usize, 2000];
-        let metric = DistanceKind::Manhattan;
-        let deltas = medoid_deltas(&points, &medoids, metric);
-        with_pool(&points, metric, 1, |pool| {
-            let nblocks = kernel::blocks(points.rows()).len() as u64;
-            let mut cache = RoundCache::new(medoids.len());
-            cache.fused_round(pool, &medoids, &deltas);
-            assert_eq!(pool.stats(), pool.physical_stats());
-            assert_eq!(pool.stats().dispatches, 1);
-            assert_eq!(pool.stats().blocks, nblocks);
-
-            cache.fused_round(pool, &medoids, &deltas);
-            assert_eq!(pool.stats().dispatches, 2, "a hit is still a logical pass");
-            assert_eq!(pool.stats().blocks, 2 * nblocks);
-            assert_eq!(pool.physical_stats().dispatches, 1, "a hit runs nothing");
-
-            pool.fused_pass(&medoids[..1], &deltas[..1]);
-            assert_eq!(pool.stats().dispatches, 2, "subset pass is not logical");
-            assert_eq!(pool.physical_stats().dispatches, 2);
-            assert_eq!(pool.physical_stats().blocks, 2 * nblocks);
-        });
     }
 
     #[test]

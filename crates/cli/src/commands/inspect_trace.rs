@@ -6,7 +6,7 @@
 
 use crate::args::Args;
 use proclus_obs::json;
-use proclus_obs::{render_manifest, Event, TraceSummary, EVENTS_FILE, MANIFEST_FILE};
+use proclus_obs::{render_env, render_manifest, Event, TraceSummary, EVENTS_FILE, MANIFEST_FILE};
 use std::error::Error;
 use std::io::Write;
 use std::path::PathBuf;
@@ -18,9 +18,10 @@ proclus inspect-trace — summarize a fit trace (run.json + events.jsonl)
                    (required unless --diff is given)
   --events <path>  read this events.jsonl instead of <dir>/events.jsonl
   --diff <A> <B>   compare two runs instead: each a trace directory or
-                   its run.json. Prints calls, total, max and share per
-                   phase and every counter, for A and B with the ratio
-                   B/A; a key missing on one side shows as —
+                   its run.json. Prints both runs' environments (cores,
+                   build profile, commit), then calls, total, max and
+                   share per phase and every counter, for A and B with
+                   the ratio B/A; a key missing on one side shows as —
 ";
 
 /// Flags of this command that take two values.
@@ -48,10 +49,12 @@ fn read_to_string(path: &PathBuf) -> Result<String, Box<dyn Error>> {
 }
 
 /// Derived round-cache effectiveness: hits / (hits + recomputes) per
-/// cache layer, from the `cache.*` manifest counters. `None` when the
-/// trace has no cache counters (not a fit, or a pre-cache trace). The
-/// retired cluster-row layer's counters, which older manifests carry,
-/// are listed raw but not derived.
+/// cache layer, from the `cache.*` manifest counters, then the column
+/// store's full-column hits and evictions. `None` when the trace has no
+/// cache counters (not a fit, or a pre-cache trace); the store's part
+/// is left out for a manifest from before the store. The retired
+/// cluster-row layer's counters, which older manifests carry, are
+/// listed raw but not derived.
 fn cache_summary(manifest: &json::Json) -> Option<String> {
     let counter = |name: &str| {
         manifest
@@ -77,7 +80,18 @@ fn cache_summary(manifest: &json::Json) -> Option<String> {
         "cache.fused_slot_recomputes",
     )?;
     let cols = layer("columns", "cache.column_hits", "cache.column_recomputes")?;
-    Some(format!("round cache: {fused}, {cols}"))
+    let mut line = format!("round cache: {fused}, {cols}");
+    if let Some(full) = layer(
+        "full columns",
+        "cache.full_column_hits",
+        "cache.full_column_recomputes",
+    ) {
+        line.push_str(&format!(", {full}"));
+    }
+    if let Some(evictions) = counter("cache.evictions") {
+        line.push_str(&format!(", {evictions} evictions"));
+    }
+    Some(line)
 }
 
 /// Derived serving health from a `proclus serve` manifest's `serve.*`
@@ -268,6 +282,12 @@ fn run_diff(a: &str, b: &str, out: &mut dyn Write) -> Result<(), Box<dyn Error>>
     let (path_b, b) = read_manifest(b)?;
     writeln!(out, "run diff: A = {}", path_a.display())?;
     writeln!(out, "          B = {}", path_b.display())?;
+    // The environments first, so a diff across hosts or builds reads
+    // as one before any ratio does.
+    for (side, manifest) in [("A", &a), ("B", &b)] {
+        let env = render_env(manifest).unwrap_or_else(|| "not recorded".into());
+        writeln!(out, "env {side}: {env}")?;
+    }
     write!(out, "{}", render_diff(&a, &b))?;
     Ok(())
 }
@@ -370,7 +390,12 @@ mod tests {
         // Cache counters surface both raw and as derived hit rates.
         assert!(text.contains("cache.fused_slot_hits"), "{text}");
         assert!(text.contains("round cache: fused "), "{text}");
+        assert!(text.contains(", full columns "), "{text}");
+        assert!(text.contains(" evictions"), "{text}");
+        assert!(text.contains("cache.peak_resident_bytes"), "{text}");
         assert!(!text.contains("cluster rows"), "{text}");
+        // The manifest names the environment it ran in.
+        assert!(text.contains("env: nproc="), "{text}");
     }
 
     /// A manifest without cache counters (a pre-cache fit) renders
@@ -612,6 +637,57 @@ mod tests {
             }
         }
         assert_eq!(row(&text, "cache.column_hits")[3], "1.00", "{text}");
+    }
+
+    /// `--diff` prints both sides' environments before any table. A
+    /// manifest from before the `env` block still parses, inspects and
+    /// diffs; its side reads `not recorded`, and its cache line leaves
+    /// out the column store it never had.
+    #[test]
+    fn diff_leads_with_both_environments_and_old_manifests_parse() {
+        let (old, new) = (tmp("env-old"), tmp("env-new"));
+        write_manifest(
+            &old,
+            concat!(
+                "{\"schema_version\":1,\"events\":0,\"phases\":{},\"counters\":{",
+                "\"cache.fused_slot_hits\":3,\"cache.fused_slot_recomputes\":1,",
+                "\"cache.column_hits\":2,\"cache.column_recomputes\":2}}"
+            ),
+        );
+        std::fs::write(old.join(EVENTS_FILE), "").unwrap();
+        write_manifest(
+            &new,
+            concat!(
+                "{\"schema_version\":1,",
+                "\"env\":{\"nproc\":8,\"profile\":\"release\",\"rev\":\"abc123\"},",
+                "\"events\":0,\"phases\":{},\"counters\":{\"cache.evictions\":4}}"
+            ),
+        );
+        let text = diff(&old.display().to_string(), &new.display().to_string());
+        let args = Args::parse(toks(&format!("--input {}", old.display())), &[]).unwrap();
+        let mut buf = Vec::new();
+        let inspected = run(&args, &mut buf);
+        std::fs::remove_dir_all(&old).ok();
+        std::fs::remove_dir_all(&new).ok();
+        let text = text.unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines[2], "env A: not recorded", "{text}");
+        assert_eq!(
+            lines[3], "env B: nproc=8 profile=release rev=abc123",
+            "{text}"
+        );
+        assert_eq!(
+            row(&text, "cache.evictions")[1..],
+            ["—", "4", "—"],
+            "{text}"
+        );
+        inspected.unwrap();
+        let inspected = String::from_utf8(buf).unwrap();
+        assert!(!inspected.contains("env:"), "{inspected}");
+        assert!(
+            inspected.contains("round cache: fused 3/4 hits (75.0%), columns 2/4 hits (50.0%)\n"),
+            "{inspected}"
+        );
     }
 
     /// `--diff` needs both runs, and takes no `--input` beside it.

@@ -2,13 +2,15 @@
 //! every hill-climbing round.
 //!
 //! PROCLUS's hill climb replaces only the *bad* medoids between rounds
-//! (Figure 2), so most of a round's per-medoid state is unchanged from
-//! the round before. This module caches that state and recomputes only
-//! what a swap actually touched, **bit-identically** to recomputing
-//! everything (pinned by `tests/determinism.rs` and the whole-fit
-//! digests of `tests/invariants.rs`).
+//! (Figure 2), and it swaps them for other points of the candidate set
+//! `M`, so most of a round's per-medoid state is unchanged from the
+//! round before and the same medoids and `(mᵢ, Dᵢ)` pairs come back
+//! many times within a fit. This module caches that state and
+//! recomputes only what a swap actually touched, **bit-identically** to
+//! recomputing everything (pinned by `tests/determinism.rs` and the
+//! whole-fit digests of `tests/invariants.rs`).
 //!
-//! # What is cached, and its invalidation key
+//! # What is cached, and its key
 //!
 //! * **Fused locality + `X` slots** — for each medoid slot, the
 //!   locality size `|Lᵢ|` and the per-dimension average distances
@@ -20,17 +22,43 @@
 //!   whose nearest-other-medoid distance changed — which is precisely a
 //!   δ bit-change, since `medoid_deltas` is recomputed (cheaply,
 //!   O(k²·d)) every round from the same code path.
-//! * **Distance columns** — for each slot, up to two columns of
-//!   per-point segmental distances keyed by `(mᵢ, Dᵢ)` (two, because a
-//!   round queries each slot under the locality-derived dimensions and
-//!   then the cluster-refined ones). A column is a pure per-point
-//!   function of its key, so value-keying is exact: the global greedy
-//!   dimension allocation may reshuffle another slot's `Dᵢ` after a
-//!   swap, and that slot's column then misses and recomputes.
+//! * **The column store** — one LRU of whole-`N` `f64` columns under
+//!   two value keys, tied to no slot:
+//!   - `Full(m)`: the finalized full-space segmental distances to
+//!     medoid `m`. A fused slot that misses while its medoid's column is
+//!     resident skips the `N·d` distance sweep and runs only the δ
+//!     threshold and the `X` sums over the stored slice, so a δ-only
+//!     change costs exactly that. A miss without it sweeps, and the
+//!     same tile pass hands back the distances to store.
+//!   - `Seg(m, D)`: the segmental distances to `m` over the dimension
+//!     set `D`, which the assignment argmins.
+//!
+//!   A column is a pure per-point function of its key, so value-keying
+//!   is exact: a medoid swapped out and back in, or a slot whose `Dᵢ`
+//!   the global greedy allocation reshuffles and then restores, finds
+//!   its columns again.
 //!
 //! The per-cluster `X` rows the inner refinement consumes are *not*
 //! cached: almost every round moves some point between clusters, so
 //! they are recomputed for all `k` clusters in one pass.
+//!
+//! # Budget and eviction
+//!
+//! Resident column bytes stay at most half the bytes of the points,
+//! `N·d·8 / 2`, with a floor of `2k + 1` columns (a round's two
+//! assignments read `2k`). The rule derives from the data; nothing sets
+//! it. On fit-d100 (3 000 × 100, k = 10, one thread on a 2-vCPU x86-64
+//! host) half the points took the median fit from about 620 to 440 ms
+//! for 0.6 MB more peak RSS (+5%). A whole-dataset budget took it to
+//! about 390 ms, but for +15% peak RSS; a quarter of one to about
+//! 480 ms.
+//!
+//! A store that is full evicts the least recently used column that the
+//! current call has not touched: the columns a call reads or stores are
+//! pinned until it returns. A call pins at most `k` columns, which the
+//! floor always leaves room for, so the budget holds. LRU order depends
+//! only on the sequence of calls, so the evictions — like every other
+//! counter here — do not depend on the thread count.
 //!
 //! # Why determinism survives
 //!
@@ -38,15 +66,17 @@
 //! fixed tiling* as a full pass, restricted to the invalidated slots;
 //! per-slot results are independent in those kernels (see
 //! [`crate::kernel`]), so a cached value and a recomputed one are the
-//! same bits. The assignment is rebuilt from columns by
-//! [`crate::kernel::argmin_columns`], whose loop is literally the
-//! comparison loop of the scalar [`crate::assign::assign_points`].
+//! same bits. A stored `Full` slice is thresholded and summed by the
+//! very loop that thresholds freshly swept distances. The assignment is
+//! rebuilt from columns by [`crate::kernel::argmin_columns`], whose loop
+//! is literally the comparison loop of the scalar
+//! [`crate::assign::assign_points`].
 //! The cache books no semantic passes: [`crate::iterate`] counts those
 //! (`pool_dispatches`/`pool_blocks` in `round` events) from the shape
 //! of each round, so the event stream does not depend on what the
-//! cache held. Its recomputes are [`Pool::map_tiles`] fan-outs, which
-//! the pool counts as physical work; a slot served from cache runs
-//! nothing.
+//! cache held. Its recomputes are [`Pool::map_tiles`] fan-outs, one per
+//! recompute, which the pool counts as physical work; a call served
+//! from cache runs nothing.
 //!
 //! Cache effectiveness is observable through the `cache.*` manifest
 //! counters and the per-round `cache.medoids_recomputed` gauge — both
@@ -54,6 +84,8 @@
 
 use crate::kernel;
 use crate::pool::Pool;
+use proclus_math::Matrix;
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Monotone cache-effectiveness counters, exported to the run manifest
@@ -64,10 +96,18 @@ pub struct CacheStats {
     pub fused_slot_hits: u64,
     /// Fused locality/`X` slots recomputed after invalidation.
     pub fused_slot_recomputes: u64,
-    /// Distance columns served from cache.
+    /// Fused recomputes that read their medoid's stored `Full` column.
+    pub full_column_hits: u64,
+    /// Fused recomputes that swept (and stored) the `Full` column.
+    pub full_column_recomputes: u64,
+    /// Assignment columns served from the store.
     pub column_hits: u64,
-    /// Distance columns recomputed after invalidation.
+    /// Assignment columns recomputed.
     pub column_recomputes: u64,
+    /// Columns evicted to keep the store within its budget.
+    pub evictions: u64,
+    /// Most column bytes resident at once.
+    pub peak_resident_bytes: u64,
 }
 
 /// One cached fused slot: the locality size `|Lᵢ|` and `X` row of a
@@ -79,34 +119,130 @@ struct FusedSlot {
     x: Vec<f64>,
 }
 
-/// One cached distance column for a `(mᵢ, Dᵢ)` pair.
-struct ColumnEntry {
-    medoid: usize,
-    dims: Vec<usize>,
-    col: Vec<f64>,
+/// The value key of a stored column.
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+enum ColumnKey {
+    /// Full-space segmental distances to medoid `m`.
+    Full(usize),
+    /// Segmental distances to medoid `m` over the dimensions `D`.
+    Seg(usize, Vec<usize>),
 }
 
-/// Columns kept per slot: the two dimension sets a round queries
-/// (locality-derived, then cluster-refined).
-const COLUMNS_PER_SLOT: usize = 2;
+/// A stored column and the clock value of its last use. The values sit
+/// behind an `Arc` so a fan-out's tiles can read them on the workers.
+struct Column {
+    values: Arc<Vec<f64>>,
+    last_use: u64,
+}
+
+/// Bytes of a column of `n` distances.
+fn column_bytes(n: usize) -> usize {
+    n * std::mem::size_of::<f64>()
+}
+
+/// The store's byte budget for `k` slots over `points`: half the bytes
+/// of the points, and never fewer than `2k + 1` columns.
+fn column_budget(points: &Matrix, k: usize) -> usize {
+    let column = column_bytes(points.rows());
+    (column * points.cols() / 2).max((2 * k + 1) * column)
+}
+
+/// One LRU of whole-`N` columns under value keys.
+#[derive(Default)]
+struct ColumnStore {
+    columns: HashMap<ColumnKey, Column>,
+    /// Advances on every use, so `last_use` values are unique and the
+    /// LRU order is total.
+    clock: u64,
+    /// `clock` when the current call began: a column used since then is
+    /// pinned.
+    call_start: u64,
+    resident_bytes: usize,
+}
+
+impl ColumnStore {
+    /// Start a call: the columns it uses from here on are pinned.
+    fn begin_call(&mut self) {
+        self.call_start = self.clock;
+    }
+
+    /// The column under `key`, marked used.
+    fn get(&mut self, key: &ColumnKey) -> Option<Arc<Vec<f64>>> {
+        let column = self.columns.get_mut(key)?;
+        column.last_use = self.clock;
+        self.clock += 1;
+        Some(Arc::clone(&column.values))
+    }
+
+    /// Store `values` under `key`, first evicting the least recently
+    /// used unpinned columns until it fits in `budget` bytes (or only
+    /// pinned ones are left).
+    fn insert(
+        &mut self,
+        key: ColumnKey,
+        values: Vec<f64>,
+        budget: usize,
+        stats: &mut CacheStats,
+    ) -> Arc<Vec<f64>> {
+        let bytes = column_bytes(values.len());
+        while self.resident_bytes + bytes > budget {
+            // `last_use` values are unique, so the map's iteration order
+            // never decides the victim.
+            let lru = self
+                .columns
+                .iter()
+                .filter(|(_, c)| c.last_use < self.call_start)
+                .min_by_key(|(_, c)| c.last_use)
+                .map(|(key, _)| key.clone());
+            let Some(column) = lru.and_then(|key| self.columns.remove(&key)) else {
+                break;
+            };
+            self.resident_bytes -= column_bytes(column.values.len());
+            stats.evictions += 1;
+        }
+        let values = Arc::new(values);
+        let column = Column {
+            values: Arc::clone(&values),
+            last_use: self.clock,
+        };
+        self.clock += 1;
+        self.resident_bytes += bytes;
+        // A medoid repeated within one call stores its key twice.
+        if let Some(old) = self.columns.insert(key, column) {
+            self.resident_bytes -= column_bytes(old.values.len());
+        }
+        stats.peak_resident_bytes = stats.peak_resident_bytes.max(self.resident_bytes as u64);
+        values
+    }
+}
+
+/// Column `c` of every tile's pieces, concatenated in tile order into
+/// one whole-`N` column.
+fn gather(tiles: &[Vec<Vec<f64>>], c: usize, n: usize) -> Vec<f64> {
+    let mut column = Vec::with_capacity(n);
+    for pieces in tiles {
+        column.extend_from_slice(&pieces[c]);
+    }
+    column
+}
 
 /// Per-fit incremental state for the hill-climbing rounds. Create one
 /// per fit (it spans restarts — the value keys make stale state
 /// harmless) and route every round's heavy pass through it.
 pub struct RoundCache {
     fused: Vec<Option<FusedSlot>>,
-    columns: Vec<Vec<ColumnEntry>>,
+    store: ColumnStore,
     stats: CacheStats,
     round_recomputed: u64,
 }
 
 impl RoundCache {
-    /// An empty cache for fits with `k` medoid slots (the tables grow
-    /// if a call brings more).
+    /// An empty cache for fits with `k` medoid slots (the slot table
+    /// grows if a call brings more).
     pub fn new(k: usize) -> Self {
         RoundCache {
             fused: (0..k).map(|_| None).collect(),
-            columns: (0..k).map(|_| Vec::new()).collect(),
+            store: ColumnStore::default(),
             stats: CacheStats::default(),
             round_recomputed: 0,
         }
@@ -151,24 +287,7 @@ impl RoundCache {
         self.stats.fused_slot_recomputes += missing.len() as u64;
         self.round_recomputed += missing.len() as u64;
         if !missing.is_empty() {
-            // Each slot's size and `X` row depend only on its own
-            // `(mᵢ, δᵢ)` and the fixed tiling, so a pass over the missing
-            // slots alone is bit-identical to those slots of a full pass.
-            let (points, metric) = (pool.points(), pool.metric());
-            let sub_m: Vec<usize> = missing.iter().map(|&i| medoids[i]).collect();
-            let sub_d: Vec<f64> = missing.iter().map(|&i| deltas[i]).collect();
-            let partials = pool.map_tiles(move |tile| {
-                kernel::fused_block_columnar(tile, points, metric, &sub_m, &sub_d)
-            });
-            let (sizes, x) = kernel::merge_fused(partials, missing.len(), points.cols());
-            for ((&slot, size), xi) in missing.iter().zip(sizes).zip(x) {
-                self.fused[slot] = Some(FusedSlot {
-                    medoid: medoids[slot],
-                    delta_bits: deltas[slot].to_bits(),
-                    size,
-                    x: xi,
-                });
-            }
+            self.recompute_fused(pool, medoids, deltas, &missing);
         }
         self.fused
             .iter()
@@ -176,6 +295,60 @@ impl RoundCache {
             .flatten()
             .map(|s| (s.size, s.x.clone()))
             .unzip()
+    }
+
+    /// Recompute the `missing` fused slots in one tile pass. Each slot's
+    /// size and `X` row depend only on its own `(mᵢ, δᵢ)` and the fixed
+    /// tiling, so a pass over the missing slots alone is bit-identical
+    /// to those slots of a full pass. Slots whose medoid has a stored
+    /// `Full` column read it; the rest sweep, and their distances are
+    /// stored.
+    fn recompute_fused(
+        &mut self,
+        pool: &mut Pool<'_>,
+        medoids: &[usize],
+        deltas: &[f64],
+        missing: &[usize],
+    ) {
+        let (points, metric) = (pool.points(), pool.metric());
+        let budget = column_budget(points, self.fused.len());
+        self.store.begin_call();
+        let sub_m: Vec<usize> = missing.iter().map(|&i| medoids[i]).collect();
+        let sub_d: Vec<f64> = missing.iter().map(|&i| deltas[i]).collect();
+        let stored: Vec<Option<Arc<Vec<f64>>>> = sub_m
+            .iter()
+            .map(|&m| self.store.get(&ColumnKey::Full(m)))
+            .collect();
+        let swept: Vec<usize> = sub_m
+            .iter()
+            .zip(&stored)
+            .filter(|(_, s)| s.is_none())
+            .map(|(&m, _)| m)
+            .collect();
+        self.stats.full_column_hits += (sub_m.len() - swept.len()) as u64;
+        self.stats.full_column_recomputes += swept.len() as u64;
+        let parts = pool.map_tiles(move |tile| {
+            let slices: Vec<Option<&[f64]>> = stored
+                .iter()
+                .map(|s| s.as_deref().map(|c| &c[tile.lo()..tile.hi()]))
+                .collect();
+            kernel::fused_block_columnar(tile, points, metric, &sub_m, &sub_d, &slices)
+        });
+        let (partials, pieces): (Vec<_>, Vec<_>) = parts.into_iter().unzip();
+        let (sizes, x) = kernel::merge_fused(partials, missing.len(), points.cols());
+        for ((&slot, size), xi) in missing.iter().zip(sizes).zip(x) {
+            self.fused[slot] = Some(FusedSlot {
+                medoid: medoids[slot],
+                delta_bits: deltas[slot].to_bits(),
+                size,
+                x: xi,
+            });
+        }
+        for (c, m) in swept.into_iter().enumerate() {
+            let column = gather(&pieces, c, points.rows());
+            self.store
+                .insert(ColumnKey::Full(m), column, budget, &mut self.stats);
+        }
     }
 
     /// Assignment fused with the per-cluster `X` averages (the inner
@@ -196,76 +369,52 @@ impl RoundCache {
         (flat, x)
     }
 
-    /// Plain assignment pass via cached distance columns, bit-identical
-    /// to [`crate::assign::assign_points`]: a column per slot for
-    /// `(medoids[i], dims[i])`, misses recomputed in one subset pass,
-    /// then every point goes to its argmin slot.
+    /// Plain assignment pass via stored `Seg` columns, bit-identical to
+    /// [`crate::assign::assign_points`]: the column of
+    /// `(medoids[i], dims[i])` per slot, misses recomputed in one subset
+    /// pass, then every point goes to its argmin slot.
     pub fn assign(
         &mut self,
         pool: &mut Pool<'_>,
         medoids: &[usize],
         dims: &[Vec<usize>],
     ) -> Vec<usize> {
-        let k = medoids.len();
-        self.grow_to(k);
-        // `at[i]` indexes slot `i`'s column for `(medoids[i], dims[i])`:
-        // found now for a hit, set below when a miss pushes it.
-        let mut at = vec![0usize; k];
-        let mut missing = Vec::new();
-        for (i, slot_at) in at.iter_mut().enumerate() {
-            match self.columns[i]
-                .iter()
-                .position(|e| e.medoid == medoids[i] && e.dims == dims[i])
-            {
-                Some(e) => *slot_at = e,
-                None => missing.push(i),
-            }
-        }
-        self.stats.column_hits += (k - missing.len()) as u64;
-        self.stats.column_recomputes += missing.len() as u64;
+        self.grow_to(medoids.len());
         let (points, metric) = (pool.points(), pool.metric());
         let n = points.rows();
-        let mut fresh: Vec<Vec<f64>> = missing.iter().map(|_| Vec::with_capacity(n)).collect();
+        let budget = column_budget(points, self.fused.len());
+        self.store.begin_call();
+        let keys: Vec<ColumnKey> = medoids
+            .iter()
+            .zip(dims)
+            .map(|(&m, di)| ColumnKey::Seg(m, di.clone()))
+            .collect();
+        let mut columns: Vec<Option<Arc<Vec<f64>>>> =
+            keys.iter().map(|key| self.store.get(key)).collect();
+        let missing: Vec<usize> = (0..keys.len()).filter(|&i| columns[i].is_none()).collect();
+        self.stats.column_hits += (keys.len() - missing.len()) as u64;
+        self.stats.column_recomputes += missing.len() as u64;
         if !missing.is_empty() {
             let sub_m: Vec<usize> = missing.iter().map(|&i| medoids[i]).collect();
             let sub_d: Vec<Vec<usize>> = missing.iter().map(|&i| dims[i].clone()).collect();
             let parts = pool.map_tiles(move |tile| {
                 kernel::columns_block_columnar(tile, points, metric, &sub_m, &sub_d)
             });
-            for part in parts {
-                for (col, mut piece) in fresh.iter_mut().zip(part) {
-                    col.append(&mut piece);
-                }
+            for (c, &slot) in missing.iter().enumerate() {
+                let column = gather(&parts, c, n);
+                let key = keys[slot].clone();
+                columns[slot] = Some(self.store.insert(key, column, budget, &mut self.stats));
             }
         }
-        for (&slot, col) in missing.iter().zip(fresh) {
-            let entries = &mut self.columns[slot];
-            if entries.len() >= COLUMNS_PER_SLOT {
-                entries.remove(0);
-            }
-            entries.push(ColumnEntry {
-                medoid: medoids[slot],
-                dims: dims[slot].clone(),
-                col,
-            });
-            at[slot] = entries.len() - 1;
-        }
-        let refs: Vec<&[f64]> = at
-            .iter()
-            .zip(&self.columns)
-            .map(|(&e, entries)| entries[e].col.as_slice())
-            .collect();
+        let refs: Vec<&[f64]> = columns.iter().flatten().map(|c| c.as_slice()).collect();
         kernel::argmin_columns(&refs, n)
     }
 
-    /// Grow the per-slot tables to at least `k` slots (`run_once` is
-    /// called with a fixed `k`, but the cache does not assume it).
+    /// Grow the slot table to at least `k` slots (`run_once` is called
+    /// with a fixed `k`, but the cache does not assume it).
     fn grow_to(&mut self, k: usize) {
         while self.fused.len() < k {
             self.fused.push(None);
-        }
-        while self.columns.len() < k {
-            self.columns.push(Vec::new());
         }
     }
 }
@@ -372,46 +521,81 @@ mod tests {
         }
     }
 
-    /// A swap-style workload: cached rounds must be bit-identical to
-    /// the reference kernels while actually hitting the cache.
-    #[test]
-    fn cached_rounds_match_row_major_rounds_bit_for_bit() {
-        let points = random_points(4000, 8, 11);
+    /// Run `vertices` through one cache as hill-climb rounds — the
+    /// fused pass, an assignment with cluster `X`, and a refined
+    /// assignment — and assert every round equals the reference kernels
+    /// bit for bit. Returns the cache's counters.
+    fn check_cached_rounds(
+        points: &Matrix,
+        threads: usize,
+        total_dims: usize,
+        vertices: &[Vec<usize>],
+    ) -> CacheStats {
         let metric = DistanceKind::Manhattan;
-        let mut medoids = vec![10usize, 900, 2100, 3300];
-        let total_dims = 12;
-
-        let stats = with_pool(&points, metric, 1, |pool| {
-            let mut cache = RoundCache::new(medoids.len());
-            for round in 0..6 {
-                // Swap one slot every other round, like the bad-medoid
-                // step; the rounds between re-evaluate an unchanged vertex.
-                if round % 2 == 1 {
-                    let slot = round % medoids.len();
-                    medoids[slot] = 123 * round + 17;
-                }
-                let deltas = medoid_deltas(&points, &medoids, metric);
-                let (sizes, x) = cache.fused_round(pool, &medoids, &deltas);
+        with_pool(points, metric, threads, |pool| {
+            let mut cache = RoundCache::new(vertices[0].len());
+            for (round, medoids) in vertices.iter().enumerate() {
+                let deltas = medoid_deltas(points, medoids, metric);
+                let (sizes, x) = cache.fused_round(pool, medoids, &deltas);
                 let dims = crate::dims::find_dimensions_from_averages(&x, total_dims, true);
-                let (flat, cx) = cache.assign_x(pool, &medoids, &dims);
+                let (flat, cx) = cache.assign_x(pool, medoids, &dims);
                 let dims2 = crate::dims::find_dimensions_from_averages(&cx, total_dims, true);
-                let flat2 = cache.assign(pool, &medoids, &dims2);
+                let flat2 = cache.assign(pool, medoids, &dims2);
 
                 let (want_fused, want_flat, want_cx) =
-                    reference_round(&points, metric, &medoids, &deltas, &dims);
-                assert_eq!((sizes, x), want_fused, "round {round}: fused pass");
-                assert_eq!(flat, want_flat, "round {round}: assignment");
-                assert_eq!(cx, want_cx, "round {round}: cluster X");
-                let (_, want_flat2, _) =
-                    reference_round(&points, metric, &medoids, &deltas, &dims2);
-                assert_eq!(flat2, want_flat2, "round {round}: refined assignment");
+                    reference_round(points, metric, medoids, &deltas, &dims);
+                let ctx = format!("threads {threads} round {round}");
+                assert_eq!((sizes, x), want_fused, "{ctx}: fused pass");
+                assert_eq!(flat, want_flat, "{ctx}: assignment");
+                assert_eq!(cx, want_cx, "{ctx}: cluster X");
+                let (_, want_flat2, _) = reference_round(points, metric, medoids, &deltas, &dims2);
+                assert_eq!(flat2, want_flat2, "{ctx}: refined assignment");
             }
             cache.stats()
-        });
+        })
+    }
+
+    /// Swap-style workloads: cached rounds must be bit-identical to the
+    /// reference kernels while actually hitting the cache. At `d = 3`
+    /// the `2k + 1` floor is the store's budget, medoids leave and come
+    /// back, and the store must evict.
+    #[test]
+    fn cached_rounds_match_row_major_rounds_bit_for_bit() {
+        // One slot swapped every other round; the rounds between
+        // re-evaluate an unchanged vertex.
+        let mut medoids = vec![10usize, 900, 2100, 3300];
+        let vertices: Vec<Vec<usize>> = (0..6)
+            .map(|round| {
+                if round % 2 == 1 {
+                    medoids[round % 4] = 123 * round + 17;
+                }
+                medoids.clone()
+            })
+            .collect();
+        let stats = check_cached_rounds(&random_points(4000, 8, 11), 1, 12, &vertices);
         assert!(
             stats.fused_slot_hits > 0 && stats.column_hits > 0,
             "workload must exercise the cache: {stats:?}"
         );
+
+        // Slot `round % 4` takes one of four candidates in turn.
+        let candidates = [10usize, 900, 2100, 2900, 450, 1500, 2500, 60];
+        let vertices: Vec<Vec<usize>> = (0..16)
+            .map(|round| {
+                let mut medoids = candidates[..4].to_vec();
+                medoids[round % 4] = candidates[4 + round % 4];
+                medoids
+            })
+            .collect();
+        let points = random_points(3000, 3, 5);
+        for threads in [1, 4] {
+            let stats = check_cached_rounds(&points, threads, 8, &vertices);
+            assert!(stats.evictions > 0, "threads {threads}: {stats:?}");
+            assert!(
+                stats.full_column_hits > 0 && stats.column_hits > 0,
+                "threads {threads}: {stats:?}"
+            );
+        }
     }
 
     /// The pool counts only fan-outs that ran: a pass served from cache
@@ -465,6 +649,71 @@ mod tests {
                     "an unchanged vertex runs only the cluster-X pass"
                 );
             });
+        }
+    }
+
+    /// A δ-only change with the medoid's `Full` column resident runs one
+    /// fan-out, counts a full-column hit and sweeps no distances, and
+    /// gives the bits of a cold recompute.
+    #[test]
+    fn delta_only_recompute_reads_the_stored_full_column() {
+        let points = random_points(3000, 6, 8);
+        let metric = DistanceKind::Euclidean;
+        let nblocks = crate::kernel::blocks(points.rows()).len() as u64;
+        for threads in [1, 4] {
+            with_pool(&points, metric, threads, |pool| {
+                let medoids = vec![7usize, 1300, 2600];
+                let mut cache = RoundCache::new(medoids.len());
+                let deltas = medoid_deltas(&points, &medoids, metric);
+                cache.fused_round(pool, &medoids, &deltas);
+                assert_eq!(cache.stats().full_column_recomputes, 3);
+                let before = pool.physical_stats();
+
+                let mut shrunk = deltas.clone();
+                shrunk[1] *= 0.75;
+                let got = cache.fused_round(pool, &medoids, &shrunk);
+                let stats = cache.stats();
+                assert_eq!(stats.fused_slot_recomputes, 4);
+                assert_eq!(stats.full_column_hits, 1);
+                assert_eq!(stats.full_column_recomputes, 3);
+                let after = pool.physical_stats();
+                assert_eq!(after.dispatches - before.dispatches, 1);
+                assert_eq!(after.blocks - before.blocks, nblocks);
+                let want = RoundCache::new(medoids.len()).fused_round(pool, &medoids, &shrunk);
+                assert_eq!(got, want, "threads {threads}");
+            });
+        }
+    }
+
+    /// Resident column bytes never pass the budget: the floor leaves
+    /// room for every column one call pins. Both rules bind somewhere:
+    /// the `2k + 1` floor at `d = 4`, half the points at `d = 40`.
+    #[test]
+    fn resident_bytes_stay_within_the_budget() {
+        for (d, k, floor_binds) in [(4usize, 3usize, true), (40, 2, false)] {
+            let points = random_points(2500, d, 21);
+            let metric = DistanceKind::Manhattan;
+            let budget = column_budget(&points, k) as u64;
+            let column = column_bytes(points.rows()) as u64;
+            assert_eq!(budget == (2 * k as u64 + 1) * column, floor_binds, "d {d}");
+            let stats = with_pool(&points, metric, 1, |pool| {
+                let mut cache = RoundCache::new(k);
+                for round in 0..40usize {
+                    let medoids: Vec<usize> =
+                        (0..k).map(|s| (round * 37 + s * 811) % 2500).collect();
+                    let deltas = medoid_deltas(&points, &medoids, metric);
+                    let (_, x) = cache.fused_round(pool, &medoids, &deltas);
+                    let dims = crate::dims::find_dimensions_from_averages(&x, 2 * k, true);
+                    cache.assign_x(pool, &medoids, &dims);
+                    assert!(
+                        cache.stats().peak_resident_bytes <= budget,
+                        "d {d} round {round}"
+                    );
+                }
+                cache.stats()
+            });
+            assert!(stats.evictions > 0, "d {d}: {stats:?}");
+            assert_eq!(stats.peak_resident_bytes, budget, "d {d}");
         }
     }
 }

@@ -118,13 +118,21 @@ pub fn allocate_dimensions(z: &[Vec<f64>], total: usize, min_per_row: usize) -> 
     let mut chosen: Vec<Vec<usize>> = vec![Vec::new(); k];
     let mut taken = vec![vec![false; d]; k];
 
+    // Both steps take the smallest cells under a strict total order
+    // (value, then row, then column), so selecting them picks the same
+    // set a full sort would; the rows are sorted at the end anyway.
+
     // Preallocate the min_per_row smallest values of every row.
-    for (i, row) in z.iter().enumerate() {
-        let mut order: Vec<usize> = (0..d).collect();
-        order.sort_by(|&a, &b| total_cmp_nan_last(row[a], row[b]).then(a.cmp(&b)));
-        for &j in order.iter().take(min_per_row) {
-            chosen[i].push(j);
-            taken[i][j] = true;
+    if min_per_row > 0 {
+        for (i, row) in z.iter().enumerate() {
+            let mut order: Vec<usize> = (0..d).collect();
+            order.select_nth_unstable_by(min_per_row - 1, |&a, &b| {
+                total_cmp_nan_last(row[a], row[b]).then(a.cmp(&b))
+            });
+            for &j in &order[..min_per_row] {
+                chosen[i].push(j);
+                taken[i][j] = true;
+            }
         }
     }
 
@@ -138,12 +146,12 @@ pub fn allocate_dimensions(z: &[Vec<f64>], total: usize, min_per_row: usize) -> 
             .flat_map(|i| (0..d).map(move |j| (i, j)))
             .filter(|&(i, j)| !taken[i][j])
             .collect();
-        rest.sort_by(|&(ia, ja), &(ib, jb)| {
+        rest.select_nth_unstable_by(remaining - 1, |&(ia, ja), &(ib, jb)| {
             total_cmp_nan_last(z[ia][ja], z[ib][jb])
                 .then(ia.cmp(&ib))
                 .then(ja.cmp(&jb))
         });
-        for &(i, j) in rest.iter().take(remaining) {
+        for &(i, j) in &rest[..remaining] {
             chosen[i].push(j);
         }
     }

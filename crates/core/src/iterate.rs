@@ -190,6 +190,10 @@ fn record_cache_measurements(rec: &dyn Recorder, cache: &RoundCache) {
     rec.counter("cache.fused_slot_recomputes", stats.fused_slot_recomputes);
     rec.counter("cache.column_hits", stats.column_hits);
     rec.counter("cache.column_recomputes", stats.column_recomputes);
+    rec.counter("cache.full_column_hits", stats.full_column_hits);
+    rec.counter("cache.full_column_recomputes", stats.full_column_recomputes);
+    rec.counter("cache.evictions", stats.evictions);
+    rec.counter("cache.peak_resident_bytes", stats.peak_resident_bytes);
 }
 
 /// Emit `fit_end` for a successful fit.

@@ -511,27 +511,43 @@ fn sweep_members<'t>(
 /// member cursor, which advances only for a member (a NaN distance
 /// never passes `<=`, so it never joins). The member list then feeds
 /// the slot's `X` sums through `sweep_members`.
+///
+/// `stored[s]`, when present, holds slot `s`'s finalized full-space
+/// distances over the tile's rows, and the distance sweep is skipped
+/// for it. Every other slot runs the sweep, and the distances it
+/// finalized come back beside the partial, one tile piece per such slot
+/// in slot order. Both routes threshold the same bits, so a stored
+/// slot's counts and sums equal a swept slot's.
 pub fn fused_block_columnar(
     tile: &TileView<'_>,
     points: &Matrix,
     metric: DistanceKind,
     medoids: &[usize],
     deltas: &[f64],
-) -> FusedPartial {
+    stored: &[Option<&[f64]>],
+) -> (FusedPartial, Vec<Vec<f64>>) {
     let d = points.cols();
     let k = medoids.len();
     let mut counts = vec![0usize; k];
     let mut xsums = vec![vec![0.0; d]; k];
-    let mut dist = Vec::new();
+    let mut swept = Vec::new();
     let mut members = vec![0u32; tile.width()];
-    for ((&m, &delta), (count, xi)) in medoids
+    for (((&m, &delta), &stored), (count, xi)) in medoids
         .iter()
         .zip(deltas)
+        .zip(stored)
         .zip(counts.iter_mut().zip(xsums.iter_mut()))
     {
         let mrow = points.row(m);
-        raw_full_distances_columnar(tile, metric, mrow, &mut dist);
-        finalize_segmental(metric, &mut dist, d);
+        let mut fresh = Vec::new();
+        let dist = match stored {
+            Some(dist) => dist,
+            None => {
+                raw_full_distances_columnar(tile, metric, mrow, &mut fresh);
+                finalize_segmental(metric, &mut fresh, d);
+                &fresh
+            }
+        };
         let mut n = 0usize;
         for (o, &dv) in dist.iter().enumerate() {
             // Tile-local offsets are < BLOCK, so they fit in u32; the
@@ -541,8 +557,11 @@ pub fn fused_block_columnar(
         }
         *count = n;
         sweep_members(|j| tile.col(j), mrow, &members[..n], xi, abs_diff);
+        if stored.is_none() {
+            swept.push(fresh);
+        }
     }
-    FusedPartial { counts, xsums }
+    (FusedPartial { counts, xsums }, swept)
 }
 
 /// Columnar twin of [`columns_block`].
@@ -1182,9 +1201,19 @@ mod tests {
                     let ctx = format!("{name}/{metric:?}/[{lo},{hi})");
                     let t = cb.tile(lo, hi).unwrap();
                     let fa = fused_block(&points, metric, &medoids, &deltas, lo, hi);
-                    let fb = fused_block_columnar(&t, &points, metric, &medoids, &deltas);
+                    let (fb, swept) =
+                        fused_block_columnar(&t, &points, metric, &medoids, &deltas, &[None; 3]);
                     assert_eq!(fa.counts, fb.counts, "{ctx}: fused counts");
                     assert_bits(&fa.xsums, &fb.xsums, &format!("{ctx}: fused X"));
+                    // The distances a sweep returns, fed back as stored
+                    // ones, give the same partial and sweep nothing.
+                    let stored: Vec<Option<&[f64]>> =
+                        swept.iter().map(|c| Some(c.as_slice())).collect();
+                    let (fc, none) =
+                        fused_block_columnar(&t, &points, metric, &medoids, &deltas, &stored);
+                    assert!(none.is_empty(), "{ctx}: stored slots swept");
+                    assert_eq!(fa.counts, fc.counts, "{ctx}: stored counts");
+                    assert_bits(&fa.xsums, &fc.xsums, &format!("{ctx}: stored X"));
                     let cols = columns_block_columnar(&t, &points, metric, &medoids, &dims);
                     assert_bits(
                         &columns_block(&points, metric, &medoids, &dims, lo, hi),

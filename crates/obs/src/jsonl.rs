@@ -135,6 +135,8 @@ impl JsonlRecorder {
 
         let mut manifest = String::with_capacity(512);
         manifest.push_str(&format!("{{\"schema_version\":{SCHEMA_VERSION}"));
+        manifest.push_str(",\"env\":");
+        json::write_json(&mut manifest, &env());
         manifest.push_str(",\"params\":");
         json::write_json(&mut manifest, &params);
         manifest.push_str(&format!(",\"events\":{}", state.events_written));
@@ -193,6 +195,47 @@ impl JsonlRecorder {
             .map_err(|e| io::Error::new(e.kind(), format!("{}: {e}", path.display())))?;
         Ok(path)
     }
+}
+
+/// The `env` object of the manifest: where the run happened, so two
+/// manifests from different hosts or builds read as such. `nproc` is
+/// the cores available to the process, `profile` the build profile and
+/// `rev` the commit checked out in the working directory.
+fn env() -> Json {
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let profile = if cfg!(debug_assertions) {
+        "debug"
+    } else {
+        "release"
+    };
+    Json::Obj(vec![
+        ("nproc".into(), Json::Num(nproc as f64)),
+        ("profile".into(), Json::Str(profile.into())),
+        ("rev".into(), Json::Str(git_rev())),
+    ])
+}
+
+/// The commit checked out in the working directory, read from `.git`
+/// without running git; `"unknown"` outside a repository.
+fn git_rev() -> String {
+    let head = match fs::read_to_string(".git/HEAD") {
+        Ok(h) => h.trim().to_string(),
+        Err(_) => return "unknown".into(),
+    };
+    let Some(reference) = head.strip_prefix("ref: ") else {
+        return head;
+    };
+    if let Ok(rev) = fs::read_to_string(format!(".git/{reference}")) {
+        return rev.trim().to_string();
+    }
+    fs::read_to_string(".git/packed-refs")
+        .ok()
+        .and_then(|packed| {
+            packed
+                .lines()
+                .find_map(|l| l.strip_suffix(reference).map(|rev| rev.trim().to_string()))
+        })
+        .unwrap_or_else(|| reference.to_string())
 }
 
 impl Recorder for JsonlRecorder {
@@ -318,6 +361,11 @@ mod tests {
             Some(SCHEMA_VERSION as usize)
         );
         assert_eq!(manifest.get("events").and_then(Json::as_usize), Some(2));
+        let env = manifest.get("env").unwrap();
+        assert!(env.get("nproc").and_then(Json::as_usize).unwrap() >= 1);
+        let profile = env.get("profile").and_then(Json::as_str).unwrap();
+        assert!(["debug", "release"].contains(&profile), "{profile}");
+        assert!(!env.get("rev").and_then(Json::as_str).unwrap().is_empty());
         let assign = manifest
             .get("phases")
             .and_then(|p| p.get("assign"))

@@ -50,4 +50,4 @@ pub use event::{
 pub use jsonl::{JsonlRecorder, EVENTS_FILE, MANIFEST_FILE};
 pub use recorder::{timed, Fanout, NoopRecorder, Phase, Recorder};
 pub use ring::{GaugeStats, RingRecorder, SpanStats};
-pub use summary::{render_manifest, RoundPoint, SwapPoint, TraceSummary};
+pub use summary::{render_env, render_manifest, RoundPoint, SwapPoint, TraceSummary};

@@ -335,8 +335,25 @@ impl TraceSummary {
     }
 }
 
+/// The manifest's `env` object as one line of `key=value` pairs, in
+/// file order (`nproc=2 profile=release rev=…`); `None` for a manifest
+/// written before the block existed.
+pub fn render_env(manifest: &Json) -> Option<String> {
+    let Some(Json::Obj(members)) = manifest.get("env") else {
+        return None;
+    };
+    let pairs: Vec<String> = members
+        .iter()
+        .map(|(key, value)| match value {
+            Json::Str(s) => format!("{key}={s}"),
+            other => format!("{key}={other}"),
+        })
+        .collect();
+    Some(pairs.join(" "))
+}
+
 /// Render the measurement side of a parsed `run.json`: schema header,
-/// per-phase time breakdown, counters, gauges.
+/// environment, per-phase time breakdown, counters, gauges.
 pub fn render_manifest(manifest: &Json) -> Result<String, String> {
     let version = manifest
         .get("schema_version")
@@ -347,6 +364,9 @@ pub fn render_manifest(manifest: &Json) -> Result<String, String> {
         .and_then(Json::as_usize)
         .ok_or("manifest missing \"events\"")?;
     let mut out = format!("manifest: schema_version={version} events={events}\n");
+    if let Some(env) = render_env(manifest) {
+        out.push_str(&format!("env: {env}\n"));
+    }
 
     if let Some(Json::Obj(phases)) = manifest.get("phases") {
         if !phases.is_empty() {

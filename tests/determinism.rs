@@ -162,6 +162,55 @@ fn golden_event_stream_is_byte_identical_across_threads() {
     assert!(kinds.contains(&"refine"));
 }
 
+/// One traced fit at `threads`: its event stream and its `cache.*`
+/// counters.
+fn traced_fit(data: &GeneratedDataset, threads: usize) -> (Vec<u8>, Vec<(String, f64)>) {
+    let dir = std::env::temp_dir().join(format!(
+        "proclus-store-trace-t{threads}-{}",
+        std::process::id()
+    ));
+    let rec = JsonlRecorder::create(&dir).unwrap();
+    Proclus::new(3, 2.0)
+        .seed(5)
+        .restarts(3)
+        .threads(threads)
+        .fit_traced(&data.points, &rec)
+        .unwrap();
+    let empty = || proclus::obs::json::Json::Obj(Vec::new());
+    let manifest = rec.finish(empty(), empty()).unwrap();
+    let events = std::fs::read(dir.join(proclus::obs::EVENTS_FILE)).unwrap();
+    let manifest = proclus::obs::json::parse(&std::fs::read_to_string(manifest).unwrap()).unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+    let Some(proclus::obs::json::Json::Obj(counters)) = manifest.get("counters") else {
+        panic!("manifest without counters");
+    };
+    let cache = counters
+        .iter()
+        .filter(|(name, _)| name.starts_with("cache."))
+        .map(|(name, v)| (name.clone(), v.as_f64().unwrap()))
+        .collect();
+    (events, cache)
+}
+
+/// The round cache's column store evicts by call order alone: a fit
+/// whose store runs at its `2k + 1` floor (d = 4) writes the same
+/// event stream and the same eight `cache.*` counters, evictions
+/// included, at one and four threads.
+#[test]
+fn column_store_counters_and_events_ignore_the_thread_count() {
+    let data = SyntheticSpec::new(3_000, 4, 3, 2.0).seed(5).generate();
+    let (events, cache) = traced_fit(&data, 1);
+    assert_eq!(cache.len(), 8, "{cache:?}");
+    let evictions = cache.iter().find(|(name, _)| name == "cache.evictions");
+    assert!(evictions.is_some_and(|&(_, v)| v > 0.0), "{cache:?}");
+    let (events4, cache4) = traced_fit(&data, 4);
+    assert!(
+        events == events4,
+        "events.jsonl moved with the thread count"
+    );
+    assert_eq!(cache, cache4);
+}
+
 #[test]
 fn restart_derived_seeds_do_not_collide() {
     // Different base seeds must not accidentally share restart seeds

@@ -195,34 +195,33 @@ impl ProclusModel {
     /// medoid is segmentally closest, or `None` when the point falls
     /// outside every medoid's sphere of influence (an outlier).
     pub fn classify(&self, point: &[f64]) -> Option<usize> {
-        let (best, inside_any) = self.nearest(point);
-        inside_any.then_some(best)
+        self.scan(std::iter::once(point), |best, inside_any| {
+            inside_any.then_some(best)
+        })
+        .pop()
+        .flatten()
     }
 
-    /// The scan behind [`ProclusModel::assign_batch`] and
-    /// [`ProclusModel::classify`]: the nearest cluster under each
-    /// cluster's own dimension set (ties to the lower index; the scan
-    /// starts from +∞ with a strict `<`, so a NaN distance never wins —
-    /// the comparison of [`crate::assign::assign_points`] and
-    /// [`crate::refine::reassign`]), and whether the point lies inside
-    /// any sphere of influence.
-    fn nearest(&self, point: &[f64]) -> (usize, bool) {
-        let mut best = 0usize;
-        let mut best_dist = f64::INFINITY;
-        let mut inside_any = false;
-        for (i, c) in self.clusters.iter().enumerate() {
-            let dist = self
-                .distance
-                .eval_segmental(point, &c.medoid, &c.dimensions);
-            if dist <= c.sphere_of_influence {
-                inside_any = true;
-            }
-            if dist < best_dist {
-                best_dist = dist;
-                best = i;
-            }
+    /// The scan behind [`ProclusModel::assign_batch`],
+    /// [`ProclusModel::classify`] and [`ProclusModel::classify_batch`]:
+    /// for each row, `pick(nearest, inside_any)`, where `nearest` is the
+    /// nearest cluster under each cluster's own dimension set (ties to
+    /// the lower index; the scan starts from +∞ with a strict `<`, so a
+    /// NaN distance never wins — the comparison of
+    /// [`crate::assign::assign_points`] and [`crate::refine::reassign`])
+    /// and `inside_any` says whether the row lies inside any sphere of
+    /// influence.
+    fn scan<'a, T>(
+        &self,
+        rows: impl Iterator<Item = &'a [f64]>,
+        pick: impl Fn(usize, bool) -> T,
+    ) -> Vec<T> {
+        let gathered = Gathered::new(&self.clusters);
+        match self.distance {
+            DistanceKind::Manhattan => gathered.scan(rows, manhattan_pairs, pick),
+            DistanceKind::Euclidean => gathered.scan(rows, euclidean_pairs, pick),
+            DistanceKind::Chebyshev => gathered.scan(rows, chebyshev_pairs, pick),
         }
-        (best, inside_any)
     }
 
     /// The segmental distance from `point` to the *nearest* medoid,
@@ -254,6 +253,14 @@ impl ProclusModel {
     /// exact copies of the training rows, so assigning the training
     /// matrix through this method is bit-identical to the offline pass.
     ///
+    /// The scan gathers each cluster's `(dimension, medoid coordinate)`
+    /// pairs once per call and picks the metric once per call, then
+    /// walks the rows one at a time. Each distance keeps the operation
+    /// order of [`DistanceKind::eval_segmental`] (the same iterator
+    /// sum, then the same division or square root; a fold for
+    /// Chebyshev), so the labels are bit-for-bit those of the offline
+    /// pass.
+    ///
     /// The scan stays row-at-a-time on purpose. Routing it through the
     /// fit's columnar kernel (tiles built per request, the columnar
     /// distance loop, then [`crate::kernel::argmin_columns`]) gave
@@ -268,7 +275,7 @@ impl ProclusModel {
     /// clusters or `points` does not match the model's dimensionality.
     pub fn assign_batch(&self, points: &Matrix) -> Result<Vec<usize>, ProclusError> {
         self.check_batch(points)?;
-        Ok(points.iter_rows().map(|row| self.nearest(row).0).collect())
+        Ok(self.scan(points.iter_rows(), |best, _| best))
     }
 
     /// [`ProclusModel::classify`] over a whole batch: nearest cluster
@@ -280,7 +287,9 @@ impl ProclusModel {
     /// Same contract as [`ProclusModel::assign_batch`].
     pub fn classify_batch(&self, points: &Matrix) -> Result<Vec<Option<usize>>, ProclusError> {
         self.check_batch(points)?;
-        Ok(points.iter_rows().map(|row| self.classify(row)).collect())
+        Ok(self.scan(points.iter_rows(), |best, inside_any| {
+            inside_any.then_some(best)
+        }))
     }
 
     fn check_batch(&self, points: &Matrix) -> Result<(), ProclusError> {
@@ -369,6 +378,93 @@ impl ProclusModel {
         self.diagnostics = diagnostics;
         self
     }
+}
+
+/// The fitted clusters laid out for the serving scan: every cluster's
+/// `(dimension, medoid coordinate)` pairs back to back, so a distance
+/// reads one contiguous slice instead of indexing the medoid through
+/// the dimension list.
+struct Gathered {
+    pairs: Vec<(usize, f64)>,
+    /// Per cluster: the end of its pairs in `pairs`, and its sphere of
+    /// influence.
+    clusters: Vec<(usize, f64)>,
+}
+
+impl Gathered {
+    fn new(clusters: &[ProjectedCluster]) -> Self {
+        let mut pairs = Vec::with_capacity(clusters.iter().map(|c| c.dimensions.len()).sum());
+        let clusters = clusters
+            .iter()
+            .map(|c| {
+                pairs.extend(c.dimensions.iter().map(|&j| (j, c.medoid[j])));
+                (pairs.len(), c.sphere_of_influence)
+            })
+            .collect();
+        Gathered { pairs, clusters }
+    }
+
+    fn scan<'a, T>(
+        &self,
+        rows: impl Iterator<Item = &'a [f64]>,
+        dist: impl Fn(&[f64], &[(usize, f64)]) -> f64,
+        pick: impl Fn(usize, bool) -> T,
+    ) -> Vec<T> {
+        rows.map(|row| {
+            let mut best = 0usize;
+            let mut best_dist = f64::INFINITY;
+            let mut inside_any = false;
+            let mut start = 0;
+            for (i, &(end, sphere)) in self.clusters.iter().enumerate() {
+                let d = dist(row, &self.pairs[start..end]);
+                start = end;
+                if d <= sphere {
+                    inside_any = true;
+                }
+                if d < best_dist {
+                    best_dist = d;
+                    best = i;
+                }
+            }
+            pick(best, inside_any)
+        })
+        .collect()
+    }
+}
+
+/// [`proclus_math::distance::manhattan_segmental`] over gathered pairs.
+#[inline]
+fn manhattan_pairs(row: &[f64], pairs: &[(usize, f64)]) -> f64 {
+    if pairs.is_empty() {
+        return 0.0;
+    }
+    let sum: f64 = pairs.iter().map(|&(j, m)| (row[j] - m).abs()).sum();
+    sum / pairs.len() as f64
+}
+
+/// [`proclus_math::distance::euclidean_segmental`] over gathered pairs.
+#[inline]
+fn euclidean_pairs(row: &[f64], pairs: &[(usize, f64)]) -> f64 {
+    if pairs.is_empty() {
+        return 0.0;
+    }
+    let sum: f64 = pairs
+        .iter()
+        .map(|&(j, m)| {
+            let d = row[j] - m;
+            d * d
+        })
+        .sum();
+    (sum / pairs.len() as f64).sqrt()
+}
+
+/// [`proclus_math::distance::chebyshev_segmental`] over gathered pairs.
+#[inline]
+fn chebyshev_pairs(row: &[f64], pairs: &[(usize, f64)]) -> f64 {
+    pairs
+        .iter()
+        .map(|&(j, m)| (row[j] - m).abs())
+        .fold(0.0, f64::max)
 }
 
 impl fmt::Display for ProclusModel {
@@ -543,6 +639,80 @@ mod tests {
         assert_eq!(model.assign_batch(&batch).unwrap(), vec![1]);
         let reassigned = crate::refine::reassign(&m, &[0, 1], &dims, &spheres, metric);
         assert_eq!(reassigned[2], Some(1));
+    }
+
+    /// Training data for the scan's bit-identity checks: coordinates on
+    /// a coarse grid (so many distances tie exactly, between clusters
+    /// and against the spheres), optionally with NaN coordinates.
+    fn grid_points(n: usize, d: usize, nan_every: Option<usize>) -> Matrix {
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        let data = (0..n * d)
+            .map(|i| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                match nan_every {
+                    Some(every) if i % every == 3 => f64::NAN,
+                    _ => (state % 5) as f64 * 0.5 - 1.0,
+                }
+            })
+            .collect();
+        Matrix::from_vec(data, n, d)
+    }
+
+    /// The gathered scan is bit-identical to the offline passes for
+    /// every metric: `assign_batch` of the training matrix is
+    /// AssignPoints, and `classify_batch` is the refinement's
+    /// `reassign`, outliers, ties and NaN rows included.
+    #[test]
+    fn gathered_scan_matches_the_offline_passes_for_every_metric() {
+        let medoids = vec![0, 7, 7, 19];
+        let dims = vec![
+            vec![0, 3],
+            vec![1, 2, 5],
+            vec![0, 1, 2, 3, 4, 5],
+            vec![4, 5],
+        ];
+        let spheres = vec![0.5, 1.0, 0.75, 0.0];
+        for nan_every in [None, Some(5), Some(23)] {
+            let points = grid_points(400, 6, nan_every);
+            for metric in [
+                DistanceKind::Manhattan,
+                DistanceKind::Euclidean,
+                DistanceKind::Chebyshev,
+            ] {
+                let reassigned =
+                    crate::refine::reassign(&points, &medoids, &dims, &spheres, metric);
+                let model = ProclusModel::from_parts(
+                    &points,
+                    medoids.clone(),
+                    dims.clone(),
+                    reassigned.clone(),
+                    spheres.clone(),
+                    (0.0, 0.0),
+                    1,
+                    1,
+                    metric,
+                );
+                let assigned = crate::assign::assign_points(&points, &medoids, &dims, metric);
+                let case = format!("{metric:?}, NaN every {nan_every:?}");
+                assert_eq!(model.assign_batch(&points).unwrap(), assigned, "{case}");
+                assert_eq!(model.classify_batch(&points).unwrap(), reassigned, "{case}");
+                for (p, row) in points.iter_rows().enumerate() {
+                    assert_eq!(model.classify(row), reassigned[p], "{case}, row {p}");
+                }
+                if nan_every == Some(5) && metric != DistanceKind::Chebyshev {
+                    // Every medoid has a NaN in its own dimensions, so
+                    // no distance ever wins: cluster 0, outside all.
+                    // (Chebyshev's `f64::max` fold skips NaN terms.)
+                    assert!(assigned.iter().all(|&a| a == 0), "{case}");
+                    assert!(reassigned.iter().all(Option::is_none), "{case}");
+                } else {
+                    assert!(reassigned.contains(&None), "{case}: no outliers");
+                    assert!(assigned.iter().any(|&a| a > 0), "{case}: all on cluster 0");
+                }
+            }
+        }
     }
 
     /// Classifying the training points with the fitted model reproduces

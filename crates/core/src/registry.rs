@@ -461,6 +461,34 @@ fn parse_entry_name(name: &str) -> Option<u64> {
     digits.parse().ok()
 }
 
+/// Read the `CURRENT` pointer of the registry at `dir` from disk.
+///
+/// This needs no [`ModelRegistry`] handle, so a reader can follow the
+/// pointer without serializing against the handle's publishes: the
+/// pointer is only ever replaced by an atomic rename, so a read sees
+/// either the old generation or the new one, never a torn file.
+///
+/// # Errors
+///
+/// [`RegistryError::Io`] when the pointer file exists but cannot be
+/// read; [`RegistryError::Corrupt`] when its contents do not parse as
+/// a generation number. A missing pointer is `Ok(None)`.
+pub fn current_generation_in(dir: &Path) -> Result<Option<u64>, RegistryError> {
+    let path = dir.join(CURRENT_FILE);
+    match fs::read_to_string(&path) {
+        Ok(s) => match s.trim().parse::<u64>() {
+            Ok(g) => Ok(Some(g)),
+            Err(_) => Err(RegistryError::Corrupt {
+                path,
+                offset: 0,
+                reason: format!("CURRENT does not name a generation: {:?}", s.trim()),
+            }),
+        },
+        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
+        Err(e) => Err(RegistryError::Io { path, source: e }),
+    }
+}
+
 /// A versioned directory of published models with a `CURRENT` pointer.
 ///
 /// See the module docs for the on-disk layout and crash-safety
@@ -621,27 +649,14 @@ impl ModelRegistry {
     /// Read the `CURRENT` pointer **from disk** rather than from this
     /// handle's cached view, so a generation published by another
     /// process (e.g. `proclus stream` promoting during a rollover) is
-    /// visible without reopening the registry.
+    /// visible without reopening the registry. See
+    /// [`current_generation_in`].
     ///
     /// # Errors
     ///
-    /// [`RegistryError::Io`] when the pointer file exists but cannot be
-    /// read; [`RegistryError::Corrupt`] when its contents do not parse
-    /// as a generation number. A missing pointer is `Ok(None)`.
+    /// As [`current_generation_in`].
     pub fn current_generation_on_disk(&self) -> Result<Option<u64>, RegistryError> {
-        let path = self.dir.join(CURRENT_FILE);
-        match fs::read_to_string(&path) {
-            Ok(s) => match s.trim().parse::<u64>() {
-                Ok(g) => Ok(Some(g)),
-                Err(_) => Err(RegistryError::Corrupt {
-                    path,
-                    offset: 0,
-                    reason: format!("CURRENT does not name a generation: {:?}", s.trim()),
-                }),
-            },
-            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
-            Err(e) => Err(RegistryError::Io { path, source: e }),
-        }
+        current_generation_in(&self.dir)
     }
 
     /// Load the serving model using a fresh on-disk read of `CURRENT`.

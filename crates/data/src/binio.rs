@@ -103,14 +103,6 @@ impl Reader<'_> {
         Ok(u64::from_le_bytes(self.take(field)?))
     }
 
-    fn f64_le(&mut self, field: &'static str) -> Result<f64, DataError> {
-        Ok(f64::from_le_bytes(self.take(field)?))
-    }
-
-    fn i64_le(&mut self, field: &'static str) -> Result<i64, DataError> {
-        Ok(i64::from_le_bytes(self.take(field)?))
-    }
-
     fn error(&self, field: &'static str, reason: String) -> DataError {
         DataError::Binary {
             path: None,
@@ -119,6 +111,13 @@ impl Reader<'_> {
             reason,
         }
     }
+}
+
+/// One 8-byte word of a `chunks_exact(8)` split.
+fn le_word(b: &[u8]) -> [u8; 8] {
+    let mut w = [0u8; 8];
+    w.copy_from_slice(b);
+    w
 }
 
 /// Deserialize a buffer produced by [`encode`].
@@ -182,22 +181,24 @@ pub fn decode(buf: &[u8]) -> Result<(Matrix, Option<Vec<Label>>), DataError> {
             ),
         ));
     }
-    let mut data = Vec::with_capacity(rows * cols);
-    for _ in 0..rows * cols {
-        data.push(r.f64_le("data")?);
-    }
+    // The length check above fixed the payload exactly, so the body is
+    // decoded in bulk: no per-value bounds checks or error paths.
+    let (data_bytes, label_bytes) = r.buf.split_at(rows * cols * 8);
+    let data: Vec<f64> = data_bytes
+        .chunks_exact(8)
+        .map(|b| f64::from_le_bytes(le_word(b)))
+        .collect();
     let labels = if has_labels {
+        let start = r.offset + data_bytes.len();
         let mut ls = Vec::with_capacity(rows);
-        for _ in 0..rows {
-            let at = r.offset;
-            let v = r.i64_le("labels")?;
-            ls.push(match v {
+        for (i, b) in label_bytes.chunks_exact(8).enumerate() {
+            ls.push(match i64::from_le_bytes(le_word(b)) {
                 -1 => Label::Outlier,
-                i if i >= 0 => Label::Cluster(i as usize),
+                id if id >= 0 => Label::Cluster(id as usize),
                 other => {
                     return Err(DataError::Binary {
                         path: None,
-                        offset: at,
+                        offset: start + i * 8,
                         field: "labels",
                         reason: format!("bad label id {other}"),
                     })
@@ -471,6 +472,73 @@ mod tests {
         assert_eq!(m3, replacement);
         assert_eq!(l3, None);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The bulk decoder against sizes around its edges, with values
+    /// whose bits matter (signed zeros, subnormals, NaN payloads,
+    /// infinities) and every label kind.
+    #[test]
+    fn roundtrip_at_many_sizes_is_bit_exact() {
+        let specials = [
+            -0.0,
+            f64::from_bits(1),
+            f64::MIN_POSITIVE,
+            f64::from_bits(0x7ff8_0000_dead_beef),
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MAX,
+        ];
+        for rows in [0, 1, 256, 4097] {
+            let cols = 3;
+            let data: Vec<f64> = (0..rows * cols)
+                .map(|i| match i % 11 {
+                    s if s < specials.len() => specials[s],
+                    _ => i as f64 * 0.37 - 100.0,
+                })
+                .collect();
+            let m = Matrix::from_vec(data, rows, cols);
+            let labels: Vec<Label> = (0..rows)
+                .map(|i| {
+                    if i % 5 == 4 {
+                        Label::Outlier
+                    } else {
+                        Label::Cluster(i % 7)
+                    }
+                })
+                .collect();
+            for with_labels in [false, true] {
+                let ls = with_labels.then_some(labels.as_slice());
+                let (m2, l2) = decode(&encode(&m, ls).unwrap()).unwrap();
+                assert_eq!((m2.rows(), m2.cols()), (rows, cols));
+                let bits =
+                    |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&m2), bits(&m), "rows {rows}, labels {with_labels}");
+                assert_eq!(l2.as_deref(), ls, "rows {rows}");
+            }
+        }
+    }
+
+    #[test]
+    fn bad_label_is_located_at_its_own_offset() {
+        let m = Matrix::from_rows(&[[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]], 2);
+        let l = vec![Label::Cluster(0), Label::Outlier, Label::Cluster(1)];
+        let mut bytes = encode(&m, Some(&l)).unwrap();
+        // Header 22 bytes, 6 values, then the third label.
+        let at = 22 + 6 * 8 + 2 * 8;
+        bytes[at..at + 8].copy_from_slice(&(-7i64).to_le_bytes());
+        match decode(&bytes).unwrap_err() {
+            DataError::Binary {
+                offset,
+                field,
+                reason,
+                ..
+            } => {
+                assert_eq!(offset, at);
+                assert_eq!(field, "labels");
+                assert_eq!(reason, "bad label id -7");
+            }
+            other => panic!("expected a binary error, got {other:?}"),
+        }
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //!   the strings `"inf"`, `"-inf"`, and `"nan"`; the parser folds them
 //!   back into numbers on request via [`Json::as_f64`].
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -113,7 +113,7 @@ pub fn write_str(out: &mut String, s: &str) {
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+                let _ = write!(out, "\\u{:04x}", c as u32);
             }
             c => out.push(c),
         }
@@ -125,7 +125,8 @@ pub fn write_str(out: &mut String, s: &str) {
 /// formatting, non-finite as the `"inf"` / `"-inf"` / `"nan"` strings.
 pub fn write_f64(out: &mut String, v: f64) {
     if v.is_finite() {
-        out.push_str(&format!("{v}"));
+        // Writing into a `String` cannot fail.
+        let _ = write!(out, "{v}");
     } else if v.is_nan() {
         out.push_str("\"nan\"");
     } else if v > 0.0 {
@@ -135,14 +136,34 @@ pub fn write_f64(out: &mut String, v: f64) {
     }
 }
 
+/// Append `x` in decimal, byte-identical to `{}` formatting. The
+/// digits are produced right to left into a stack buffer, so no
+/// formatter runs and nothing is allocated: serving responses print
+/// one of these per row.
+pub fn write_usize(out: &mut String, mut x: usize) {
+    // `usize::MAX` has 20 decimal digits on 64-bit targets.
+    let mut buf = [0u8; 20];
+    let mut at = buf.len();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (x % 10) as u8;
+        x /= 10;
+        if x == 0 {
+            break;
+        }
+    }
+    out.extend(buf[at..].iter().map(|&b| char::from(b)));
+}
+
 /// Append a `usize` array.
 pub fn write_usize_arr(out: &mut String, xs: &[usize]) {
+    out.reserve(2 * xs.len() + 2);
     out.push('[');
-    for (i, x) in xs.iter().enumerate() {
+    for (i, &x) in xs.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        out.push_str(&format!("{x}"));
+        write_usize(out, x);
     }
     out.push(']');
 }
@@ -450,6 +471,74 @@ mod tests {
         assert!(parse("01a").is_err());
         assert!(parse("\"open").is_err());
         assert!(parse("{} trailing").is_err());
+    }
+
+    #[test]
+    fn integers_match_display_formatting() {
+        let xs = [
+            0,
+            1,
+            9,
+            10,
+            11,
+            99,
+            100,
+            101,
+            999,
+            1_000,
+            65_535,
+            u32::MAX as usize,
+            u32::MAX as usize + 1,
+            usize::MAX - 1,
+            usize::MAX,
+        ];
+        for &x in &xs {
+            let mut s = String::new();
+            write_usize(&mut s, x);
+            assert_eq!(s, format!("{x}"));
+        }
+        let mut s = String::from("prefix");
+        write_usize_arr(&mut s, &xs);
+        let want: Vec<String> = xs.iter().map(|x| format!("{x}")).collect();
+        assert_eq!(s, format!("prefix[{}]", want.join(",")));
+        let mut empty = String::new();
+        write_usize_arr(&mut empty, &[]);
+        assert_eq!(empty, "[]");
+    }
+
+    #[test]
+    fn floats_match_display_formatting() {
+        for v in [
+            0.0,
+            -0.0,
+            1.0,
+            -17.5,
+            0.1,
+            1.0 / 3.0,
+            f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE / 2.0,
+            f64::from_bits(1),
+            -f64::from_bits(1),
+            f64::EPSILON,
+            1e-300,
+            1e21,
+            1e300,
+            -1e300,
+            f64::MAX,
+            f64::MIN,
+            9_007_199_254_740_993.0,
+        ] {
+            let mut s = String::new();
+            write_f64(&mut s, v);
+            assert_eq!(s, format!("{v}"), "bits {:#x}", v.to_bits());
+        }
+    }
+
+    #[test]
+    fn control_characters_escape_as_four_hex_digits() {
+        let mut s = String::new();
+        write_str(&mut s, "a\u{1}\u{1f}\u{0}b");
+        assert_eq!(s, "\"a\\u0001\\u001f\\u0000b\"");
     }
 
     #[test]

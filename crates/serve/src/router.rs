@@ -411,7 +411,7 @@ fn assign(state: &AppState, req: &Request, classify: bool) -> Response {
                 out.push(',');
             }
             match l {
-                Some(c) => out.push_str(&c.to_string()),
+                Some(c) => json::write_usize(&mut out, *c),
                 None => out.push_str("null"),
             }
         }

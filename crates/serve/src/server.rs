@@ -9,12 +9,12 @@
 //! exits — wakes the accept loop with a self-connection, and joins
 //! every thread. In-flight requests complete; new fits get 503.
 
-use std::io::{BufReader, BufWriter, Write};
+use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::mpsc::Receiver;
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use proclus_obs::Recorder;
 
@@ -168,7 +168,11 @@ fn handle_connection(state: &Arc<AppState>, stream: TcpStream) {
         return;
     };
     let mut reader = BufReader::new(read_half);
-    let mut writer = BufWriter::new(stream);
+    let mut writer = BufWriter::new(ReplyWriter {
+        stream,
+        deadline: None,
+        timeout: READ_TIMEOUT,
+    });
     loop {
         match read_request(&mut reader, &mut writer) {
             Ok(Some(req)) => {
@@ -202,11 +206,82 @@ fn handle_connection(state: &Arc<AppState>, stream: TcpStream) {
     }
 }
 
+/// The write half of a connection, giving each reply one deadline.
+///
+/// The socket's write timeout bounds a single `write` call only. A peer
+/// that stops reading but whose kernel still takes a few bytes now and
+/// then would let every call make a little progress, so a reply, and
+/// the shutdown that joins its handler, could wait far longer than
+/// [`READ_TIMEOUT`]. Here a reply starts at its first write and ends at
+/// `flush`; all its writes together get `READ_TIMEOUT`, plus at most
+/// one second of slack so the fast path sets no socket option.
+struct ReplyWriter {
+    stream: TcpStream,
+    deadline: Option<Instant>,
+    /// The write timeout currently set on `stream`.
+    timeout: Duration,
+}
+
+impl Write for ReplyWriter {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        let deadline = *self
+            .deadline
+            .get_or_insert_with(|| Instant::now() + READ_TIMEOUT);
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(io::Error::new(
+                io::ErrorKind::TimedOut,
+                "reply not taken within the write timeout",
+            ));
+        }
+        if left + Duration::from_secs(1) < self.timeout {
+            self.stream.set_write_timeout(Some(left))?;
+            self.timeout = left;
+        }
+        self.stream.write(buf)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.stream.flush()?;
+        self.deadline = None;
+        if self.timeout != READ_TIMEOUT {
+            self.stream.set_write_timeout(Some(READ_TIMEOUT))?;
+            self.timeout = READ_TIMEOUT;
+        }
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use proclus_obs::NoopRecorder;
     use std::io::{BufRead, Read};
+
+    /// A reply past its deadline fails at once instead of blocking for
+    /// another write timeout; `flush` ends the reply, so the next one
+    /// gets a fresh deadline.
+    #[test]
+    fn reply_writer_enforces_one_deadline_per_reply() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let stream = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (mut peer, _) = listener.accept().unwrap();
+        let mut w = ReplyWriter {
+            stream,
+            deadline: Some(Instant::now()),
+            timeout: READ_TIMEOUT,
+        };
+        let err = w.write(b"late").unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::TimedOut);
+        w.flush().unwrap();
+        assert_eq!(w.deadline, None);
+        w.write_all(b"on time").unwrap();
+        assert!(w.deadline.is_some());
+        w.flush().unwrap();
+        let mut got = [0u8; 7];
+        peer.read_exact(&mut got).unwrap();
+        assert_eq!(&got, b"on time");
+    }
 
     fn tmp_dir(tag: &str) -> std::path::PathBuf {
         let dir =

@@ -15,7 +15,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-use proclus_core::registry::{ModelRegistry, RecoveryReport, RegistryError};
+use proclus_core::registry::{current_generation_in, ModelRegistry, RecoveryReport, RegistryError};
 use proclus_core::{Proclus, ProclusModel};
 use proclus_math::{DistanceKind, Matrix};
 use proclus_obs::{Event, Recorder};
@@ -139,6 +139,9 @@ pub struct AppState {
     config: ServeConfig,
     recorder: Arc<dyn Recorder + Send>,
     registry: Mutex<ModelRegistry>,
+    /// The registry's directory, so requests can read `CURRENT`
+    /// without taking the `registry` mutex.
+    registry_dir: std::path::PathBuf,
     recovery: RecoveryReport,
     /// Cache of the serving model keyed by generation; refreshed when
     /// the on-disk `CURRENT` moves (cross-process promotions included).
@@ -174,6 +177,7 @@ impl AppState {
         let state = AppState {
             config,
             recorder,
+            registry_dir: registry.dir().to_path_buf(),
             registry: Mutex::new(registry),
             recovery,
             live: RwLock::new(None),
@@ -364,13 +368,17 @@ impl AppState {
     /// which is what guarantees exactly one generation per response —
     /// a promotion mid-request cannot tear it.
     ///
+    /// The pointer read takes no lock ([`current_generation_in`]): a
+    /// fit job's publish holds the registry mutex through its fsync'd
+    /// writes, and a request for the cached generation must not wait
+    /// on them. The mutex is taken only to load a new generation.
+    ///
     /// # Errors
     ///
-    /// [`RegistryError`] from the fresh load (the TOCTOU-hardened
-    /// [`ModelRegistry::load_current_fresh`] path).
+    /// [`RegistryError`] from the pointer read or the fresh load (the
+    /// TOCTOU-hardened [`ModelRegistry::load_current_fresh`] path).
     pub fn serving_model(&self) -> Result<Option<(u64, Arc<ProclusModel>)>, RegistryError> {
-        let on_disk = lock(&self.registry).current_generation_on_disk()?;
-        let Some(generation) = on_disk else {
+        let Some(generation) = current_generation_in(&self.registry_dir)? else {
             *write(&self.live) = None;
             return Ok(None);
         };
@@ -547,6 +555,33 @@ mod tests {
         // disconnected — exactly the worker's drain-then-exit loop.
         assert_eq!(rx.recv().unwrap(), 1);
         assert!(rx.recv().is_err());
+    }
+
+    /// A publish holds the registry mutex through its fsync'd writes;
+    /// requests for the cached generation must not queue behind it.
+    #[test]
+    fn serving_model_does_not_wait_for_the_registry_lock() {
+        let (s, _rx) = state("nolock", 2);
+        s.put_dataset("d", toy_points());
+        s.submit_fit("d", params()).unwrap();
+        s.run_job(1);
+        assert_eq!(s.serving_model().unwrap().unwrap().0, 1);
+
+        let held = lock(&s.registry);
+        let (tx, rx) = std::sync::mpsc::channel();
+        let reader = Arc::clone(&s);
+        let t = std::thread::spawn(move || {
+            let served = reader.serving_model().map(|m| m.map(|(g, _)| g));
+            let _ = tx.send(served);
+        });
+        let served = rx.recv_timeout(std::time::Duration::from_secs(30));
+        drop(held);
+        t.join().unwrap();
+        assert!(
+            matches!(served, Ok(Ok(Some(1)))),
+            "serving_model blocked on or failed under the registry lock: {served:?}"
+        );
+        std::fs::remove_dir_all(&s.config().registry_dir).unwrap();
     }
 
     #[test]

@@ -44,8 +44,8 @@ pub fn run(params: &Proclus, points: &Matrix) -> Result<ProclusModel, ProclusErr
 /// Event determinism: everything emitted here is a pure function of
 /// `(params, points, seed)` — in particular it does **not** depend on
 /// `params.threads` or on what the round cache served (the semantic
-/// pass counts in `round` events are booked here, see
-/// [`round_passes`]). Timings and queue depths go only to the
+/// pass counts in `round` events are booked here, from the shape of
+/// each round). Timings and queue depths go only to the
 /// span/gauge channel.
 pub fn run_traced(
     params: &Proclus,

@@ -43,20 +43,22 @@
 //!
 //! # Reference and production kernels
 //!
-//! The row-major kernels ([`fused_block`], [`columns_block`],
-//! [`cluster_x_block`]) loop points outermost and read `points.row(p)`
-//! directly; with the `merge_*` functions they are the **test oracle**
-//! of the passes whose block merge order defines the bits. Production
-//! runs only the columnar twins (`*_columnar`, below), which callers
-//! map over the tiles of [`crate::layout::ColumnarBlocks`] with
-//! [`crate::pool::Pool::map_tiles`]. The
-//! per-point passes are checked against scalar code instead: the hill
-//! climb's assignment, which the round cache ([`crate::cache`]) builds
-//! with [`argmin_columns`] from [`columns_block_columnar`] columns,
-//! against [`crate::assign::assign_points`], and the refinement's
-//! [`refine_assign_columnar`] against [`crate::refine::reassign`].
-//! Every production kernel is bit-identical to its reference (asserted
-//! by the agreement tests below and by `tests/columnar.rs`).
+//! The row-major kernels ([`fused_block`], [`cluster_x_block`]) loop
+//! points outermost and read `points.row(p)` directly; with the
+//! `merge_*` functions they are the **test oracle** of the passes whose
+//! block merge order defines the bits. Production runs only the
+//! columnar twins (`*_columnar`, below), which callers map over the
+//! tiles of [`crate::layout::ColumnarBlocks`] with
+//! [`crate::pool::Pool::map_tiles`]. Passes without a cross-row sum
+//! are checked against scalar code instead: every distance column of
+//! [`columns_block_columnar`] against
+//! [`DistanceKind::eval_segmental`], the hill climb's assignment, which
+//! the round cache ([`crate::cache`]) builds with [`argmin_columns`]
+//! from those columns, against [`crate::assign::assign_points`], and
+//! the refinement's [`refine_assign_columnar`] against
+//! [`crate::refine::reassign`]. Every production kernel is
+//! bit-identical to its reference (asserted by the agreement tests
+//! below and by `tests/columnar.rs`).
 
 use crate::layout::{ColumnarBlocks, TileView};
 use proclus_math::{DistanceKind, Matrix};
@@ -183,42 +185,16 @@ pub fn merge_fused(partials: Vec<FusedPartial>, k: usize, d: usize) -> (Vec<usiz
     (sizes, x)
 }
 
-/// Per-slot segmental-distance columns over rows `lo..hi`:
-/// `out[s][p − lo] = metric.eval_segmental(points.row(p),
-/// points.row(medoids[s]), &dims[s])`.
-///
-/// Each value is exactly the scalar [`crate::assign::assign_points`]
-/// compares — there is no accumulation across rows — so a column
-/// computed here and cached across rounds is bit-identical to
-/// recomputing the distance.
-pub fn columns_block(
-    points: &Matrix,
-    metric: DistanceKind,
-    medoids: &[usize],
-    dims: &[Vec<usize>],
-    lo: usize,
-    hi: usize,
-) -> Vec<Vec<f64>> {
-    let mut out: Vec<Vec<f64>> = vec![Vec::with_capacity(hi - lo); medoids.len()];
-    for p in lo..hi {
-        let row = points.row(p);
-        for ((&m, di), col) in medoids.iter().zip(dims).zip(out.iter_mut()) {
-            col.push(metric.eval_segmental(row, points.row(m), di));
-        }
-    }
-    out
-}
-
 /// Assignment from per-slot distance columns: for every row, the slot
 /// with the smallest distance, ties (and the all-NaN degenerate case)
 /// to the lower slot index.
 ///
 /// Iterates slots in ascending order with a strict `<` comparison —
 /// exactly the loop of [`crate::assign::assign_points`] — so feeding it
-/// columns produced by [`columns_block`] (cached or fresh) reproduces
-/// the direct assignment bit for bit, including the NaN behavior (a NaN
-/// distance never wins; a row whose every distance is NaN lands on slot
-/// 0).
+/// columns produced by [`columns_block_columnar`] (cached or fresh)
+/// reproduces the direct assignment bit for bit, including the NaN
+/// behavior (a NaN distance never wins; a row whose every distance is
+/// NaN lands on slot 0).
 ///
 /// The loop stays point-outer with a branch on purpose: it keeps each
 /// row's `best` pair in registers. Two column-outer, branch-free select
@@ -564,7 +540,14 @@ pub fn fused_block_columnar(
     (FusedPartial { counts, xsums }, swept)
 }
 
-/// Columnar twin of [`columns_block`].
+/// Per-slot segmental-distance columns over one tile:
+/// `out[s][o] = metric.eval_segmental(row, points.row(medoids[s]),
+/// &dims[s])` for the tile's row at offset `o`.
+///
+/// Each value is exactly the scalar [`crate::assign::assign_points`]
+/// compares — there is no accumulation across rows — so a column
+/// computed here and cached across rounds is bit-identical to
+/// recomputing the distance.
 pub fn columns_block_columnar(
     tile: &TileView<'_>,
     points: &Matrix,
@@ -1061,14 +1044,16 @@ mod tests {
             DistanceKind::Chebyshev,
         ] {
             let points = random_points(600, 5, 23);
+            let cb = ColumnarBlocks::build(&points);
             let medoids = vec![2usize, 170, 444];
             let dims = vec![vec![0, 1], vec![2, 3], vec![1, 4]];
             let cols: Vec<Vec<f64>> = blocks(points.rows()).into_iter().fold(
                 vec![Vec::new(); medoids.len()],
                 |mut acc, (lo, hi)| {
+                    let t = cb.tile(lo, hi).unwrap();
                     for (full, part) in acc
                         .iter_mut()
-                        .zip(columns_block(&points, metric, &medoids, &dims, lo, hi))
+                        .zip(columns_block_columnar(&t, &points, metric, &medoids, &dims))
                     {
                         full.extend(part);
                     }
@@ -1178,8 +1163,9 @@ mod tests {
     }
 
     /// Every columnar kernel must be bit-identical to its reference —
-    /// the row-major fused, column and cluster-`X` kernels, and the
-    /// scalar assignment and reassignment — across all three metrics on
+    /// the row-major fused and cluster-`X` kernels, `eval_segmental`
+    /// for the distance columns, and the scalar assignment and
+    /// reassignment — across all three metrics on
     /// tie-heavy, duplicate-row, mixed-magnitude and NaN-carrying
     /// matrices.
     #[test]
@@ -1215,11 +1201,16 @@ mod tests {
                     assert_eq!(fa.counts, fc.counts, "{ctx}: stored counts");
                     assert_bits(&fa.xsums, &fc.xsums, &format!("{ctx}: stored X"));
                     let cols = columns_block_columnar(&t, &points, metric, &medoids, &dims);
-                    assert_bits(
-                        &columns_block(&points, metric, &medoids, &dims, lo, hi),
-                        &cols,
-                        &format!("{ctx}: columns"),
-                    );
+                    let direct: Vec<Vec<f64>> = medoids
+                        .iter()
+                        .zip(&dims)
+                        .map(|(&m, di)| {
+                            (lo..hi)
+                                .map(|p| metric.eval_segmental(points.row(p), points.row(m), di))
+                                .collect()
+                        })
+                        .collect();
+                    assert_bits(&direct, &cols, &format!("{ctx}: columns"));
                     let refs: Vec<&[f64]> = cols.iter().map(Vec::as_slice).collect();
                     assert_eq!(
                         assigned[lo..hi],

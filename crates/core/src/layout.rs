@@ -33,7 +33,7 @@ struct Tile {
     data: Vec<f64>,
 }
 
-/// The full columnar mirror: one [`Tile`] per canonical
+/// The full columnar mirror: one dimension-major tile per canonical
 /// [`blocks`]-defined row range.
 #[derive(Clone, Debug)]
 pub struct ColumnarBlocks {

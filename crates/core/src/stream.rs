@@ -20,7 +20,7 @@
 //!   arXiv:1407.2063): the score is the maximum over projections of
 //!   the standardized mean shift. Cheap, dimension-robust, and a pure
 //!   function of the data and seed.
-//! * [`rollover`](crate::rollover) — the Shadow → Canary → Promote
+//! * [`rollover`] — the Shadow → Canary → Promote
 //!   state machine that fits and gates a candidate when drift persists.
 //!
 //! # Determinism

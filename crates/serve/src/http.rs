@@ -200,12 +200,22 @@ pub fn read_request<R: BufRead, W: Write>(
             "Transfer-Encoding is not supported; use Content-Length".into(),
         ));
     }
-    let content_length = match find("content-length") {
-        Some(v) => v
-            .parse::<usize>()
-            .map_err(|_| ParseError::Bad(format!("unparsable Content-Length {v:?}")))?,
-        None => 0,
-    };
+    // RFC 9112 §6.3: a value other than plain digits, or two values
+    // that differ, leave the body's length unknown, so the request is
+    // rejected rather than framed by a guess (`usize::parse` alone would
+    // take `+5`, and a first-match lookup would ignore a second value).
+    let mut content_length = None;
+    for (_, v) in headers.iter().filter(|(n, _)| n == "content-length") {
+        let n = match v.parse::<usize>() {
+            Ok(n) if v.bytes().all(|b| b.is_ascii_digit()) => n,
+            _ => return Err(ParseError::Bad(format!("unparsable Content-Length {v:?}"))),
+        };
+        if content_length.is_some_and(|c| c != n) {
+            return Err(ParseError::Bad("conflicting Content-Length headers".into()));
+        }
+        content_length = Some(n);
+    }
+    let content_length = content_length.unwrap_or(0);
     if content_length > MAX_BODY_BYTES {
         return Err(ParseError::TooLarge(format!(
             "Content-Length {content_length} exceeds the {MAX_BODY_BYTES}-byte limit"
@@ -387,6 +397,35 @@ mod tests {
                 other => panic!("{raw:?} must be Bad, got {other:?}"),
             }
         }
+    }
+
+    #[test]
+    fn content_length_must_be_plain_digits() {
+        for v in ["+5", "-0", "5 5", "5,5", "0x5", "5.0", ""] {
+            let raw = format!("POST /x HTTP/1.1\r\nContent-Length: {v}\r\n\r\nhello");
+            match parse(raw.as_bytes()) {
+                Err(ParseError::Bad(_)) => {}
+                other => panic!("Content-Length {v:?} must be Bad, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn conflicting_content_lengths_are_bad_requests() {
+        for (a, b) in [("5", "6"), ("5", "0"), ("0", "5"), ("5", "+5")] {
+            let raw = format!(
+                "POST /x HTTP/1.1\r\nContent-Length: {a}\r\nHost: y\r\ncontent-length: {b}\r\n\r\nhello!"
+            );
+            match parse(raw.as_bytes()) {
+                Err(ParseError::Bad(_)) => {}
+                other => panic!("Content-Length {a} then {b} must be Bad, got {other:?}"),
+            }
+        }
+        // Repeating the same length frames the body as one would.
+        let req = parse(b"POST /x HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 5\r\n\r\nhello")
+            .unwrap()
+            .unwrap();
+        assert_eq!(req.body, b"hello");
     }
 
     #[test]

@@ -476,6 +476,145 @@ fn stream_quarantines_decodable_but_malformed_batches() {
 }
 
 // ---------------------------------------------------------------------
+// Seeded, structure-aware fuzzing of the HTTP request parser
+// ---------------------------------------------------------------------
+
+/// Valid requests the fuzz loop mutates: CRLF and bare-LF framing, a
+/// body, `Expect`, `Connection` and both protocol versions.
+const HTTP_SEEDS: [&[u8]; 5] = [
+    b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n",
+    b"POST /v1/assign HTTP/1.1\r\nHost: x\r\nContent-Length: 5\r\n\r\nhello",
+    b"POST /v1/fit HTTP/1.1\r\nContent-Length: 13\r\nExpect: 100-continue\r\n\r\n{\"k\":3,\"l\":2}",
+    b"POST /v1/datasets/d HTTP/1.0\nContent-Length: 7\nConnection: keep-alive\n\n1,2\n3,4",
+    b"GET /v1/jobs/job-000001 HTTP/1.1\r\nConnection: close\r\nAccept: */*\r\n\r\n",
+];
+
+/// Fuzz cases per run: under half a second in a debug build.
+const HTTP_FUZZ_CASES: usize = 50_000;
+
+/// Byte ranges of the lines the parser reads as the request line and
+/// the header block (up to, not including, the first empty line), each
+/// with its `\n`.
+fn head_lines(bytes: &[u8]) -> Vec<(usize, usize)> {
+    let mut lines = Vec::new();
+    let mut lo = 0;
+    while let Some(nl) = bytes[lo..].iter().position(|&b| b == b'\n') {
+        let hi = lo + nl + 1;
+        if matches!(&bytes[lo..hi], b"\n" | b"\r\n") {
+            break;
+        }
+        lines.push((lo, hi));
+        lo = hi;
+    }
+    lines
+}
+
+/// Copy one header line to another place in the header block. A copied
+/// `Content-Length` gets a different value half the time; returns
+/// whether it did, i.e. whether the block now holds two conflicting
+/// lengths.
+fn duplicate_header(bytes: &mut Vec<u8>, rng: &mut StdRng) -> bool {
+    let lines = head_lines(bytes);
+    if lines.len() < 2 {
+        return false;
+    }
+    let (lo, hi) = lines[rng.random_range(1..lines.len())];
+    let mut copy = bytes[lo..hi].to_vec();
+    let mut conflict = false;
+    if copy.to_ascii_lowercase().starts_with(b"content-length:") && rng.random_bool(0.5) {
+        let old = String::from_utf8_lossy(&copy[15..]).trim().to_string();
+        if let Ok(n) = old.parse::<usize>() {
+            let other = n + rng.random_range(1..20usize);
+            copy = format!("Content-Length: {other}\r\n").into_bytes();
+            conflict = true;
+        }
+    }
+    let at = lines[rng.random_range(1..lines.len())].0;
+    bytes.splice(at..at, copy);
+    conflict
+}
+
+/// Mutated valid requests — truncated, spliced with another request,
+/// byte-flipped, header lines duplicated — never panic the parser. An
+/// accepted request's body is exactly its one `Content-Length` long,
+/// and a rejection is an I/O error or carries a status.
+#[test]
+fn http_parser_survives_structure_aware_fuzzing() {
+    use proclus::serve::http::{read_request, ParseError};
+
+    let mut rng = StdRng::seed_from_u64(0x4854_5450);
+    let (mut accepted, mut conflicts) = (0usize, 0usize);
+    for case in 0..HTTP_FUZZ_CASES {
+        let mut bytes = HTTP_SEEDS[rng.random_range(0..HTTP_SEEDS.len())].to_vec();
+        // Whether the last mutation left two different lengths behind.
+        let mut conflict = false;
+        for _ in 0..rng.random_range(1..=3usize) {
+            conflict = match rng.random_range(0..4u32) {
+                0 => {
+                    bytes.truncate(rng.random_range(0..=bytes.len()));
+                    false
+                }
+                1 => {
+                    let other = HTTP_SEEDS[rng.random_range(0..HTTP_SEEDS.len())];
+                    bytes.truncate(rng.random_range(0..=bytes.len()));
+                    bytes.extend_from_slice(&other[rng.random_range(0..=other.len())..]);
+                    false
+                }
+                2 => {
+                    for _ in 0..rng.random_range(1..=4usize) {
+                        if !bytes.is_empty() {
+                            let i = rng.random_range(0..bytes.len());
+                            bytes[i] ^= 1 << rng.random_range(0..8u32);
+                        }
+                    }
+                    false
+                }
+                _ => duplicate_header(&mut bytes, &mut rng),
+            };
+        }
+        let mut interim = Vec::new();
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            read_request(&mut bytes.as_slice(), &mut interim)
+        }));
+        let ctx = format!("case {case}: {:?}", String::from_utf8_lossy(&bytes));
+        match outcome {
+            Err(_) => panic!("read_request panicked on {ctx}"),
+            Ok(Ok(None)) => assert!(bytes.is_empty(), "{ctx}: EOF on a non-empty input"),
+            Ok(Ok(Some(req))) => {
+                assert!(!conflict, "{ctx}: conflicting Content-Length accepted");
+                let mut lengths: Vec<usize> = req
+                    .headers
+                    .iter()
+                    .filter(|(n, _)| n == "content-length")
+                    .map(|(_, v)| v.parse().unwrap_or_else(|_| panic!("{ctx}: length {v:?}")))
+                    .collect();
+                lengths.dedup();
+                let framed = match lengths[..] {
+                    [] => 0,
+                    [n] => n,
+                    _ => panic!("{ctx}: accepted lengths {lengths:?}"),
+                };
+                assert_eq!(req.body.len(), framed, "{ctx}: body length");
+                accepted += 1;
+            }
+            Ok(Err(e)) => {
+                assert!(
+                    matches!(e, ParseError::Io(_)) || matches!(e.status(), Some(400 | 413 | 501)),
+                    "{ctx}: {e:?} has no status"
+                );
+                conflicts += usize::from(conflict);
+            }
+        }
+    }
+    // The budget must reach both sides of the parser.
+    assert!(accepted > 1_000, "only {accepted} requests accepted");
+    assert!(
+        conflicts > 100,
+        "only {conflicts} conflicting lengths rejected"
+    );
+}
+
+// ---------------------------------------------------------------------
 // Protocol fault injection: the resident server under wire-level abuse
 // ---------------------------------------------------------------------
 //

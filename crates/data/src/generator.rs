@@ -81,7 +81,8 @@ impl GeneratedDataset {
     /// # Errors
     ///
     /// [`DataError::InvalidSpec`] when the spec does not
-    /// [`validate`](SyntheticSpec::validate).
+    /// [`validate`](SyntheticSpec::validate), or when a coordinate
+    /// leaves `f64`.
     pub fn try_from_spec(spec: &SyntheticSpec) -> Result<Self, DataError> {
         spec.validate().map_err(DataError::InvalidSpec)?;
         let mut rng = StdRng::seed_from_u64(spec.seed);
@@ -155,6 +156,10 @@ impl GeneratedDataset {
             labels.push(Label::Outlier);
         }
 
+        if let Some(at) = first_non_finite(&data) {
+            return Err(non_finite_coordinate(at / d, at % d));
+        }
+
         // 6. Shuffle so cluster membership is not encoded in point order.
         let mut order: Vec<usize> = (0..spec.n).collect();
         order.shuffle(&mut rng);
@@ -186,6 +191,28 @@ impl GeneratedDataset {
     /// Number of ground-truth outliers.
     pub fn outlier_count(&self) -> usize {
         self.labels.iter().filter(|l| l.is_outlier()).count()
+    }
+}
+
+/// The error for a generated coordinate that is not finite. A spec can
+/// validate and still sample outside `f64`: a finite std near
+/// `f64::MAX` times a sampler's tail overflows. Checking the emitted
+/// value is exact, where a bound in `validate` would guess the tail.
+pub(crate) fn non_finite_coordinate(row: usize, col: usize) -> DataError {
+    DataError::InvalidSpec(format!(
+        "row {row}, column {col}: generated a non-finite coordinate \
+         (spread * scale_max is too large for f64)"
+    ))
+}
+
+/// Index of the first non-finite value. The test runs over every value
+/// without an early exit, so it vectorizes; the index is searched only
+/// when there is one.
+pub(crate) fn first_non_finite(values: &[f64]) -> Option<usize> {
+    if values.iter().fold(false, |bad, v| bad | !v.is_finite()) {
+        values.iter().position(|v| !v.is_finite())
+    } else {
+        None
     }
 }
 

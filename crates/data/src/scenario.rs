@@ -30,9 +30,12 @@
 use crate::binio::tmp_path;
 use crate::chunks::encode_chunk;
 use crate::error::DataError;
-use crate::generator::{apportion, apportion_with_floor, choose_dimension_sets, GeneratedCluster};
+use crate::generator::{
+    apportion, apportion_with_floor, choose_dimension_sets, first_non_finite,
+    non_finite_coordinate, GeneratedCluster,
+};
 use crate::label::Label;
-use crate::spec::{DimensionSpec, SyntheticSpec};
+use crate::spec::{addressable_cells, DimensionSpec, SyntheticSpec};
 use proclus_math::distributions::{exponential, laplace, normal, poisson};
 use proclus_math::Matrix;
 use rand::rngs::StdRng;
@@ -214,14 +217,16 @@ impl ScenarioSpec {
         1 + self.drift.len()
     }
 
-    /// Total rows over every epoch.
+    /// Total rows over every epoch (saturating; a spec that
+    /// [validates](ScenarioSpec::validate) never saturates).
     pub fn rows(&self) -> usize {
-        self.base.n * self.epochs()
+        self.base.n.saturating_mul(self.epochs())
     }
 
-    /// Total columns (base `d` plus the appended typed columns).
+    /// Total columns: base `d` plus the appended typed columns
+    /// (saturating, as [`rows`](ScenarioSpec::rows)).
     pub fn cols(&self) -> usize {
-        self.base.d + self.columns.len()
+        self.base.d.saturating_add(self.columns.len())
     }
 
     /// Validate the scenario, returning a human-readable complaint if
@@ -241,6 +246,17 @@ impl ScenarioSpec {
             ));
         }
         self.base.validate()?;
+        // `rows()` and `cols()` saturate, and a saturated factor never
+        // makes an addressable product.
+        if addressable_cells(self.rows(), self.cols()).is_none() {
+            return Err(format!(
+                "{} rows x {} epochs x ({} + {}) columns overflow the address space",
+                self.base.n,
+                self.epochs(),
+                self.base.d,
+                self.columns.len()
+            ));
+        }
         if let SizeLaw::Zipf { exponent } = self.size_law {
             if !(exponent.is_finite() && exponent > 0.0) {
                 return Err(format!("zipf exponent must be positive, got {exponent}"));
@@ -274,7 +290,8 @@ impl ScenarioSpec {
     /// # Errors
     ///
     /// [`DataError::InvalidSpec`] when the scenario does not
-    /// [`validate`](ScenarioSpec::validate).
+    /// [`validate`](ScenarioSpec::validate), or when a coordinate
+    /// leaves `f64`; rows before it have been visited.
     pub fn for_each_row<F>(&self, mut visit: F) -> Result<ScenarioTruth, DataError>
     where
         F: FnMut(usize, &[f64], Label),
@@ -288,6 +305,7 @@ impl ScenarioSpec {
         };
         let mut row = vec![0.0f64; cols];
         let mut geometry: Vec<ClusterGeom> = Vec::new();
+        let mut emitted = 0usize;
         for epoch in 0..self.epochs() {
             let mut rng = StdRng::seed_from_u64(epoch_seed(self.base.seed, epoch));
             if epoch == 0 {
@@ -320,7 +338,11 @@ impl ScenarioSpec {
                         }
                     }
                 }
+                if let Some(j) = first_non_finite(&row) {
+                    return Err(non_finite_coordinate(emitted, j));
+                }
                 visit(epoch, &row, label);
+                emitted += 1;
             }
             truth.epochs.push(EpochTruth {
                 clusters: geometry
@@ -344,6 +366,7 @@ impl ScenarioSpec {
     ///
     /// [`DataError::InvalidSpec`] on an invalid scenario.
     pub fn generate(&self) -> Result<GeneratedScenario, DataError> {
+        self.validate().map_err(DataError::InvalidSpec)?;
         let mut data = Vec::with_capacity(self.rows() * self.cols());
         let mut labels = Vec::with_capacity(self.rows());
         let truth = self.for_each_row(|_, row, label| {
@@ -494,6 +517,7 @@ impl ScenarioSpec {
     /// [`DataError::InvalidSpec`] on an invalid scenario or a zero /
     /// oversized `batch_rows`, [`DataError::Io`] on any I/O failure.
     pub fn write_chunks(&self, path: &Path, batch_rows: usize) -> Result<ScenarioTruth, DataError> {
+        self.validate().map_err(DataError::InvalidSpec)?;
         let cols = self.cols();
         if batch_rows == 0 {
             return Err(DataError::InvalidSpec(
@@ -554,16 +578,25 @@ impl ScenarioSpec {
         // Validate before touching the filesystem.
         self.validate().map_err(DataError::InvalidSpec)?;
         let tmp = tmp_path(path);
-        let mut w = BufWriter::new(File::create(&tmp).map_err(|e| DataError::io(&tmp, e))?);
-        let (truth, wrote) = fill(self, &mut w);
-        let truth = truth?;
-        wrote.map_err(|e| DataError::io(&tmp, e))?;
-        let f = w
-            .into_inner()
-            .map_err(|e| DataError::io(&tmp, e.into_error()))?;
-        f.sync_all().map_err(|e| DataError::io(&tmp, e))?;
-        drop(f);
-        std::fs::rename(&tmp, path).map_err(|e| DataError::io(path, e))?;
+        let committed = (|| {
+            let mut w = BufWriter::new(File::create(&tmp).map_err(|e| DataError::io(&tmp, e))?);
+            let (truth, wrote) = fill(self, &mut w);
+            let truth = truth?;
+            wrote.map_err(|e| DataError::io(&tmp, e))?;
+            let f = w
+                .into_inner()
+                .map_err(|e| DataError::io(&tmp, e.into_error()))?;
+            f.sync_all().map_err(|e| DataError::io(&tmp, e))?;
+            drop(f);
+            std::fs::rename(&tmp, path).map_err(|e| DataError::io(path, e))?;
+            Ok(truth)
+        })();
+        if committed.is_err() {
+            // A failed write (I/O, or a row that left f64) leaves no
+            // partial file behind.
+            let _ = std::fs::remove_file(&tmp);
+        }
+        let truth = committed?;
         if let Some(parent) = path.parent() {
             if !parent.as_os_str().is_empty() {
                 if let Ok(dir) = File::open(parent) {
@@ -1339,6 +1372,74 @@ mod tests {
         let mut bad = small("base-bad");
         bad.base.n = 0;
         assert!(bad.generate().is_err());
+    }
+
+    /// Specs whose fields each pass but whose std or shape overflows are
+    /// typed errors: once a sampler panic on an infinite std and a
+    /// wrapped allocation size.
+    #[test]
+    fn overflowing_spread_and_shape_fail_validation() {
+        let err = |text: &str| match ScenarioSpec::parse(text) {
+            Err(DataError::InvalidSpec(msg)) => msg,
+            other => panic!("{text:?}: {other:?}"),
+        };
+        let base = "scenario s\nrows 100\ndims 5\nclusters 2\n";
+        for extra in [
+            "scale-max 1e308\n",
+            "scale-max 1e308\ndistribution laplace\n",
+            "spread 1e300\nscale-max 1e10\n",
+        ] {
+            let msg = err(&format!("{base}{extra}"));
+            assert!(msg.contains("spread * scale_max"), "{extra:?}: {msg}");
+        }
+        let msg = err("scenario s\nrows 100\ndims 18446744073709551615\n");
+        assert!(msg.contains("overflow"), "{msg}");
+
+        let mut wide = small("wide");
+        wide.base.d = usize::MAX;
+        assert!(matches!(wide.generate(), Err(DataError::InvalidSpec(_))));
+        let p = Path::new("/tmp/never-written-wide.chunks");
+        assert!(matches!(
+            wide.write_chunks(p, 1),
+            Err(DataError::InvalidSpec(_))
+        ));
+        // `d` fits, `d + columns` does not.
+        let mut cols = small("cols");
+        cols.base.d = usize::MAX - 1;
+        cols.columns = vec![ExtraColumn::Categorical { levels: 2 }; 2];
+        assert_eq!(cols.cols(), usize::MAX);
+        assert!(cols.validate().unwrap_err().contains("overflow"));
+    }
+
+    /// A spec can validate and still sample outside `f64`: a finite
+    /// std near `f64::MAX` meets the sampler's tail. Generation stops
+    /// at the first such row with a typed error (once `-inf` cells in
+    /// the output), and a writer leaves no file.
+    #[test]
+    fn a_non_finite_coordinate_fails_generation() {
+        let gaussian = ScenarioSpec::parse(
+            "scenario wide-spread\nrows 100\ndims 5\nclusters 2\nspread 1e307\nscale-max 10\n",
+        )
+        .unwrap();
+        let mut laplace = gaussian.clone();
+        laplace.name = "wide-laplace".into();
+        laplace.distribution = ClusterDistribution::Laplace;
+        for spec in [gaussian, laplace] {
+            assert!(spec.validate().is_ok(), "{}", spec.name);
+            let msg = match spec.generate() {
+                Err(DataError::InvalidSpec(msg)) => msg,
+                other => panic!("{}: {other:?}", spec.name),
+            };
+            assert!(msg.contains("non-finite"), "{}: {msg}", spec.name);
+            assert!(spec.digest().is_err());
+            let path = std::env::temp_dir().join(format!(
+                "proclus-scn-{}-{}.csv",
+                spec.name,
+                std::process::id()
+            ));
+            assert!(spec.write_csv(&path).is_err());
+            assert!(!path.exists() && !tmp_path(&path).exists(), "{}", spec.name);
+        }
     }
 
     #[test]

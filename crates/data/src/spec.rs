@@ -150,6 +150,12 @@ impl SyntheticSpec {
         if self.d < 2 {
             return Err(format!("d must be at least 2, got {}", self.d));
         }
+        if addressable_cells(self.n, self.d).is_none() {
+            return Err(format!(
+                "{} x {} coordinates overflow the address space",
+                self.n, self.d
+            ));
+        }
         if !(0.0..=0.5).contains(&self.outlier_fraction) {
             // NaN fails the range check too. The upper bound is a
             // hard requirement, not taste: at 1.0 every point is an
@@ -188,6 +194,14 @@ impl SyntheticSpec {
             return Err(format!(
                 "scale_max must be finite and >= 1, got {}",
                 self.scale_max
+            ));
+        }
+        // Each per-dimension std is U[1, scale_max] · spread, so two
+        // finite factors can still hand the samplers an infinite std.
+        if !(self.spread * self.scale_max).is_finite() {
+            return Err(format!(
+                "spread * scale_max must be finite, got {:?} * {:?}",
+                self.spread, self.scale_max
             ));
         }
         if !(0.0..=1.0).contains(&self.min_size_ratio) {
@@ -236,6 +250,15 @@ impl SyntheticSpec {
         }
         Ok(())
     }
+}
+
+/// `rows · cols` as a count of `f64` cells, or `None` when a buffer
+/// of them could not exist: the count overflows `usize`, or its bytes
+/// exceed `isize::MAX`, the bound of every Rust allocation.
+pub(crate) fn addressable_cells(rows: usize, cols: usize) -> Option<usize> {
+    let cells = rows.checked_mul(cols)?;
+    let bytes = cells.checked_mul(std::mem::size_of::<f64>())?;
+    (bytes <= isize::MAX as usize).then_some(cells)
 }
 
 #[cfg(test)]
@@ -308,6 +331,45 @@ mod tests {
         let mut s = base();
         s.outlier_fraction = f64::NAN;
         assert!(s.validate().is_err());
+    }
+
+    #[test]
+    fn validation_catches_overflowing_products() {
+        let base = || SyntheticSpec::new(100, 10, 3, 4.0);
+        // Each factor is finite; U[1, scale_max] · spread is not.
+        let mut s = base();
+        s.spread = 1e300;
+        s.scale_max = 1e10;
+        assert!(s.validate().unwrap_err().contains("spread * scale_max"));
+        let mut s = base();
+        s.scale_max = 1e308;
+        assert!(s.validate().is_err());
+        assert!(matches!(
+            s.try_generate(),
+            Err(crate::DataError::InvalidSpec(_))
+        ));
+        // n · d coordinates: overflowing usize, or f64 bytes past isize.
+        let mut s = base();
+        s.d = usize::MAX;
+        assert!(s.validate().unwrap_err().contains("overflow"));
+        let mut s = base();
+        s.n = 1 << 61;
+        s.d = 2;
+        assert!(s.validate().unwrap_err().contains("overflow"));
+        assert_eq!(addressable_cells(1 << 30, 4), Some(1 << 32));
+    }
+
+    #[test]
+    fn a_non_finite_coordinate_fails_generation() {
+        // Validates, but a std of up to 1e308 meets the normal tail.
+        let mut s = SyntheticSpec::new(100, 10, 3, 4.0);
+        s.spread = 1e307;
+        s.scale_max = 10.0;
+        assert!(s.validate().is_ok());
+        match s.try_generate() {
+            Err(crate::DataError::InvalidSpec(msg)) => assert!(msg.contains("non-finite"), "{msg}"),
+            other => panic!("{other:?}"),
+        }
     }
 
     #[test]

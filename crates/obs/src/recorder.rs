@@ -14,8 +14,10 @@
 //! [`NoopRecorder::enabled`] is `false`, so an uninstrumented fit pays
 //! one virtual call per emission site at most — and the hot loops gate
 //! even that behind `enabled()` so the disabled path does no work and
-//! takes no clocks (verified by the `trace_overhead` bench group in
-//! `proclus_phases`).
+//! takes no clocks. The facade's
+//! `disabled_recorder_receives_no_spans_and_no_events` test
+//! (`tests/determinism.rs`) pins this for whole fits; the end-to-end
+//! benchmark's `fit.trace_overhead` prices the enabled path.
 
 use std::time::Duration;
 

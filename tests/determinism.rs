@@ -5,8 +5,10 @@
 //! count and match a checked-in golden digest.
 
 use proclus::baselines::{Clarans, KMeans};
-use proclus::obs::JsonlRecorder;
+use proclus::obs::{Event, JsonlRecorder, Phase, Recorder};
 use proclus::prelude::*;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::Duration;
 
 fn dataset() -> GeneratedDataset {
     SyntheticSpec::new(2_000, 12, 3, 4.0).seed(99).generate()
@@ -209,6 +211,67 @@ fn column_store_counters_and_events_ignore_the_thread_count() {
         "events.jsonl moved with the thread count"
     );
     assert_eq!(cache, cache4);
+}
+
+/// A recorder that reports itself disabled, as `NoopRecorder` does, but
+/// counts every call it receives anyway.
+#[derive(Default)]
+struct DisabledCounter {
+    events: AtomicUsize,
+    spans: AtomicUsize,
+    counters_and_gauges: AtomicUsize,
+}
+
+impl Recorder for DisabledCounter {
+    fn event(&self, _event: &Event) {
+        self.events.fetch_add(1, Ordering::Relaxed);
+    }
+
+    fn span(&self, _phase: Phase, _elapsed: Duration) {
+        self.spans.fetch_add(1, Ordering::Relaxed);
+    }
+
+    fn counter(&self, _name: &'static str, _delta: u64) {
+        self.counters_and_gauges.fetch_add(1, Ordering::Relaxed);
+    }
+
+    fn gauge(&self, _name: &'static str, _value: f64) {
+        self.counters_and_gauges.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+/// The disabled recorder path does no work and reads no clocks: a fit
+/// through a recorder whose `enabled()` is `false` builds no event and
+/// times no phase, and its manifest calls (the per-fit pool and cache
+/// counters and gauges) are gated the same way, so nothing reaches the
+/// recorder per round or per fit. `fit` is `fit_traced` with the
+/// `NoopRecorder`, so this is the untraced fit's cost of observability;
+/// `fit.trace_overhead` in the end-to-end benchmark prices the enabled
+/// path.
+#[test]
+fn disabled_recorder_receives_no_spans_and_no_events() {
+    let small = dataset();
+    let large = SyntheticSpec::new(3_000, 10, 4, 3.0).seed(21).generate();
+    let fits = [
+        (&small.points, Proclus::new(3, 4.0).seed(7).threads(2)),
+        (&large.points, Proclus::new(4, 3.0).seed(3).restarts(2)),
+    ];
+    let mut rounds = Vec::new();
+    for (points, params) in fits {
+        let rec = DisabledCounter::default();
+        let model = params.fit_traced(points, &rec).unwrap();
+        rounds.push(model.rounds());
+        let n = points.rows();
+        assert_eq!(rec.events.into_inner(), 0, "events at N = {n}");
+        assert_eq!(rec.spans.into_inner(), 0, "spans at N = {n}");
+        assert_eq!(
+            rec.counters_and_gauges.into_inner(),
+            0,
+            "counter/gauge calls at N = {n}"
+        );
+    }
+    // Different round counts: a per-round call would have shown.
+    assert_ne!(rounds[0], rounds[1], "rounds {rounds:?}");
 }
 
 #[test]

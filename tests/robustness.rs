@@ -9,7 +9,7 @@ use proclus::data::adversarial::all_cases;
 use proclus::data::binio::{decode, encode};
 use proclus::data::fault::FaultReader;
 use proclus::data::io::{read_csv, write_csv};
-use proclus::data::{encode_chunk, encode_chunk_stream, ChunkReader};
+use proclus::data::{encode_chunk, encode_chunk_stream, ChunkReader, DataError};
 use proclus::obs::NoopRecorder;
 use proclus::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -612,6 +612,319 @@ fn http_parser_survives_structure_aware_fuzzing() {
         conflicts > 100,
         "only {conflicts} conflicting lengths rejected"
     );
+}
+
+// ---------------------------------------------------------------------
+// Seeded, structure-aware fuzzing of the `.scn` grammar and PRCM models
+// ---------------------------------------------------------------------
+
+/// Fuzz cases per run of the two loops below: under two seconds each
+/// in a debug build.
+const SCN_FUZZ_CASES: usize = 40_000;
+const PRCM_FUZZ_CASES: usize = 50_000;
+
+/// Accepted specs of at most this many cells are also generated.
+const SCN_GENERATE_CELLS: usize = 4_096;
+
+/// Values a mutation writes in place of a `.scn` value: the bounds of
+/// every numeric type the grammar reads, non-finite spellings, and a
+/// few small sizes so mutated specs still reach the generator.
+const SCN_EDGE_TOKENS: [&str; 24] = [
+    "0",
+    "1",
+    "2",
+    "3",
+    "7",
+    "60",
+    "-1",
+    "-0",
+    "0.5",
+    "1.5",
+    "nan",
+    "inf",
+    "-inf",
+    "1e308",
+    "-1e308",
+    "1e307",
+    "1e-308",
+    "4294967296",
+    "9223372036854775807",
+    "18446744073709551615",
+    "18446744073709551616",
+    "on",
+    "fixed",
+    "x",
+];
+
+/// Keys a mutation inserts, with one unknown key.
+const SCN_KEYS: [&str; 17] = [
+    "scenario",
+    "rows",
+    "dims",
+    "clusters",
+    "cluster-dims",
+    "outliers",
+    "domain",
+    "spread",
+    "scale-max",
+    "min-size-ratio",
+    "seed",
+    "distribution",
+    "size-law",
+    "rotate",
+    "column",
+    "epoch",
+    "warp",
+];
+
+/// Every `.scn` the repository ships: the scenario zoo and the
+/// end-to-end workloads.
+fn scn_seeds() -> Vec<String> {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut seeds = Vec::new();
+    for dir in ["scenarios", "e2e-bench/workloads"] {
+        let mut paths: Vec<_> = std::fs::read_dir(root.join(dir))
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.extension().is_some_and(|x| x == "scn"))
+            .collect();
+        paths.sort();
+        seeds.extend(paths.iter().map(|p| std::fs::read_to_string(p).unwrap()));
+    }
+    seeds
+}
+
+/// One line-level mutation: duplicate a line, delete one, replace one
+/// of its values with an edge token, or insert a key line.
+fn mutate_scn(lines: &mut Vec<String>, rng: &mut StdRng) {
+    let token = |rng: &mut StdRng| SCN_EDGE_TOKENS[rng.random_range(0..SCN_EDGE_TOKENS.len())];
+    let at = rng.random_range(0..=lines.len());
+    match rng.random_range(0..4u32) {
+        0 if !lines.is_empty() => {
+            let copy = lines[rng.random_range(0..lines.len())].clone();
+            lines.insert(at, copy);
+        }
+        1 if !lines.is_empty() => {
+            lines.remove(at.min(lines.len() - 1));
+        }
+        2 if !lines.is_empty() => {
+            let i = at.min(lines.len() - 1);
+            let mut toks: Vec<String> = lines[i].split_whitespace().map(String::from).collect();
+            if toks.len() > 1 {
+                let j = rng.random_range(1..toks.len());
+                toks[j] = token(rng).to_string();
+            } else {
+                toks.push(token(rng).to_string());
+            }
+            lines[i] = toks.join(" ");
+        }
+        _ => {
+            let key = SCN_KEYS[rng.random_range(0..SCN_KEYS.len())];
+            let values: Vec<&str> = (0..rng.random_range(0..=3usize))
+                .map(|_| token(rng))
+                .collect();
+            lines.insert(at, format!("{key} {}", values.join(" ")));
+        }
+    }
+}
+
+/// Mutated `.scn` files never panic the parser or the generator. A
+/// rejection names an existing line, or, when it is about the spec as
+/// a whole (a missing `scenario` line, a failed `validate`), comes
+/// only after every line was read: the same text with an unknown key
+/// appended then fails at that appended line. An accepted spec
+/// round-trips through its canonical text, and a small one generates
+/// finite rows or fails with a typed error.
+#[test]
+fn scn_parser_survives_structure_aware_fuzzing() {
+    let seeds = scn_seeds();
+    assert!(seeds.len() >= 17, "only {} .scn seeds", seeds.len());
+    let mut rng = StdRng::seed_from_u64(0x5343_4e46);
+    let (mut accepted, mut located, mut whole, mut generated) = (0usize, 0, 0, 0);
+    for case in 0..SCN_FUZZ_CASES {
+        let seed = &seeds[rng.random_range(0..seeds.len())];
+        let mut lines: Vec<String> = seed.lines().map(String::from).collect();
+        for _ in 0..rng.random_range(1..=3usize) {
+            mutate_scn(&mut lines, &mut rng);
+        }
+        let mut text = lines.join("\n");
+        text.push('\n');
+        let ctx = format!("case {case}: {text:?}");
+        let parse = |text: &str| {
+            catch_unwind(AssertUnwindSafe(|| ScenarioSpec::parse(text)))
+                .unwrap_or_else(|_| panic!("parse panicked on {ctx}"))
+        };
+        let spec = match parse(&text) {
+            Ok(spec) => spec,
+            Err(DataError::InvalidSpec(msg)) => {
+                let appended = parse(&format!("{text}bogus-key 1\n"));
+                let Err(DataError::InvalidSpec(after)) = appended else {
+                    panic!("{ctx}: appending a line changed {msg:?} into {appended:?}");
+                };
+                let line_of = |m: &str| {
+                    m.strip_prefix("line ")
+                        .and_then(|rest| rest.split_once(": "))
+                        .and_then(|(n, _)| n.parse::<usize>().ok())
+                };
+                match line_of(&msg) {
+                    Some(n) => {
+                        assert!((1..=lines.len()).contains(&n), "{ctx}: {msg}");
+                        assert_eq!(after, msg, "{ctx}");
+                        located += 1;
+                    }
+                    None => {
+                        assert_eq!(line_of(&after), Some(lines.len() + 1), "{ctx}: {msg}");
+                        whole += 1;
+                    }
+                }
+                continue;
+            }
+            Err(other) => panic!("{ctx}: untyped rejection {other:?}"),
+        };
+        accepted += 1;
+        let canonical = spec.to_canonical();
+        assert_eq!(parse(&canonical).as_ref().ok(), Some(&spec), "{ctx}");
+        if spec.rows().saturating_mul(spec.cols()) > SCN_GENERATE_CELLS {
+            continue;
+        }
+        match catch_unwind(AssertUnwindSafe(|| spec.generate())) {
+            Err(_) => panic!("generate panicked on {ctx}"),
+            Ok(Ok(g)) => {
+                assert_eq!(g.points.rows(), spec.rows(), "{ctx}");
+                assert!(g.points.as_slice().iter().all(|v| v.is_finite()), "{ctx}");
+                generated += 1;
+            }
+            Ok(Err(e)) => assert!(matches!(e, DataError::InvalidSpec(_)), "{ctx}: {e}"),
+        }
+    }
+    // The budget must reach every side of the parser and the generator.
+    assert!(accepted > 5_000, "only {accepted} specs accepted");
+    assert!(located > 10_000, "only {located} line-level rejections");
+    assert!(whole > 1_000, "only {whole} whole-spec rejections");
+    assert!(generated > 500, "only {generated} specs generated");
+}
+
+/// Set a random aligned 4- or 8-byte field of `body` to a boundary
+/// value, so header counts, lengths and dimension indices take the
+/// values the decoder must bound.
+fn overwrite_field(body: &mut [u8], rng: &mut StdRng) {
+    let wide = rng.random_bool(0.5);
+    let width = if wide { 8 } else { 4 };
+    if body.len() < width {
+        return;
+    }
+    let at = rng.random_range(0..=body.len() - width);
+    let value: u64 = match rng.random_range(0..6u32) {
+        0 => 0,
+        1 => 1,
+        2 => rng.random_range(2..64),
+        3 if wide => u64::MAX,
+        3 => u64::from(u32::MAX),
+        4 => f64::NAN.to_bits(),
+        _ => 1 << rng.random_range(0..width as u32 * 8),
+    };
+    body[at..at + width].copy_from_slice(&value.to_le_bytes()[..width]);
+}
+
+/// Mutated `PRCM` models never panic the decoder, nor the scans of a
+/// model it accepts. Each mutation rewrites the FNV-1a trailer, so it
+/// reaches the structural checks behind the checksum. An accepted
+/// model assigns and classifies a batch of its own width to clusters
+/// it has.
+#[test]
+fn prcm_decoder_survives_structure_aware_fuzzing() {
+    use proclus::core::{decode_model, encode_model};
+    use proclus::math::hash::fnv1a64;
+
+    let data = sample_dataset();
+    let seeds: Vec<Vec<u8>> = [
+        DistanceKind::Manhattan,
+        DistanceKind::Euclidean,
+        DistanceKind::Chebyshev,
+    ]
+    .into_iter()
+    .map(|metric| {
+        let model = Proclus::new(2, 2.0)
+            .seed(3)
+            .distance(metric)
+            .fit(&data.points)
+            .unwrap();
+        encode_model(&model)
+    })
+    .collect();
+    let mut rng = StdRng::seed_from_u64(0x5052_434d);
+    let (mut accepted, mut assigned) = (0usize, 0usize);
+    for case in 0..PRCM_FUZZ_CASES {
+        let seed = &seeds[rng.random_range(0..seeds.len())];
+        let mut body = seed[..seed.len() - 8].to_vec();
+        for _ in 0..rng.random_range(1..=3usize) {
+            match rng.random_range(0..5u32) {
+                0 => overwrite_field(&mut body, &mut rng),
+                1 if !body.is_empty() => {
+                    let i = rng.random_range(0..body.len());
+                    body[i] ^= 1 << rng.random_range(0..8u32);
+                }
+                2 => body.truncate(rng.random_range(0..=body.len())),
+                3 if !body.is_empty() => {
+                    let lo = rng.random_range(0..body.len());
+                    let hi = rng.random_range(lo..=body.len().min(lo + 64));
+                    let at = rng.random_range(0..=body.len());
+                    let span = body[lo..hi].to_vec();
+                    body.splice(at..at, span);
+                }
+                _ if !body.is_empty() => {
+                    let lo = rng.random_range(0..body.len());
+                    let hi = rng.random_range(lo..=body.len().min(lo + 64));
+                    body.drain(lo..hi);
+                }
+                _ => {}
+            }
+        }
+        let mut bytes = body.clone();
+        bytes.extend_from_slice(&fnv1a64(&body).to_le_bytes());
+        let ctx = format!("case {case}");
+        let model = match catch_unwind(AssertUnwindSafe(|| decode_model(&bytes))) {
+            Err(_) => panic!("decode_model panicked on {ctx}: {bytes:?}"),
+            Ok(Err(e)) => {
+                assert!(!e.to_string().is_empty(), "{ctx}: empty error");
+                continue;
+            }
+            Ok(Ok(model)) => model,
+        };
+        accepted += 1;
+        let (k, d) = (model.clusters().len(), model.dimensionality());
+        // A model without clusters may claim any width; its batch is
+        // empty so the claim allocates nothing.
+        let rows = if k == 0 { 0 } else { 4 };
+        let values = (0..rows * d)
+            .map(|_| match rng.random_range(0..8u32) {
+                0 => f64::NAN,
+                1 => f64::INFINITY,
+                _ => rng.random_range(-10.0..10.0),
+            })
+            .collect();
+        let batch = Matrix::from_vec(values, rows, d);
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            (model.assign_batch(&batch), model.classify_batch(&batch))
+        }));
+        let Ok((assign, classify)) = outcome else {
+            panic!("a decoded model's scan panicked on {ctx}: {bytes:?}");
+        };
+        match (assign, classify) {
+            (Ok(labels), Ok(classes)) => {
+                assert_eq!(labels.len(), rows, "{ctx}");
+                assert!(labels.iter().all(|&c| c < k), "{ctx}: {labels:?}");
+                assert_eq!(classes.len(), rows, "{ctx}");
+                assert!(classes.iter().flatten().all(|&c| c < k), "{ctx}");
+                assigned += 1;
+            }
+            (Err(_), Err(_)) => assert_eq!(k, 0, "{ctx}: rejected a batch of its own width"),
+            other => panic!("{ctx}: assign and classify disagree: {other:?}"),
+        }
+    }
+    // The budget must get past the structural checks.
+    assert!(accepted > 1_000, "only {accepted} models decoded");
+    assert!(assigned > 1_000, "only {assigned} decoded models assigned");
 }
 
 // ---------------------------------------------------------------------

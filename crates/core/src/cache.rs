@@ -38,9 +38,10 @@
 //!   the global greedy allocation reshuffles and then restores, finds
 //!   its columns again.
 //!
-//! The per-cluster `X` rows the inner refinement consumes are *not*
-//! cached: almost every round moves some point between clusters, so
-//! they are recomputed for all `k` clusters in one pass.
+//! The per-cluster `X` rows are *not* cached: almost every round moves
+//! some point between clusters. An assignment asked for them sums them
+//! in its own tile pass, for the inner refinement and the refinement
+//! phase alike.
 //!
 //! # Budget and eviction
 //!
@@ -67,22 +68,24 @@
 //! per-slot results are independent in those kernels (see
 //! [`crate::kernel`]), so a cached value and a recomputed one are the
 //! same bits. A stored `Full` slice is thresholded and summed by the
-//! very loop that thresholds freshly swept distances. The assignment is
-//! rebuilt from columns by [`crate::kernel::argmin_columns`], whose loop
-//! is literally the comparison loop of the scalar
-//! [`crate::assign::assign_points`].
+//! very loop that thresholds freshly swept distances. Each tile of an
+//! assignment picks its labels from its column slices, stored or fresh,
+//! with [`crate::kernel::argmin_columns`], whose loop is literally the
+//! comparison loop of the scalar [`crate::assign::assign_points`]; its
+//! `X` partials are merged in tile order.
 //! The cache books no semantic passes: [`crate::iterate`] counts those
 //! (`pool_dispatches`/`pool_blocks` in `round` events) from the shape
 //! of each round, so the event stream does not depend on what the
-//! cache held. Its recomputes are [`Pool::map_tiles`] fan-outs, one per
-//! recompute, which the pool counts as physical work; a call served
-//! from cache runs nothing.
+//! cache held. The pool counts the [`Pool::map_tiles`] fan-outs that
+//! ran as physical work: one per assignment, one per fused recompute,
+//! and none for a fused pass served from cache.
 //!
 //! Cache effectiveness is observable through the `cache.*` manifest
 //! counters and the per-round `cache.medoids_recomputed` gauge — both
 //! flow through the measurement channel only, never the event stream.
 
 use crate::kernel;
+use crate::layout::TileView;
 use crate::pool::Pool;
 use proclus_math::Matrix;
 use std::collections::HashMap;
@@ -311,30 +314,14 @@ impl RoundCache {
         missing: &[usize],
     ) {
         let (points, metric) = (pool.points(), pool.metric());
-        let budget = column_budget(points, self.fused.len());
-        self.store.begin_call();
         let sub_m: Vec<usize> = missing.iter().map(|&i| medoids[i]).collect();
         let sub_d: Vec<f64> = missing.iter().map(|&i| deltas[i]).collect();
-        let stored: Vec<Option<Arc<Vec<f64>>>> = sub_m
-            .iter()
-            .map(|&m| self.store.get(&ColumnKey::Full(m)))
-            .collect();
-        let swept: Vec<usize> = sub_m
-            .iter()
-            .zip(&stored)
-            .filter(|(_, s)| s.is_none())
-            .map(|(&m, _)| m)
-            .collect();
-        self.stats.full_column_hits += (sub_m.len() - swept.len()) as u64;
-        self.stats.full_column_recomputes += swept.len() as u64;
-        let parts = pool.map_tiles(move |tile| {
-            let slices: Vec<Option<&[f64]>> = stored
-                .iter()
-                .map(|s| s.as_deref().map(|c| &c[tile.lo()..tile.hi()]))
-                .collect();
-            kernel::fused_block_columnar(tile, points, metric, &sub_m, &sub_d, &slices)
+        let keys: Vec<ColumnKey> = sub_m.iter().map(|&m| ColumnKey::Full(m)).collect();
+        let (partials, hits) = self.column_pass(pool, &keys, move |tile, stored| {
+            kernel::fused_block_columnar(tile, points, metric, &sub_m, &sub_d, stored)
         });
-        let (partials, pieces): (Vec<_>, Vec<_>) = parts.into_iter().unzip();
+        self.stats.full_column_hits += hits;
+        self.stats.full_column_recomputes += keys.len() as u64 - hits;
         let (sizes, x) = kernel::merge_fused(partials, missing.len(), points.cols());
         for ((&slot, size), xi) in missing.iter().zip(sizes).zip(x) {
             self.fused[slot] = Some(FusedSlot {
@@ -344,70 +331,95 @@ impl RoundCache {
                 x: xi,
             });
         }
-        for (c, m) in swept.into_iter().enumerate() {
-            let column = gather(&pieces, c, points.rows());
-            self.store
-                .insert(ColumnKey::Full(m), column, budget, &mut self.stats);
-        }
     }
 
-    /// Assignment fused with the per-cluster `X` averages (the inner
-    /// refinement's input): the assignment from cached columns, then
-    /// one cluster-`X` pass over all `k` clusters. Bit-identical to
-    /// [`crate::assign::assign_points`], then
-    /// [`crate::kernel::cluster_x_block`] over [`crate::kernel::blocks`]
-    /// merged by [`crate::kernel::merge_cluster_x`].
-    pub fn assign_x(
-        &mut self,
-        pool: &mut Pool<'_>,
-        medoids: &[usize],
-        dims: &[Vec<usize>],
-    ) -> (Vec<usize>, Vec<Vec<f64>>) {
-        let flat = self.assign(pool, medoids, dims);
-        let labels: Vec<Option<usize>> = flat.iter().map(|&a| Some(a)).collect();
-        let x = pool.cluster_x(medoids, Arc::new(labels));
-        (flat, x)
-    }
-
-    /// Plain assignment pass via stored `Seg` columns, bit-identical to
-    /// [`crate::assign::assign_points`]: the column of
-    /// `(medoids[i], dims[i])` per slot, misses recomputed in one subset
-    /// pass, then every point goes to its argmin slot.
+    /// The assignment pass, bit-identical to
+    /// [`crate::assign::assign_points`]: one tile pass argmins every
+    /// point over the `Seg` column of `(medoids[i], dims[i])` per slot,
+    /// computing and storing the columns the store misses. With
+    /// `with_x` the same pass returns the per-cluster `X` averages (the
+    /// input of the inner refinement and of the refinement phase),
+    /// bit-identical to [`crate::kernel::cluster_x_block`] over
+    /// [`crate::kernel::blocks`] merged by
+    /// [`crate::kernel::merge_cluster_x`].
     pub fn assign(
         &mut self,
         pool: &mut Pool<'_>,
         medoids: &[usize],
         dims: &[Vec<usize>],
-    ) -> Vec<usize> {
+        with_x: bool,
+    ) -> (Vec<usize>, Option<Vec<Vec<f64>>>) {
         self.grow_to(medoids.len());
         let (points, metric) = (pool.points(), pool.metric());
-        let n = points.rows();
-        let budget = column_budget(points, self.fused.len());
-        self.store.begin_call();
         let keys: Vec<ColumnKey> = medoids
             .iter()
             .zip(dims)
             .map(|(&m, di)| ColumnKey::Seg(m, di.clone()))
             .collect();
-        let mut columns: Vec<Option<Arc<Vec<f64>>>> =
-            keys.iter().map(|key| self.store.get(key)).collect();
-        let missing: Vec<usize> = (0..keys.len()).filter(|&i| columns[i].is_none()).collect();
-        self.stats.column_hits += (keys.len() - missing.len()) as u64;
-        self.stats.column_recomputes += missing.len() as u64;
-        if !missing.is_empty() {
-            let sub_m: Vec<usize> = missing.iter().map(|&i| medoids[i]).collect();
-            let sub_d: Vec<Vec<usize>> = missing.iter().map(|&i| dims[i].clone()).collect();
-            let parts = pool.map_tiles(move |tile| {
-                kernel::columns_block_columnar(tile, points, metric, &sub_m, &sub_d)
-            });
-            for (c, &slot) in missing.iter().enumerate() {
-                let column = gather(&parts, c, n);
-                let key = keys[slot].clone();
-                columns[slot] = Some(self.store.insert(key, column, budget, &mut self.stats));
+        let (medoids, dims) = (medoids.to_vec(), dims.to_vec());
+        let (partials, hits) = self.column_pass(pool, &keys, move |tile, stored| {
+            kernel::assign_block_columnar(tile, points, metric, &medoids, &dims, stored, with_x)
+        });
+        self.stats.column_hits += hits;
+        self.stats.column_recomputes += keys.len() as u64 - hits;
+        let mut labels = Vec::with_capacity(points.rows());
+        let mut counts = vec![0usize; keys.len()];
+        let mut xsums = Vec::new();
+        for part in partials {
+            labels.extend(part.labels);
+            if let Some((tile_counts, tile_x)) = part.x {
+                counts
+                    .iter_mut()
+                    .zip(tile_counts)
+                    .for_each(|(c, t)| *c += t);
+                xsums.push(tile_x);
             }
         }
-        let refs: Vec<&[f64]> = columns.iter().flatten().map(|c| c.as_slice()).collect();
-        kernel::argmin_columns(&refs, n)
+        let x = with_x.then(|| kernel::merge_cluster_x(xsums, &counts, points.cols()));
+        (labels, x)
+    }
+
+    /// One tile pass over the columns under `keys`: each is looked up in
+    /// order, `tile_pass` gets every tile with the stored slices (`None`
+    /// for a miss) and returns its partial and one piece per missed
+    /// column, in key order; the missed columns are then gathered and
+    /// stored in that order. Returns the partials in tile order and the
+    /// number of keys the store served.
+    fn column_pass<'env, T, F>(
+        &mut self,
+        pool: &mut Pool<'env>,
+        keys: &[ColumnKey],
+        tile_pass: F,
+    ) -> (Vec<T>, u64)
+    where
+        T: Send + 'env,
+        F: Fn(&TileView<'env>, &[Option<&[f64]>]) -> (T, Vec<Vec<f64>>) + Send + Sync + 'env,
+    {
+        let budget = column_budget(pool.points(), self.fused.len());
+        let n = pool.points().rows();
+        self.store.begin_call();
+        let stored: Vec<Option<Arc<Vec<f64>>>> =
+            keys.iter().map(|key| self.store.get(key)).collect();
+        let missed: Vec<ColumnKey> = keys
+            .iter()
+            .zip(&stored)
+            .filter(|(_, s)| s.is_none())
+            .map(|(key, _)| key.clone())
+            .collect();
+        let hits = (keys.len() - missed.len()) as u64;
+        let parts = pool.map_tiles(move |tile| {
+            let slices: Vec<Option<&[f64]>> = stored
+                .iter()
+                .map(|s| s.as_deref().map(|c| &c[tile.lo()..tile.hi()]))
+                .collect();
+            tile_pass(tile, &slices)
+        });
+        let (partials, pieces): (Vec<T>, Vec<_>) = parts.into_iter().unzip();
+        for (c, key) in missed.into_iter().enumerate() {
+            let column = gather(&pieces, c, n);
+            self.store.insert(key, column, budget, &mut self.stats);
+        }
+        (partials, hits)
     }
 
     /// Grow the slot table to at least `k` slots (`run_once` is called
@@ -506,10 +518,10 @@ mod tests {
                     for threads in [1usize, 4] {
                         let (cached, cached_again) = with_pool(&points, metric, threads, |pool| {
                             let mut cache = RoundCache::new(medoids.len());
-                            let cached = cache.assign(pool, &medoids, &dims);
+                            let cached = cache.assign(pool, &medoids, &dims, false).0;
                             assert_eq!(cache.stats().column_hits, 0);
                             // Second call is served from cache.
-                            let again = cache.assign(pool, &medoids, &dims);
+                            let again = cache.assign(pool, &medoids, &dims, false).0;
                             assert_eq!(cache.stats().column_hits, 3);
                             (cached, again)
                         });
@@ -538,9 +550,11 @@ mod tests {
                 let deltas = medoid_deltas(points, medoids, metric);
                 let (sizes, x) = cache.fused_round(pool, medoids, &deltas);
                 let dims = crate::dims::find_dimensions_from_averages(&x, total_dims, true);
-                let (flat, cx) = cache.assign_x(pool, medoids, &dims);
+                let (flat, cx) = cache.assign(pool, medoids, &dims, true);
+                let cx = cx.expect("X asked for");
                 let dims2 = crate::dims::find_dimensions_from_averages(&cx, total_dims, true);
-                let flat2 = cache.assign(pool, medoids, &dims2);
+                let (flat2, none) = cache.assign(pool, medoids, &dims2, false);
+                assert!(none.is_none(), "X not asked for");
 
                 let (want_fused, want_flat, want_cx) =
                     reference_round(points, metric, medoids, &deltas, &dims);
@@ -598,11 +612,11 @@ mod tests {
         }
     }
 
-    /// The pool counts only fan-outs that ran: a pass served from cache
-    /// runs none, a recompute of a subset of slots runs one over every
-    /// tile, and a round that re-evaluates an unchanged vertex runs only
-    /// its cluster-`X` pass. Recomputed slots match the same slots of a
-    /// full pass bit for bit.
+    /// The pool counts only fan-outs that ran: a fused pass served from
+    /// cache runs none, a recompute of a subset of slots runs one over
+    /// every tile, and every assignment runs exactly one, so a round that
+    /// re-evaluates an unchanged vertex runs its two assignments only.
+    /// Recomputed slots match the same slots of a full pass bit for bit.
     #[test]
     fn fan_outs_count_only_what_the_cache_recomputes() {
         let points = random_points(3000, 6, 3);
@@ -636,18 +650,27 @@ mod tests {
                 assert_eq!((sizes, x.clone()), want, "threads {threads}");
 
                 let dims = crate::dims::find_dimensions_from_averages(&x, total_dims, true);
-                let (_, cx) = cache.assign_x(pool, &medoids, &dims);
-                let dims2 = crate::dims::find_dimensions_from_averages(&cx, total_dims, true);
-                cache.assign(pool, &medoids, &dims2);
                 let before = pool.physical_stats().dispatches;
-                cache.fused_round(pool, &medoids, &deltas2);
-                cache.assign_x(pool, &medoids, &dims);
-                cache.assign(pool, &medoids, &dims2);
+                let (_, cx) = cache.assign(pool, &medoids, &dims, true);
+                let dims2 =
+                    crate::dims::find_dimensions_from_averages(&cx.unwrap(), total_dims, true);
+                cache.assign(pool, &medoids, &dims2, false);
                 assert_eq!(
                     pool.physical_stats().dispatches - before,
-                    1,
-                    "an unchanged vertex runs only the cluster-X pass"
+                    2,
+                    "one per assignment"
                 );
+                let before = pool.physical_stats();
+                cache.fused_round(pool, &medoids, &deltas2);
+                cache.assign(pool, &medoids, &dims, true);
+                cache.assign(pool, &medoids, &dims2, false);
+                let after = pool.physical_stats();
+                assert_eq!(
+                    after.dispatches - before.dispatches,
+                    2,
+                    "an unchanged vertex runs only its two assignments"
+                );
+                assert_eq!(after.blocks - before.blocks, 2 * nblocks);
             });
         }
     }
@@ -704,7 +727,7 @@ mod tests {
                     let deltas = medoid_deltas(&points, &medoids, metric);
                     let (_, x) = cache.fused_round(pool, &medoids, &deltas);
                     let dims = crate::dims::find_dimensions_from_averages(&x, 2 * k, true);
-                    cache.assign_x(pool, &medoids, &dims);
+                    cache.assign(pool, &medoids, &dims, true);
                     assert!(
                         cache.stats().peak_resident_bytes <= budget,
                         "d {d} round {round}"

@@ -344,9 +344,9 @@ fn run_once(
     // ---- Phase 2: hill climbing ---------------------------------------
     let mut best = current.clone();
     let mut best_objective = f64::INFINITY;
-    // Labels and cluster sizes of the best vertex's clustering; `None`
-    // until a round improves on infinity.
-    let mut best_clustering: Option<(Vec<usize>, Vec<usize>)> = None;
+    // Dimension sets and cluster sizes of the best vertex's clustering;
+    // `None` until a round improves on infinity.
+    let mut best_clustering: Option<(Vec<Vec<usize>>, Vec<usize>)> = None;
     let mut rounds = 0usize;
     let mut improvements = 0usize;
     let mut stale = 0usize;
@@ -374,36 +374,26 @@ fn run_once(
         };
         // Sharpen the dimension estimates against the assigned clusters
         // (see `Proclus::inner_refinements`): localities blur together
-        // in high dimensions, clusters do not. When a recomputation
-        // follows, the assignment pass also accumulates the
-        // cluster-based X it will need (one sweep instead of two).
-        let mut cluster_x: Option<Vec<Vec<f64>>> = None;
-        let mut flat = if params.inner_refinements > 0 {
-            let (f, cx) = timed(rec, Phase::Assign, || cache.assign_x(pool, &current, &dims));
-            cluster_x = Some(cx);
-            f
-        } else {
-            timed(rec, Phase::Assign, || cache.assign(pool, &current, &dims))
-        };
-        for r in 0..params.inner_refinements {
-            let Some(cx) = cluster_x.take() else {
-                break;
+        // in high dimensions, clusters do not. An assignment that a
+        // recomputation follows also returns the cluster-based X it
+        // needs, from the same sweep.
+        let mut refinements = 0;
+        let flat = loop {
+            let with_x = refinements < params.inner_refinements;
+            let (flat, cluster_x) = timed(rec, Phase::Assign, || {
+                cache.assign(pool, &current, &dims, with_x)
+            });
+            let Some(cx) = cluster_x else {
+                break flat;
             };
+            refinements += 1;
             dims = timed(rec, Phase::Dims, || {
                 find_dimensions_from_averages(&cx, total_dims, params.standardize_dimensions)
             });
             if rec.enabled() {
                 dim_scores = chosen_scores(&cx, &dims, params.standardize_dimensions);
             }
-            if r + 1 < params.inner_refinements {
-                let (f, next_cx) =
-                    timed(rec, Phase::Assign, || cache.assign_x(pool, &current, &dims));
-                cluster_x = Some(next_cx);
-                flat = f;
-            } else {
-                flat = timed(rec, Phase::Assign, || cache.assign(pool, &current, &dims));
-            }
-        }
+        };
         let eval = timed(rec, Phase::Evaluate, || pool.evaluate(&flat, &dims));
         let objective = eval.objective;
 
@@ -416,7 +406,7 @@ fn run_once(
         if improved {
             best_objective = objective;
             best = current.clone();
-            best_clustering = Some((flat, eval.sizes));
+            best_clustering = Some((dims.clone(), eval.sizes));
             improvements += 1;
             stale = 0;
         } else {
@@ -501,15 +491,18 @@ fn run_once(
     diag.total_rounds += rounds;
 
     // ---- Phase 3: refinement -------------------------------------------
+    // The best clustering's X comes from its assignment pass rerun: the
+    // assignment is a pure function of (medoids, dims), so these are the
+    // bits of the labels the climb evaluated. A climb that never improved
+    // has no clusters, and every X row stays zero.
     let refined = timed(rec, Phase::Refine, || {
-        let iterative_assignment: Vec<Option<usize>> = match best_clustering {
-            Some((labels, _)) => labels.into_iter().map(Some).collect(),
-            None => vec![None; n],
-        };
+        let cluster_x = best_clustering
+            .and_then(|(best_dims, _)| cache.assign(pool, &best, &best_dims, true).1)
+            .unwrap_or_else(|| vec![vec![0.0; points.cols()]; k]);
         refine_with_pool(
             pool,
             &best,
-            iterative_assignment,
+            &cluster_x,
             total_dims,
             params.standardize_dimensions,
         )
@@ -637,6 +630,45 @@ mod tests {
         }
     }
 
+    /// Pins the refinement of a climb that never improved. The NaN row
+    /// makes every round's objective NaN, so there is no best clustering
+    /// and the refinement starts from all-zero `X` rows: each seed's
+    /// objective bits, outlier count and dimension sets must not move.
+    #[test]
+    fn never_improved_refinement_is_pinned() {
+        let mut rows: Vec<[f64; 5]> = (0..40)
+            .map(|i| {
+                let i = i as f64;
+                [i % 7.0, (i * 3.0) % 11.0, i / 4.0, (i * i) % 13.0, 40.0 - i]
+            })
+            .collect();
+        rows[17] = [f64::NAN; 5];
+        let m = Matrix::from_rows(&rows, 5);
+        let pinned: [(u64, usize); 6] = [
+            (0x3fea_4c87_d092_97fb, 16),
+            (0x3ffa_5604_1893_74bb, 3),
+            (0x3ff4_ca8a_8a8a_8a8b, 7),
+            (0x3ff9_c568_510b_39c6, 1),
+            (0x3fd5_27d2_7d27_d27e, 25),
+            (0x3ff8_d718_7ca9_2ebf, 1),
+        ];
+        for (seed, (bits, outliers)) in (0..).zip(pinned) {
+            let model = Proclus::new(2, 2.0).restarts(1).seed(seed).fit(&m).unwrap();
+            assert!(
+                model
+                    .diagnostics()
+                    .degradations
+                    .contains(&Degradation::ObjectiveNeverImproved),
+                "seed {seed}"
+            );
+            assert_eq!(model.objective().to_bits(), bits, "seed {seed}");
+            assert_eq!(model.outliers().len(), outliers, "seed {seed}");
+            for c in model.clusters() {
+                assert_eq!(c.dimensions, vec![0, 1], "seed {seed}");
+            }
+        }
+    }
+
     /// A NaN-riddled dataset with too few finite rows is rejected with
     /// a typed error, not a panic deep in the pipeline.
     #[test]
@@ -747,8 +779,9 @@ mod tests {
     /// The climb books its own semantic passes: `2 + inner_refinements`
     /// per round, each over every row block, plus the previous restart's
     /// two refinement passes in each later restart's first round. The
-    /// `pool.dispatches` total adds the last restart's refinement. Events
-    /// and every manifest counter are the same at 1 and 4 threads.
+    /// `pool.dispatches` total adds the last restart's refinement, and
+    /// the fan-outs that ran never outnumber it. Events and every
+    /// manifest counter are the same at 1 and 4 threads.
     #[test]
     fn round_events_book_two_plus_inner_passes_per_round() {
         use proclus_obs::{Event, RingRecorder};
@@ -785,6 +818,13 @@ mod tests {
                 assert_eq!(first_rounds, 3, "inner {inner}");
                 assert_eq!(rec.counter_value("pool.dispatches"), booked + 2);
                 assert_eq!(rec.counter_value("pool.blocks"), (booked + 2) * nblocks);
+                // Every semantic pass runs at most one fan-out.
+                let ctx = format!("inner {inner}, threads {threads}");
+                let physical = rec.counter_value("pool.physical_dispatches");
+                assert!(physical <= booked + 2, "{ctx}: {physical} fan-outs");
+                let physical_blocks = rec.counter_value("pool.physical_blocks");
+                let blocks = rec.counter_value("pool.blocks");
+                assert!(physical_blocks <= blocks, "{ctx}: {physical_blocks} blocks");
                 runs.push((rec.events(), rec.counters()));
             }
             assert_eq!(runs[0], runs[1], "inner {inner}: threads 1 vs 4");

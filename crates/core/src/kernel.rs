@@ -18,7 +18,7 @@
 //! # Member sweeps
 //!
 //! Every per-member sum of the engine — the fused pass's `X` sums, the
-//! cluster-based `X` sums of the inner refinement, and both passes of
+//! cluster-based `X` sums of an assignment pass, and both passes of
 //! the tile evaluator — goes through one primitive, `sweep_members`: a
 //! list of ascending tile-local `u32` member offsets, and up to four
 //! cells fed side by side. Each cell stays one running sum that gets
@@ -51,14 +51,15 @@
 //! tiles of [`crate::layout::ColumnarBlocks`] with
 //! [`crate::pool::Pool::map_tiles`]. Passes without a cross-row sum
 //! are checked against scalar code instead: every distance column of
-//! [`columns_block_columnar`] against
-//! [`DistanceKind::eval_segmental`], the hill climb's assignment, which
-//! the round cache ([`crate::cache`]) builds with [`argmin_columns`]
-//! from those columns, against [`crate::assign::assign_points`], and
-//! the refinement's [`refine_assign_columnar`] against
-//! [`crate::refine::reassign`]. Every production kernel is
-//! bit-identical to its reference (asserted by the agreement tests
-//! below and by `tests/columnar.rs`).
+//! [`assign_block_columnar`] against [`DistanceKind::eval_segmental`],
+//! its labels, which [`argmin_columns`] picks from those columns (stored
+//! by the round cache, [`crate::cache`], or fresh), against
+//! [`crate::assign::assign_points`], and the refinement's
+//! [`refine_assign_columnar`] against [`crate::refine::reassign`]. The
+//! same assignment pass sums the cluster-`X` partials of its labels
+//! when asked, checked against [`cluster_x_block`]. Every production
+//! kernel is bit-identical to its reference (asserted by the agreement
+//! tests below and by `tests/columnar.rs`).
 
 use crate::layout::{ColumnarBlocks, TileView};
 use proclus_math::{DistanceKind, Matrix};
@@ -191,7 +192,7 @@ pub fn merge_fused(partials: Vec<FusedPartial>, k: usize, d: usize) -> (Vec<usiz
 ///
 /// Iterates slots in ascending order with a strict `<` comparison —
 /// exactly the loop of [`crate::assign::assign_points`] — so feeding it
-/// columns produced by [`columns_block_columnar`] (cached or fresh)
+/// columns produced by [`assign_block_columnar`] (cached or fresh)
 /// reproduces the direct assignment bit for bit, including the NaN
 /// behavior (a NaN distance never wins; a row whose every distance is
 /// NaN lands on slot 0).
@@ -220,9 +221,8 @@ pub fn argmin_columns(columns: &[&[f64]], n: usize) -> Vec<usize> {
 }
 
 /// Cluster-based `X` partial sums over rows `lo..hi` for a fixed
-/// assignment (`None` entries — outliers — contribute to no cluster).
-/// Used by the refinement phase, where the reference sets are the final
-/// iterative clusters rather than a just-computed assignment.
+/// assignment (`None` entries — outliers — contribute to no cluster):
+/// the row-major oracle of [`assign_block_columnar`]'s `X` sums.
 pub fn cluster_x_block(
     points: &Matrix,
     medoids: &[usize],
@@ -308,48 +308,6 @@ fn finalize_segmental(metric: DistanceKind, dist: &mut [f64], len: usize) {
             }
         }
         DistanceKind::Chebyshev => {}
-    }
-}
-
-/// Raw full-space accumulators of `metric` between medoid row `mrow`
-/// and tile rows `lo..hi`, one per point, dimension-outer. The raw
-/// value per point is bit-identical to the fold over a row-major
-/// `diffs` buffer because each point's accumulator sees its dimensions
-/// in the same ascending order.
-fn raw_full_distances_columnar(
-    tile: &TileView<'_>,
-    metric: DistanceKind,
-    mrow: &[f64],
-    dist: &mut Vec<f64>,
-) {
-    dist.clear();
-    dist.resize(tile.width(), 0.0);
-    match metric {
-        DistanceKind::Manhattan => {
-            for (j, &mj) in mrow.iter().enumerate() {
-                let col = tile.col(j);
-                for (acc, &x) in dist.iter_mut().zip(col) {
-                    *acc += (x - mj).abs();
-                }
-            }
-        }
-        DistanceKind::Euclidean => {
-            for (j, &mj) in mrow.iter().enumerate() {
-                let col = tile.col(j);
-                for (acc, &x) in dist.iter_mut().zip(col) {
-                    let dv = x - mj;
-                    *acc += dv * dv;
-                }
-            }
-        }
-        DistanceKind::Chebyshev => {
-            for (j, &mj) in mrow.iter().enumerate() {
-                let col = tile.col(j);
-                for (acc, &x) in dist.iter_mut().zip(col) {
-                    *acc = f64::max(*acc, (x - mj).abs());
-                }
-            }
-        }
     }
 }
 
@@ -508,6 +466,7 @@ pub fn fused_block_columnar(
     let mut xsums = vec![vec![0.0; d]; k];
     let mut swept = Vec::new();
     let mut members = vec![0u32; tile.width()];
+    let all_dims: Vec<usize> = (0..d).collect();
     for (((&m, &delta), &stored), (count, xi)) in medoids
         .iter()
         .zip(deltas)
@@ -519,8 +478,8 @@ pub fn fused_block_columnar(
         let dist = match stored {
             Some(dist) => dist,
             None => {
-                raw_full_distances_columnar(tile, metric, mrow, &mut fresh);
-                finalize_segmental(metric, &mut fresh, d);
+                fresh.resize(tile.width(), 0.0);
+                segmental_column_columnar(tile, metric, mrow, &all_dims, &mut fresh);
                 &fresh
             }
         };
@@ -540,54 +499,68 @@ pub fn fused_block_columnar(
     (FusedPartial { counts, xsums }, swept)
 }
 
-/// Per-slot segmental-distance columns over one tile:
-/// `out[s][o] = metric.eval_segmental(row, points.row(medoids[s]),
-/// &dims[s])` for the tile's row at offset `o`.
+/// Partial result of one assignment pass over one tile.
+#[derive(Clone, Debug, PartialEq)]
+pub struct AssignPartial {
+    /// The argmin slot of each of the tile's rows.
+    pub labels: Vec<usize>,
+    /// When asked for: per slot, how many of the tile's rows it won and
+    /// the sums of their `|p_j − m_j|` over every dimension.
+    pub x: Option<(Vec<usize>, Vec<Vec<f64>>)>,
+}
+
+/// The assignment over one tile: every row goes to the slot with the
+/// smallest segmental distance to `medoids[s]` over `dims[s]`, by
+/// [`argmin_columns`]. With `with_x`, each slot's rows, as ascending
+/// tile-local offsets, also feed its cluster-`X` sums through
+/// `sweep_members` — the columnar twin of [`cluster_x_block`] over these
+/// labels.
 ///
-/// Each value is exactly the scalar [`crate::assign::assign_points`]
-/// compares — there is no accumulation across rows — so a column
-/// computed here and cached across rounds is bit-identical to
-/// recomputing the distance.
-pub fn columns_block_columnar(
+/// `stored[s]`, when present, holds slot `s`'s distances over the
+/// tile's rows. Every other slot's distances are computed here and come
+/// back beside the partial, one tile piece per such slot in slot order.
+/// Each distance is exactly the value [`crate::assign::assign_points`]
+/// compares, with no accumulation across rows, so a stored slice and a
+/// fresh one are the same bits.
+pub fn assign_block_columnar(
     tile: &TileView<'_>,
     points: &Matrix,
     metric: DistanceKind,
     medoids: &[usize],
     dims: &[Vec<usize>],
-) -> Vec<Vec<f64>> {
-    medoids
+    stored: &[Option<&[f64]>],
+    with_x: bool,
+) -> (AssignPartial, Vec<Vec<f64>>) {
+    let swept: Vec<Vec<f64>> = medoids
         .iter()
         .zip(dims)
-        .map(|(&m, di)| {
+        .zip(stored)
+        .filter(|(_, stored)| stored.is_none())
+        .map(|((&m, di), _)| {
             let mut col = vec![0.0f64; tile.width()];
             segmental_column_columnar(tile, metric, points.row(m), di, &mut col);
             col
         })
-        .collect()
-}
-
-/// Columnar twin of [`cluster_x_block`]: each cluster's members in
-/// the tile, as ascending tile-local offsets, feed its `X` sums through
-/// `sweep_members`.
-pub fn cluster_x_block_columnar(
-    tile: &TileView<'_>,
-    points: &Matrix,
-    medoids: &[usize],
-    assignment: &[Option<usize>],
-) -> Vec<Vec<f64>> {
-    let d = points.cols();
-    let mut xsums = vec![vec![0.0; d]; medoids.len()];
-    let mut members: Vec<Vec<u32>> = vec![Vec::new(); medoids.len()];
-    for (o, a) in assignment[tile.lo()..tile.hi()].iter().enumerate() {
-        if let Some(i) = *a {
+        .collect();
+    let mut fresh = swept.iter().map(Vec::as_slice);
+    let columns: Vec<&[f64]> = stored
+        .iter()
+        .filter_map(|&s| s.or_else(|| fresh.next()))
+        .collect();
+    let labels = argmin_columns(&columns, tile.width());
+    let x = with_x.then(|| {
+        let mut members: Vec<Vec<u32>> = vec![Vec::new(); medoids.len()];
+        for (o, &i) in labels.iter().enumerate() {
             // Tile-local offsets are < BLOCK, so they fit in u32.
             members[i].push(o as u32);
         }
-    }
-    for ((&m, mem), xi) in medoids.iter().zip(&members).zip(xsums.iter_mut()) {
-        sweep_members(|j| tile.col(j), points.row(m), mem, xi, abs_diff);
-    }
-    xsums
+        let mut xsums = vec![vec![0.0; points.cols()]; medoids.len()];
+        for ((&m, mem), xi) in medoids.iter().zip(&members).zip(xsums.iter_mut()) {
+            sweep_members(|j| tile.col(j), points.row(m), mem, xi, abs_diff);
+        }
+        (members.iter().map(Vec::len).collect(), xsums)
+    });
+    (AssignPartial { labels, x }, swept)
 }
 
 /// Refinement assignment over one tile: nearest medoid under the
@@ -1047,19 +1020,18 @@ mod tests {
             let cb = ColumnarBlocks::build(&points);
             let medoids = vec![2usize, 170, 444];
             let dims = vec![vec![0, 1], vec![2, 3], vec![1, 4]];
-            let cols: Vec<Vec<f64>> = blocks(points.rows()).into_iter().fold(
-                vec![Vec::new(); medoids.len()],
-                |mut acc, (lo, hi)| {
-                    let t = cb.tile(lo, hi).unwrap();
-                    for (full, part) in acc
-                        .iter_mut()
-                        .zip(columns_block_columnar(&t, &points, metric, &medoids, &dims))
-                    {
-                        full.extend(part);
-                    }
-                    acc
-                },
-            );
+            let mut cols = vec![Vec::new(); medoids.len()];
+            let mut labels = Vec::new();
+            for (lo, hi) in blocks(points.rows()) {
+                let t = cb.tile(lo, hi).unwrap();
+                let (part, swept) =
+                    assign_block_columnar(&t, &points, metric, &medoids, &dims, &[None; 3], false);
+                assert_eq!(part.x, None, "{metric:?}: X not asked for");
+                labels.extend(part.labels);
+                for (full, piece) in cols.iter_mut().zip(swept) {
+                    full.extend(piece);
+                }
+            }
             for (s, (&m, di)) in medoids.iter().zip(&dims).enumerate() {
                 for (p, &got) in cols[s].iter().enumerate() {
                     let direct = metric.eval_segmental(points.row(p), points.row(m), di);
@@ -1070,6 +1042,7 @@ mod tests {
             let via_cols = argmin_columns(&refs, points.rows());
             let direct = crate::assign::assign_points(&points, &medoids, &dims, metric);
             assert_eq!(via_cols, direct, "{metric:?}");
+            assert_eq!(labels, direct, "{metric:?}: per-tile labels");
         }
     }
 
@@ -1163,9 +1136,9 @@ mod tests {
     }
 
     /// Every columnar kernel must be bit-identical to its reference —
-    /// the row-major fused and cluster-`X` kernels, `eval_segmental`
-    /// for the distance columns, and the scalar assignment and
-    /// reassignment — across all three metrics on
+    /// the row-major fused kernel, `eval_segmental` for the distance
+    /// columns, the scalar assignment and its row-major cluster-`X`
+    /// sums, and the scalar reassignment — across all three metrics on
     /// tie-heavy, duplicate-row, mixed-magnitude and NaN-carrying
     /// matrices.
     #[test]
@@ -1200,7 +1173,9 @@ mod tests {
                     assert!(none.is_empty(), "{ctx}: stored slots swept");
                     assert_eq!(fa.counts, fc.counts, "{ctx}: stored counts");
                     assert_bits(&fa.xsums, &fc.xsums, &format!("{ctx}: stored X"));
-                    let cols = columns_block_columnar(&t, &points, metric, &medoids, &dims);
+                    let (ap, cols) = assign_block_columnar(
+                        &t, &points, metric, &medoids, &dims, &[None; 3], true,
+                    );
                     let direct: Vec<Vec<f64>> = medoids
                         .iter()
                         .zip(&dims)
@@ -1211,21 +1186,33 @@ mod tests {
                         })
                         .collect();
                     assert_bits(&direct, &cols, &format!("{ctx}: columns"));
-                    let refs: Vec<&[f64]> = cols.iter().map(Vec::as_slice).collect();
-                    assert_eq!(
-                        assigned[lo..hi],
-                        argmin_columns(&refs, hi - lo),
-                        "{ctx}: assign"
+                    assert_eq!(assigned[lo..hi], ap.labels, "{ctx}: assign");
+                    let (counts, xsums) = ap.x.unwrap();
+                    let labels: Vec<Option<usize>> = assigned.iter().map(|&a| Some(a)).collect();
+                    let want_counts: Vec<usize> = (0..medoids.len())
+                        .map(|i| assigned[lo..hi].iter().filter(|&&a| a == i).count())
+                        .collect();
+                    assert_eq!(counts, want_counts, "{ctx}: cluster counts");
+                    assert_bits(
+                        &cluster_x_block(&points, &medoids, &labels, lo, hi),
+                        &xsums,
+                        &format!("{ctx}: cluster X"),
                     );
+                    // The columns it computed, fed back as stored ones,
+                    // give the same partial and compute nothing.
+                    let stored: Vec<Option<&[f64]>> =
+                        cols.iter().map(|c| Some(c.as_slice())).collect();
+                    let (again, none) =
+                        assign_block_columnar(&t, &points, metric, &medoids, &dims, &stored, true);
+                    assert!(none.is_empty(), "{ctx}: stored slots recomputed");
+                    assert_eq!(ap.labels, again.labels, "{ctx}: stored assign");
+                    let (again_counts, again_x) = again.x.unwrap();
+                    assert_eq!(counts, again_counts, "{ctx}: stored counts");
+                    assert_bits(&xsums, &again_x, &format!("{ctx}: stored X"));
                     assert_eq!(
                         refined[lo..hi],
                         refine_assign_columnar(&t, &points, metric, &medoids, &dims, &spheres),
                         "{ctx}: refine"
-                    );
-                    assert_bits(
-                        &cluster_x_block(&points, &medoids, &refined, lo, hi),
-                        &cluster_x_block_columnar(&t, &points, &medoids, &refined),
-                        &format!("{ctx}: cluster X"),
                     );
                 }
             }

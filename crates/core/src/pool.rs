@@ -17,7 +17,10 @@
 //!   [`crate::kernel::BLOCK`] rows). The pool has one fan-out,
 //!   [`Pool::map_tiles`], which applies a closure to every tile; callers
 //!   pass a columnar kernel of [`crate::kernel`] and merge its per-tile
-//!   results with the matching `kernel::merge_*`. A shared queue lets
+//!   results with the matching `kernel::merge_*`. Each pass is one
+//!   fan-out: the round cache's fused recompute and assignment (whose
+//!   cluster-`X` sums serve the refinement too) and the refinement's
+//!   reassignment ([`Pool::refine_assign`]). A shared queue lets
 //!   fast workers steal the remaining tiles, so an unlucky scheduling of
 //!   one tile never idles the rest of the pool.
 //! * Every tile result is tagged with its tile index and returned in
@@ -216,27 +219,6 @@ impl<'env> Pool<'env> {
             .collect()
     }
 
-    /// Cluster-based `X` averages for a fixed assignment (outliers —
-    /// `None` — contribute nothing): one [`Pool::map_tiles`] fan-out of
-    /// [`kernel::cluster_x_block_columnar`], merged by
-    /// [`kernel::merge_cluster_x`]. The round cache's `assign_x` and the
-    /// refinement phase both run it.
-    pub fn cluster_x(
-        &mut self,
-        medoids: &[usize],
-        assignment: Arc<Vec<Option<usize>>>,
-    ) -> Vec<Vec<f64>> {
-        let mut counts = vec![0usize; medoids.len()];
-        for a in assignment.iter().flatten() {
-            counts[*a] += 1;
-        }
-        let (points, medoids) = (self.points, medoids.to_vec());
-        let parts = self.map_tiles(move |tile| {
-            kernel::cluster_x_block_columnar(tile, points, &medoids, &assignment)
-        });
-        kernel::merge_cluster_x(parts, &counts, points.cols())
-    }
-
     /// EvaluateClusters over the columnar tiles: the objective and the
     /// cluster sizes of the clustering given by one label per point
     /// (`usize` in the hill climb, `Option<usize>` with outliers after
@@ -286,10 +268,11 @@ mod tests {
         Matrix::from_vec(data, n, d)
     }
 
-    /// Every pass production runs — the round cache's fused, assign and
-    /// assign+X passes, cold and then served from cache, and the
-    /// refinement passes — must be bit-identical to the serial pool for
-    /// any worker count, including counts far above the block count.
+    /// Every pass production runs — the round cache's fused pass and its
+    /// assignment with and without `X`, cold and then served from cache,
+    /// and the refinement's reassignment — must be bit-identical to the
+    /// serial pool for any worker count, including counts far above the
+    /// block count.
     #[test]
     fn pooled_passes_match_serial_bit_for_bit() {
         let points = random_points(3000, 6, 42);
@@ -303,17 +286,14 @@ mod tests {
             with_pool(&points, metric, threads, |pool| {
                 let mut cache = RoundCache::new(medoids.len());
                 let fused = cache.fused_round(pool, &medoids, &deltas);
-                let assign = cache.assign(pool, &medoids, &dims);
-                let ax = RoundCache::new(medoids.len()).assign_x(pool, &medoids, &dims);
+                let assign = cache.assign(pool, &medoids, &dims, false).0;
+                let ax = RoundCache::new(medoids.len()).assign(pool, &medoids, &dims, true);
                 assert_eq!(fused, cache.fused_round(pool, &medoids, &deltas));
-                assert_eq!(ax, cache.assign_x(pool, &medoids, &dims));
+                assert_eq!(ax, cache.assign(pool, &medoids, &dims, true));
                 let stats = cache.stats();
                 assert_eq!((stats.fused_slot_hits, stats.column_hits), (3, 3));
-                let asg: Arc<Vec<Option<usize>>> =
-                    Arc::new(assign.iter().map(|&a| Some(a)).collect());
-                let cx = pool.cluster_x(&medoids, asg);
                 let ra = pool.refine_assign(&medoids, &dims, &spheres);
-                (fused, assign, ax, cx, ra)
+                (fused, assign, ax, ra)
             })
         };
         let serial = passes(1);
@@ -321,9 +301,8 @@ mod tests {
             let pooled = passes(threads);
             assert_eq!(serial.0, pooled.0, "fused, threads = {threads}");
             assert_eq!(serial.1, pooled.1, "assign, threads = {threads}");
-            assert_eq!(serial.2, pooled.2, "assign_x, threads = {threads}");
-            assert_eq!(serial.3, pooled.3, "cluster_x, threads = {threads}");
-            assert_eq!(serial.4, pooled.4, "refine, threads = {threads}");
+            assert_eq!(serial.2, pooled.2, "assign with X, threads = {threads}");
+            assert_eq!(serial.3, pooled.3, "refine, threads = {threads}");
         }
     }
 
@@ -361,7 +340,11 @@ mod tests {
                 for round in 0..20 {
                     let medoids = vec![round, 1000 + round];
                     let dims = vec![vec![0, 1], vec![2, 3]];
-                    sum += cache.assign(pool, &medoids, &dims).iter().sum::<usize>();
+                    sum += cache
+                        .assign(pool, &medoids, &dims, false)
+                        .0
+                        .iter()
+                        .sum::<usize>();
                 }
                 sum
             })
@@ -379,7 +362,7 @@ mod tests {
         let metric = DistanceKind::Manhattan;
         let a = with_pool(&points, metric, 8, |pool| {
             assert_eq!(pool.workers(), 0);
-            RoundCache::new(2).assign(pool, &medoids, &dims)
+            RoundCache::new(2).assign(pool, &medoids, &dims, false).0
         });
         let b = crate::assign::assign_points(&points, &medoids, &dims, metric);
         assert_eq!(a, b);

@@ -11,7 +11,6 @@
 use crate::dims::{find_dimensions_from_averages, find_dimensions_opt};
 use crate::pool::Pool;
 use proclus_math::{DistanceKind, Matrix};
-use std::sync::Arc;
 
 /// Output of the refinement pass.
 #[derive(Clone, Debug)]
@@ -147,26 +146,25 @@ pub fn reassign(
     assignment
 }
 
-/// [`refine_opt`] running its two O(N·d) passes (cluster-based `X`
-/// accumulation and the final reassignment) through the per-fit worker
-/// pool. This is the path [`crate::iterate`] takes; results are
-/// bit-identical for every thread count (see [`crate::kernel`]).
+/// [`refine_opt`] with its final reassignment running through the
+/// per-fit worker pool. This is the path [`crate::iterate`] takes;
+/// results are bit-identical for every thread count (see
+/// [`crate::kernel`]).
 ///
-/// `iterative_assignment[p]` is point `p`'s cluster in the iterative
-/// phase's best clustering (`None`: in no cluster).
+/// `cluster_x` holds the per-dimension averages `X` over the iterative
+/// phase's best clustering, one row per medoid, as the round cache's
+/// assignment pass returns them.
 pub fn refine_with_pool(
     pool: &mut Pool<'_>,
     medoids: &[usize],
-    iterative_assignment: Vec<Option<usize>>,
+    cluster_x: &[Vec<f64>],
     total_dims: usize,
     standardize: bool,
 ) -> Refined {
     let metric = pool.metric();
 
-    // 1. Recompute dimensions from the cluster distributions: one
-    //    blocked sweep accumulates every cluster's X sums.
-    let x = pool.cluster_x(medoids, Arc::new(iterative_assignment));
-    let dims = find_dimensions_from_averages(&x, total_dims, standardize);
+    // 1. Recompute dimensions from the cluster distributions.
+    let dims = find_dimensions_from_averages(cluster_x, total_dims, standardize);
 
     // 2. Spheres of influence under the new dimension sets (O(k²·l),
     //    stays on the coordinating thread).

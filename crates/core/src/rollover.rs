@@ -35,17 +35,14 @@
 //! `inspect-trace` can render the full decision log; all decisions are
 //! pure functions of `(params, window, live, seeds)`.
 
-use proclus_math::{fnv1a64_continue, Matrix};
+use proclus_math::hash::{fnv1a64_continue, FNV1A_BASIS};
+use proclus_math::Matrix;
 use proclus_obs::{Event, Recorder};
 
 use crate::model::ProclusModel;
 use crate::params::Proclus;
 use crate::registry::ModelRegistry;
 use crate::stream::GateConfig;
-
-/// FNV offset basis (duplicated from `proclus-math` privately to keep
-/// the canary selection self-describing).
-const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// The scores one gate stage observed. Fields that a stage does not
 /// evaluate are NaN (shadow has no ARI; canary has no silhouette).
@@ -153,7 +150,7 @@ fn canary_indices(n: usize, seed: u64, rebuild: u64, fraction: f64) -> Vec<usize
     let cutoff = (fraction * 10_000.0) as u64;
     let mut out = Vec::new();
     for i in 0..n {
-        let mut h = fnv1a64_continue(FNV_BASIS, &seed.to_le_bytes());
+        let mut h = fnv1a64_continue(FNV1A_BASIS, &seed.to_le_bytes());
         h = fnv1a64_continue(h, &rebuild.to_le_bytes());
         h = fnv1a64_continue(h, &(i as u64).to_le_bytes());
         if h % 10_000 < cutoff {

@@ -37,6 +37,7 @@ use crate::generator::{
 use crate::label::Label;
 use crate::spec::{addressable_cells, DimensionSpec, SyntheticSpec};
 use proclus_math::distributions::{exponential, laplace, normal, poisson};
+use proclus_math::hash::{fnv1a64_continue, FNV1A_BASIS};
 use proclus_math::Matrix;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -387,13 +388,8 @@ impl ScenarioSpec {
     ///
     /// [`DataError::InvalidSpec`] on an invalid scenario.
     pub fn digest(&self) -> Result<u64, DataError> {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-        };
+        let mut h = FNV1A_BASIS;
+        let mut mix = |bytes: &[u8]| h = fnv1a64_continue(h, bytes);
         self.for_each_row(|_, row, label| {
             for v in row {
                 mix(&v.to_le_bytes());
@@ -1409,6 +1405,21 @@ mod tests {
         cols.columns = vec![ExtraColumn::Categorical { levels: 2 }; 2];
         assert_eq!(cols.cols(), usize::MAX);
         assert!(cols.validate().unwrap_err().contains("overflow"));
+    }
+
+    /// Two finite domain bounds whose width overflows `f64` would make
+    /// every uniform coordinate the same value, so the spec fails
+    /// validation and nothing is generated.
+    #[test]
+    fn a_domain_of_infinite_width_fails_validation() {
+        let text = "scenario wide\nrows 400\ndims 8\nclusters 2\ndomain -1e308 1e308\nseed 1\n";
+        match ScenarioSpec::parse(text) {
+            Err(DataError::InvalidSpec(msg)) => assert!(msg.contains("domain width"), "{msg}"),
+            other => panic!("{other:?}"),
+        }
+        let mut wide = small("wide");
+        wide.base.domain = (-1e308, 1e308);
+        assert!(matches!(wide.generate(), Err(DataError::InvalidSpec(_))));
     }
 
     /// A spec can validate and still sample outside `f64`: a finite

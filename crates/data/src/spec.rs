@@ -182,6 +182,15 @@ impl SyntheticSpec {
                 self.domain.0, self.domain.1
             ));
         }
+        // A uniform sample is `lo + u·(hi − lo)`: two finite bounds can
+        // still have an infinite width, and then every sample clamps to
+        // one constant just below `hi`.
+        if !(self.domain.1 - self.domain.0).is_finite() {
+            return Err(format!(
+                "domain width must be finite, got [{:?}, {:?}]",
+                self.domain.0, self.domain.1
+            ));
+        }
         // Same trap as the domain: NaN spread/scale_max slip past
         // one-sided comparisons and panic inside the Gaussian sampler.
         if !(self.spread.is_finite() && self.spread > 0.0) {
@@ -357,6 +366,21 @@ mod tests {
         s.d = 2;
         assert!(s.validate().unwrap_err().contains("overflow"));
         assert_eq!(addressable_cells(1 << 30, 4), Some(1 << 32));
+    }
+
+    #[test]
+    fn validation_rejects_a_domain_of_infinite_width() {
+        // Both bounds finite, `hi − lo` not: every uniform sample would
+        // clamp to one constant just below `hi`.
+        let mut s = SyntheticSpec::new(400, 8, 2, 4.0);
+        s.domain = (-1e308, 1e308);
+        assert!(s.validate().unwrap_err().contains("domain width"));
+        assert!(matches!(
+            s.try_generate(),
+            Err(crate::DataError::InvalidSpec(_))
+        ));
+        s.domain = (-8e307, 8e307);
+        assert!(s.validate().is_ok());
     }
 
     #[test]

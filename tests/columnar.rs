@@ -1,6 +1,6 @@
 //! Columnar-layout equivalence tier: every pass a fit runs — the round
-//! cache's passes, cold and served from cache, and the refinement
-//! passes — runs the dimension-major blocked kernels, and must be
+//! cache's passes, cold and served from cache, and the refinement's
+//! reassignment — runs the dimension-major blocked kernels, and must be
 //! **bit-identical** to the reference for every metric and thread count
 //! — on matrices built to expose any deviation (exact distance ties,
 //! duplicated rows, mixed 1e±9 magnitudes). The references are the
@@ -19,7 +19,6 @@ use proclus::core::refine::reassign;
 use proclus::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::Arc;
 
 /// Quantized coordinates force many exactly-equal distances, so the
 /// strict-`<` lowest-index tie-breaking is exercised everywhere.
@@ -73,9 +72,8 @@ fn assert_bits_eq(a: &[Vec<f64>], b: &[Vec<f64>], ctx: &str) {
 struct Reference {
     fused: (Vec<usize>, Vec<Vec<f64>>),
     assign: Vec<usize>,
-    assign_x: (Vec<usize>, Vec<Vec<f64>>),
-    refined: Vec<Option<usize>>,
     cluster_x: Vec<Vec<f64>>,
+    refined: Vec<Option<usize>>,
 }
 
 /// Run the row-major reference kernels block by block over
@@ -91,17 +89,6 @@ fn reference(
 ) -> Reference {
     let (k, d) = (medoids.len(), points.cols());
     let blocks = kernel::blocks(points.rows());
-    let cluster_x = |labels: &[Option<usize>]| {
-        let counts: Vec<usize> = group_members(labels, k).iter().map(Vec::len).collect();
-        kernel::merge_cluster_x(
-            blocks
-                .iter()
-                .map(|&(lo, hi)| kernel::cluster_x_block(points, medoids, labels, lo, hi))
-                .collect(),
-            &counts,
-            d,
-        )
-    };
     let fused = kernel::merge_fused(
         blocks
             .iter()
@@ -112,15 +99,21 @@ fn reference(
     );
     let assign = assign_points(points, medoids, dims, metric);
     let labels: Vec<Option<usize>> = assign.iter().map(|&a| Some(a)).collect();
-    let assign_x = (assign.clone(), cluster_x(&labels));
+    let counts: Vec<usize> = group_members(&labels, k).iter().map(Vec::len).collect();
+    let cluster_x = kernel::merge_cluster_x(
+        blocks
+            .iter()
+            .map(|&(lo, hi)| kernel::cluster_x_block(points, medoids, &labels, lo, hi))
+            .collect(),
+        &counts,
+        d,
+    );
     let refined = reassign(points, medoids, dims, spheres, metric);
-    let cluster_x = cluster_x(&refined);
     Reference {
         fused,
         assign,
-        assign_x,
-        refined,
         cluster_x,
+        refined,
     }
 }
 
@@ -160,22 +153,21 @@ fn columnar_pool_passes_are_bit_identical_to_row_major() {
                     assert_eq!(cache.stats().fused_slot_hits, k as u64, "{ctx}: fused hit");
                     let mut cache = RoundCache::new(k);
                     for pass in ["cold", "hit"] {
-                        let assign = cache.assign(pool, &medoids, &dims);
+                        let assign = cache.assign(pool, &medoids, &dims, false).0;
                         assert_eq!(want.assign, assign, "{ctx}/{pass}: assignment");
                     }
                     assert_eq!(cache.stats().column_hits, k as u64, "{ctx}: column hit");
                     let mut cache = RoundCache::new(k);
                     for pass in ["cold", "hit"] {
                         let ctx = format!("{ctx}/{pass}");
-                        let (winners, x) = cache.assign_x(pool, &medoids, &dims);
-                        assert_eq!(want.assign_x.0, winners, "{ctx}: assign+X winners");
-                        assert_bits_eq(&want.assign_x.1, &x, &format!("{ctx}: assign+X sums"));
+                        let (winners, x) = cache.assign(pool, &medoids, &dims, true);
+                        assert_eq!(want.assign, winners, "{ctx}: assign+X winners");
+                        let x = x.expect("X asked for");
+                        assert_bits_eq(&want.cluster_x, &x, &format!("{ctx}: assign+X sums"));
                     }
                     assert_eq!(cache.stats().column_hits, k as u64, "{ctx}: assign+X hit");
                     let refined = pool.refine_assign(&medoids, &dims, &spheres);
                     assert_eq!(want.refined, refined, "{ctx}: refine assignment");
-                    let cluster_x = pool.cluster_x(&medoids, Arc::new(refined));
-                    assert_bits_eq(&want.cluster_x, &cluster_x, &format!("{ctx}: cluster X"));
                 });
             }
         }
@@ -214,7 +206,9 @@ fn pool_evaluator_matches_evaluate_clusters_bit_for_bit() {
         for threads in [1usize, 2, 8] {
             let ctx = format!("{family}/t{threads}");
             with_pool(&points, metric, threads, |pool| {
-                let flat = RoundCache::new(dims.len()).assign(pool, &medoids, &dims);
+                let flat = RoundCache::new(dims.len())
+                    .assign(pool, &medoids, &dims, false)
+                    .0;
                 let refined = pool.refine_assign(&medoids, &dims, &spheres);
                 assert_eq!(want.assign, flat, "{ctx}: assignment");
                 assert_eq!(want.refined, refined, "{ctx}: refine assignment");
@@ -295,9 +289,10 @@ fn member_sweeps_match_references_at_every_remainder_width() {
                         let (sizes, x) = cache.fused_round(pool, &medoids, &deltas);
                         assert_eq!(want.fused.0, sizes, "{ctx}: locality sizes");
                         assert_bits_eq(&want.fused.1, &x, &format!("{ctx}: locality X"));
-                        let (winners, cx) = cache.assign_x(pool, &medoids, &dims);
-                        assert_eq!(want.assign_x.0, winners, "{ctx}: assign+X winners");
-                        assert_bits_eq(&want.assign_x.1, &cx, &format!("{ctx}: cluster X"));
+                        let (winners, cx) = cache.assign(pool, &medoids, &dims, true);
+                        assert_eq!(want.assign, winners, "{ctx}: assign+X winners");
+                        let cx = cx.expect("X asked for");
+                        assert_bits_eq(&want.cluster_x, &cx, &format!("{ctx}: cluster X"));
                     }
                     let stats = cache.stats();
                     assert_eq!(

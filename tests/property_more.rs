@@ -409,8 +409,8 @@ fn tie_breaking_is_identical_across_all_assignment_paths() {
             for threads in [1usize, 4] {
                 let (fresh, cached) = with_pool(&m, metric, threads, |pool| {
                     let mut cache = RoundCache::new(medoids.len());
-                    let fresh = cache.assign(pool, &medoids, &dims);
-                    let cached = cache.assign(pool, &medoids, &dims);
+                    let fresh = cache.assign(pool, &medoids, &dims, false).0;
+                    let cached = cache.assign(pool, &medoids, &dims, false).0;
                     assert_eq!(cache.stats().column_hits, medoids.len() as u64);
                     (fresh, cached)
                 });

@@ -288,7 +288,7 @@ fn pooled_round(
     let mut round = |pool: &mut proclus::core::pool::Pool<'_>| {
         let (sizes, x) = cache.fused_round(pool, medoids, deltas);
         let dims = proclus::core::dims::find_dimensions_from_averages(&x, 12, true);
-        let flat = cache.assign(pool, medoids, &dims);
+        let flat = cache.assign(pool, medoids, &dims, false).0;
         (sizes, x, dims, flat)
     };
     let cold = round(pool);

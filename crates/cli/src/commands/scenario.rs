@@ -92,7 +92,7 @@ pub fn run(args: &Args, out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
         (Some(path), Some(Format::Prcl)) => spec.write_prcl(path)?,
         (Some(path), Some(Format::Chunks)) => spec.write_chunks(path, batch_rows)?,
         // Dry run: generate (and digest) without writing anything.
-        _ => spec.for_each_row(|_, _, _| {})?,
+        _ => spec.for_each_row(|_, _, _| Ok(()))?,
     };
 
     if let Some(rec) = &jsonl {

@@ -24,47 +24,7 @@
 //! dimension sets outright; this module never produces one.
 
 use proclus_math::order::total_cmp_nan_last;
-use proclus_math::{stats, Matrix};
-
-/// Per-medoid average distance along every dimension: `X[i][j]` is the
-/// mean over `reference_sets[i]` of the distance along dimension `j`
-/// between the point and `points.row(medoids[i])`.
-///
-/// For the Manhattan metric the "distance along dimension j" is
-/// `|p_j − m_j|`; for the (ablation-only) Euclidean/Chebyshev kinds the
-/// single-dimension restriction coincides with the same absolute
-/// difference, so this function is metric-independent.
-///
-/// An empty reference set yields an all-zero row (its medoid will then
-/// receive whatever dimensions the allocator hands out; callers avoid
-/// this by construction since localities contain their medoid).
-pub fn average_dimension_distances(
-    points: &Matrix,
-    medoids: &[usize],
-    reference_sets: &[Vec<usize>],
-) -> Vec<Vec<f64>> {
-    assert_eq!(medoids.len(), reference_sets.len());
-    let d = points.cols();
-    let mut x = vec![vec![0.0; d]; medoids.len()];
-    for (i, (&m, set)) in medoids.iter().zip(reference_sets).enumerate() {
-        if set.is_empty() {
-            continue;
-        }
-        let mrow = points.row(m);
-        let xi = &mut x[i];
-        for &p in set {
-            let prow = points.row(p);
-            for j in 0..d {
-                xi[j] += (prow[j] - mrow[j]).abs();
-            }
-        }
-        let inv = 1.0 / set.len() as f64;
-        for v in xi.iter_mut() {
-            *v *= inv;
-        }
-    }
-    x
-}
+use proclus_math::stats;
 
 /// Standardize each medoid's `X` row into Z-scores:
 /// `Z[i][j] = (X[i][j] − Yᵢ)/σᵢ`.
@@ -162,37 +122,13 @@ pub fn allocate_dimensions(z: &[Vec<f64>], total: usize, min_per_row: usize) -> 
     chosen
 }
 
-/// The full FindDimensions pipeline: average distances → Z-scores →
-/// allocation of `total` dimensions with at least 2 per medoid.
-pub fn find_dimensions(
-    points: &Matrix,
-    medoids: &[usize],
-    reference_sets: &[Vec<usize>],
-    total: usize,
-) -> Vec<Vec<usize>> {
-    find_dimensions_opt(points, medoids, reference_sets, total, true)
-}
-
-/// [`find_dimensions`] with standardization optional. With
-/// `standardize = false` the raw `X` averages are allocated directly —
-/// an ablation that loses the per-medoid scale normalization; not part
-/// of the paper's algorithm.
-pub fn find_dimensions_opt(
-    points: &Matrix,
-    medoids: &[usize],
-    reference_sets: &[Vec<usize>],
-    total: usize,
-    standardize: bool,
-) -> Vec<Vec<usize>> {
-    let x = average_dimension_distances(points, medoids, reference_sets);
-    find_dimensions_from_averages(&x, total, standardize)
-}
-
-/// The back half of FindDimensions, starting from already-computed
-/// average distances `X` (as produced by the fused kernels in
-/// [`crate::kernel`], which accumulate `X` during the locality or
-/// assignment sweep instead of a separate pass): Z-scores →
-/// allocation of `total` dimensions with at least 2 per medoid.
+/// FindDimensions from already-computed average distances `X` (as
+/// produced by the fused kernels in [`crate::kernel`], which accumulate
+/// `X` during the locality or assignment sweep instead of a separate
+/// pass): Z-scores → allocation of `total` dimensions with at least 2
+/// per medoid. With `standardize = false` the raw `X` averages are
+/// allocated directly — an ablation that loses the per-medoid scale
+/// normalization; not part of the paper's algorithm.
 pub fn find_dimensions_from_averages(
     x: &[Vec<f64>],
     total: usize,
@@ -229,21 +165,6 @@ pub fn chosen_scores(x: &[Vec<f64>], chosen: &[Vec<usize>], standardize: bool) -
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn average_distances_basic() {
-        // Medoid at origin; reference points (1, 2) and (3, 6).
-        let m = Matrix::from_rows(&[[0.0, 0.0], [1.0, 2.0], [3.0, 6.0]], 2);
-        let x = average_dimension_distances(&m, &[0], &[vec![1, 2]]);
-        assert_eq!(x, vec![vec![2.0, 4.0]]);
-    }
-
-    #[test]
-    fn average_distances_empty_set_is_zero() {
-        let m = Matrix::from_rows(&[[5.0, 5.0]], 2);
-        let x = average_dimension_distances(&m, &[0], &[vec![]]);
-        assert_eq!(x, vec![vec![0.0, 0.0]]);
-    }
 
     #[test]
     fn z_scores_standardize() {
@@ -502,16 +423,11 @@ mod tests {
 
     #[test]
     fn find_dimensions_picks_tight_axes() {
-        // Medoid 0 at origin. Locality points are tight on dims {0, 1}
-        // and spread on dims {2, 3}.
-        let rows: Vec<[f64; 4]> = vec![
-            [0.0, 0.0, 0.0, 0.0], // medoid
-            [0.1, 0.2, 30.0, 40.0],
-            [0.2, 0.1, 50.0, 20.0],
-            [0.15, 0.12, 10.0, 60.0],
-        ];
-        let m = Matrix::from_rows(&rows, 4);
-        let out = find_dimensions(&m, &[0], &[vec![0, 1, 2, 3]], 2);
+        // Medoid 0 at origin; its reference set (itself and three
+        // points) is tight on dims {0, 1} and spread on dims {2, 3}:
+        // `X` is the mean |diff| over the four rows.
+        let x = vec![vec![0.45 / 4.0, 0.42 / 4.0, 90.0 / 4.0, 120.0 / 4.0]];
+        let out = find_dimensions_from_averages(&x, 2, true);
         assert_eq!(out, vec![vec![0, 1]]);
     }
 }

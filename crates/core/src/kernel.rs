@@ -1084,6 +1084,17 @@ mod tests {
         assert_eq!(x, vec![vec![0.5, 1.5]]);
     }
 
+    /// A cluster with no members (an empty reference set) keeps an
+    /// all-zero `X` row instead of dividing by its zero count.
+    #[test]
+    fn merge_cluster_x_leaves_an_empty_cluster_at_zero() {
+        let points = Matrix::from_rows(&[[5.0, 5.0], [1.0, 2.0]], 2);
+        let assignment = vec![Some(0), Some(0)];
+        let partial = cluster_x_block(&points, &[0, 1], &assignment, 0, 2);
+        let x = merge_cluster_x(vec![partial], &[2, 0], 2);
+        assert_eq!(x, vec![vec![2.0, 1.5], vec![0.0, 0.0]]);
+    }
+
     /// Matrices chosen to stress the bit-identity contract: exact
     /// distance ties, duplicated rows, and mixed 1e±9 magnitudes where
     /// any reassociation of the accumulation order would show up.

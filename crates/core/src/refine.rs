@@ -8,7 +8,7 @@
 //! `Dᵢ` exceeds `Δᵢ`, the medoid's *sphere of influence*
 //! (`Δᵢ = min_{j≠i} d_{Dᵢ}(mᵢ, mⱼ)`).
 
-use crate::dims::{find_dimensions_from_averages, find_dimensions_opt};
+use crate::dims::find_dimensions_from_averages;
 use crate::pool::Pool;
 use proclus_math::{DistanceKind, Matrix};
 
@@ -65,54 +65,6 @@ pub fn spheres_of_influence(
     spheres
 }
 
-/// Run the refinement phase.
-///
-/// `iterative_clusters` are the member lists produced by the last
-/// assignment of the iterative phase (used as the dimension reference
-/// sets, replacing the localities); `total_dims` is `k·l`.
-pub fn refine(
-    points: &Matrix,
-    medoids: &[usize],
-    iterative_clusters: &[Vec<usize>],
-    total_dims: usize,
-    metric: DistanceKind,
-) -> Refined {
-    refine_opt(
-        points,
-        medoids,
-        iterative_clusters,
-        total_dims,
-        metric,
-        true,
-    )
-}
-
-/// [`refine`] with FindDimensions standardization optional (see
-/// [`crate::dims::find_dimensions_opt`]).
-pub fn refine_opt(
-    points: &Matrix,
-    medoids: &[usize],
-    iterative_clusters: &[Vec<usize>],
-    total_dims: usize,
-    metric: DistanceKind,
-    standardize: bool,
-) -> Refined {
-    // 1. Recompute dimensions from the cluster distributions.
-    let dims = find_dimensions_opt(points, medoids, iterative_clusters, total_dims, standardize);
-
-    // 2. Spheres of influence under the new dimension sets.
-    let spheres = spheres_of_influence(points, medoids, &dims, metric);
-
-    // 3. Reassign points; a point beyond every sphere is an outlier.
-    let assignment = reassign(points, medoids, &dims, &spheres, metric);
-
-    Refined {
-        dims,
-        assignment,
-        spheres,
-    }
-}
-
 /// The refinement's reassignment: every point goes to the medoid with
 /// the smallest segmental distance under that medoid's dimension set
 /// (ties to the lower index; a NaN distance never wins), or `None` —
@@ -146,9 +98,10 @@ pub fn reassign(
     assignment
 }
 
-/// [`refine_opt`] with its final reassignment running through the
-/// per-fit worker pool. This is the path [`crate::iterate`] takes;
-/// results are bit-identical for every thread count (see
+/// Run the refinement phase: FindDimensions over the iterative
+/// phase's clusters, spheres of influence, then the final reassignment
+/// through the per-fit worker pool. This is the path [`crate::iterate`]
+/// takes; results are bit-identical for every thread count (see
 /// [`crate::kernel`]).
 ///
 /// `cluster_x` holds the per-dimension averages `X` over the iterative
@@ -183,9 +136,33 @@ pub fn refine_with_pool(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::{cluster_x_block, merge_cluster_x};
+    use crate::pool::with_pool;
 
-    /// Two obvious projected clusters and one far-away point.
-    fn toy() -> (Matrix, Vec<usize>, Vec<Vec<usize>>) {
+    /// Refine over the clusters `labels` names (`None`: in no cluster),
+    /// with their `X` from the row-major oracle
+    /// ([`cluster_x_block`] + [`merge_cluster_x`]).
+    fn refine_over(
+        points: &Matrix,
+        medoids: &[usize],
+        labels: &[Option<usize>],
+        total_dims: usize,
+        metric: DistanceKind,
+    ) -> Refined {
+        let mut counts = vec![0; medoids.len()];
+        for &i in labels.iter().flatten() {
+            counts[i] += 1;
+        }
+        let partial = cluster_x_block(points, medoids, labels, 0, labels.len());
+        let x = merge_cluster_x(vec![partial], &counts, points.cols());
+        with_pool(points, metric, 1, |pool| {
+            refine_with_pool(pool, medoids, &x, total_dims, true)
+        })
+    }
+
+    /// Two obvious projected clusters and one far-away point, which
+    /// the clusters leave out.
+    fn toy() -> (Matrix, Vec<usize>, Vec<Option<usize>>) {
         let rows: Vec<[f64; 3]> = vec![
             // Cluster around (0, 0, *) on dims {0, 1}.
             [0.0, 0.0, 10.0],
@@ -200,8 +177,8 @@ mod tests {
         ];
         let m = Matrix::from_rows(&rows, 3);
         let medoids = vec![0usize, 3];
-        let clusters = vec![vec![0, 1, 2], vec![3, 4, 5]];
-        (m, medoids, clusters)
+        let labels = vec![Some(0), Some(0), Some(0), Some(1), Some(1), Some(1), None];
+        (m, medoids, labels)
     }
 
     #[test]
@@ -221,8 +198,8 @@ mod tests {
 
     #[test]
     fn refine_recovers_dimensions_and_outlier() {
-        let (m, medoids, clusters) = toy();
-        let refined = refine(&m, &medoids, &clusters, 4, DistanceKind::Manhattan);
+        let (m, medoids, labels) = toy();
+        let refined = refine_over(&m, &medoids, &labels, 4, DistanceKind::Manhattan);
         assert_eq!(refined.dims[0], vec![0, 1]);
         assert_eq!(refined.dims[1], vec![1, 2]);
         // The far point is an outlier.
@@ -286,7 +263,8 @@ mod tests {
 
         // With the old zero spheres, points 2..5 were all outliers.
         // Now every point lands in a cluster (ties to the lower index).
-        let refined = refine(&m, &medoids, &[vec![0, 2, 3], vec![1, 4]], 4, metric);
+        let labels = [Some(0), Some(1), Some(0), Some(0), Some(1)];
+        let refined = refine_over(&m, &medoids, &labels, 4, metric);
         assert!(
             refined.assignment.iter().all(|a| a.is_some()),
             "coincident medoids must not outlier the whole dataset: {:?}",
@@ -322,7 +300,8 @@ mod tests {
     fn refine_with_one_medoid_assigns_everything() {
         let rows: Vec<[f64; 2]> = vec![[0.0, 0.0], [1.0, 1.0], [900.0, 900.0]];
         let m = Matrix::from_rows(&rows, 2);
-        let refined = refine(&m, &[0], &[vec![0, 1, 2]], 2, DistanceKind::Manhattan);
+        let labels = [Some(0); 3];
+        let refined = refine_over(&m, &[0], &labels, 2, DistanceKind::Manhattan);
         assert!(refined.assignment.iter().all(|a| *a == Some(0)));
         assert_eq!(refined.spheres, vec![f64::INFINITY]);
     }

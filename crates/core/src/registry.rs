@@ -42,20 +42,23 @@
 //!
 //! # Crash safety
 //!
-//! Every write goes through temp-file + `fsync` + atomic rename (the
-//! same discipline as `proclus-data`'s binary I/O). A crash can
-//! therefore leave only (a) a stray `*.tmp` file, (b) a fully-written
-//! entry not yet named by `CURRENT`, or (c) a missing/corrupt
-//! `CURRENT`. [`ModelRegistry::open`] runs a recovery scan that
-//! quarantines partial/corrupt entries (renaming them to
-//! `*.quarantined` so nothing ever parses them again) and repairs
-//! `CURRENT` to the highest valid generation.
+//! Every write goes through `proclus-data`'s crash-safe writer
+//! ([`proclus_data::atomic`]): temp file, `fsync`, atomic rename,
+//! directory `fsync`, and the temp file removed on any failure. A
+//! failed write therefore leaves nothing behind, and a crash can leave
+//! only (a) a stray `*.tmp` file, (b) a fully-written entry not yet
+//! named by `CURRENT`, or (c) a missing/corrupt `CURRENT`.
+//! [`ModelRegistry::open`] runs a recovery scan that quarantines
+//! partial/corrupt entries (renaming them to `*.quarantined` so nothing
+//! ever parses them again) and repairs `CURRENT` to the highest valid
+//! generation.
 
 use std::fmt;
 use std::fs;
-use std::io::{self, Write};
+use std::io;
 use std::path::{Path, PathBuf};
 
+use proclus_data::{atomic, DataError};
 use proclus_math::{fnv1a64, DistanceKind};
 
 use crate::model::ProclusModel;
@@ -415,34 +418,21 @@ pub fn decode_model(bytes: &[u8]) -> Result<ProclusModel, ModelCodecError> {
 }
 
 // ---------------------------------------------------------------------
-// Atomic writes (local copy: core does not depend on proclus-data)
+// Atomic writes: `proclus-data`'s shared crash-safe writer
 // ---------------------------------------------------------------------
 
-fn tmp_path(path: &Path) -> PathBuf {
-    let mut os = path.as_os_str().to_os_string();
-    os.push(".tmp");
-    PathBuf::from(os)
-}
-
-fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), RegistryError> {
-    let tmp = tmp_path(path);
-    let io_err = |p: &Path, e: io::Error| RegistryError::Io {
-        path: p.to_path_buf(),
-        source: e,
-    };
-    let mut f = fs::File::create(&tmp).map_err(|e| io_err(&tmp, e))?;
-    f.write_all(bytes).map_err(|e| io_err(&tmp, e))?;
-    f.sync_all().map_err(|e| io_err(&tmp, e))?;
-    drop(f);
-    fs::rename(&tmp, path).map_err(|e| io_err(path, e))?;
-    // Durability of the rename itself: fsync the directory when
-    // possible (best-effort — some filesystems reject directory opens).
-    if let Some(parent) = path.parent() {
-        if let Ok(dir) = fs::File::open(parent) {
-            let _ = dir.sync_all();
-        }
-    }
-    Ok(())
+/// Write `bytes` to `path` through [`proclus_data::atomic`], the
+/// workspace's one crash-safe writer (temp file, fsync, rename,
+/// directory fsync; the temp file is removed on any failure).
+fn write_durably(path: &Path, bytes: &[u8]) -> Result<(), RegistryError> {
+    atomic::write_atomic(path, bytes).map_err(|e| match e {
+        DataError::Io { path, source } => RegistryError::Io { path, source },
+        // The writer fails only with `Io`; keep any other error typed.
+        other => RegistryError::Io {
+            path: path.to_path_buf(),
+            source: io::Error::other(other.to_string()),
+        },
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -571,7 +561,7 @@ impl ModelRegistry {
             // repair to the highest valid generation.
             (_, Some(best)) => {
                 if named != Some(best) {
-                    write_atomic(&current_path, format!("{best}\n").as_bytes())?;
+                    write_durably(&current_path, format!("{best}\n").as_bytes())?;
                     report.current_repaired = true;
                 }
                 Some(best)
@@ -720,14 +710,15 @@ impl ModelRegistry {
     ///
     /// # Errors
     ///
-    /// [`RegistryError::Io`]; on error no partial entry file remains
-    /// visible under the entry name (at worst a stray `*.tmp`, which
-    /// the next recovery scan quarantines).
+    /// [`RegistryError::Io`] naming the file that failed. A failed
+    /// write removes its temp file, so no partial entry remains; only a
+    /// crash can leave a stray `*.tmp`, which the next recovery scan
+    /// quarantines.
     pub fn publish(&mut self, model: &ProclusModel) -> Result<u64, RegistryError> {
         let generation = self.valid.last().map_or(1, |g| g + 1);
         let path = self.entry_path(generation);
-        write_atomic(&path, &encode_model(model))?;
-        write_atomic(
+        write_durably(&path, &encode_model(model))?;
+        write_durably(
             &self.dir.join(CURRENT_FILE),
             format!("{generation}\n").as_bytes(),
         )?;
@@ -861,6 +852,27 @@ mod tests {
         assert_eq!(g, 2);
         assert_eq!(loaded.assignment(), m2.assignment());
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The entry path is an existing directory (made after `open`,
+    /// which reads every `gen-*.prcm` it lists), so the rename fails
+    /// after the temp file is complete: the error names the entry and
+    /// the temp file is gone.
+    #[test]
+    fn failed_publish_leaves_no_tmp() {
+        let dir = tmp_dir("failed-publish");
+        let (mut reg, _) = ModelRegistry::open(&dir).unwrap();
+        let entry = reg.entry_path(1);
+        fs::create_dir(&entry).unwrap();
+        match reg.publish(&toy_model(0.0)) {
+            Err(RegistryError::Io { path, .. }) => assert_eq!(path, entry),
+            other => panic!("expected an I/O error on the entry, got {other:?}"),
+        }
+        let mut tmp = entry.clone().into_os_string();
+        tmp.push(".tmp");
+        assert!(!PathBuf::from(tmp).exists(), "temp file left behind");
+        assert_eq!(reg.current(), None);
+        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

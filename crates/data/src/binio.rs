@@ -31,6 +31,22 @@ use std::path::Path;
 /// buffer without attempting a full decode).
 pub const MAGIC: &[u8; 4] = b"PRCL";
 const VERSION: u8 = 1;
+/// Byte length of the header: magic, version, flags, rows, cols.
+const HEADER_LEN: usize = 4 + 1 + 1 + 8 + 8;
+
+/// The `PRCL` header for a `rows × cols` dataset, labeled or not: the
+/// one encoding of it, shared by [`encode`] and the scenario engine's
+/// streaming writer.
+#[must_use]
+pub(crate) fn header(rows: usize, cols: usize, labeled: bool) -> [u8; HEADER_LEN] {
+    let mut h = [0u8; HEADER_LEN];
+    h[..4].copy_from_slice(MAGIC);
+    h[4] = VERSION;
+    h[5] = u8::from(labeled);
+    h[6..14].copy_from_slice(&(rows as u64).to_le_bytes());
+    h[14..].copy_from_slice(&(cols as u64).to_le_bytes());
+    h
+}
 
 /// Serialize `points` (and optional aligned `labels`) into the binary
 /// format.
@@ -50,24 +66,14 @@ pub fn encode(points: &Matrix, labels: Option<&[Label]>) -> Result<Vec<u8>, Data
         }
     }
     let mut buf = Vec::with_capacity(
-        4 + 2 + 16 + points.rows() * points.cols() * 8 + labels.map_or(0, |l| l.len() * 8),
+        HEADER_LEN + points.rows() * points.cols() * 8 + labels.map_or(0, |l| l.len() * 8),
     );
-    buf.extend_from_slice(MAGIC);
-    buf.push(VERSION);
-    buf.push(u8::from(labels.is_some()));
-    buf.extend_from_slice(&(points.rows() as u64).to_le_bytes());
-    buf.extend_from_slice(&(points.cols() as u64).to_le_bytes());
+    buf.extend_from_slice(&header(points.rows(), points.cols(), labels.is_some()));
     for v in points.as_slice() {
         buf.extend_from_slice(&v.to_le_bytes());
     }
-    if let Some(ls) = labels {
-        for l in ls {
-            let id: i64 = match l {
-                Label::Cluster(i) => *i as i64,
-                Label::Outlier => -1,
-            };
-            buf.extend_from_slice(&id.to_le_bytes());
-        }
+    for l in labels.into_iter().flatten() {
+        buf.extend_from_slice(&l.id().to_le_bytes());
     }
     Ok(buf)
 }
@@ -192,18 +198,13 @@ pub fn decode(buf: &[u8]) -> Result<(Matrix, Option<Vec<Label>>), DataError> {
         let start = r.offset + data_bytes.len();
         let mut ls = Vec::with_capacity(rows);
         for (i, b) in label_bytes.chunks_exact(8).enumerate() {
-            ls.push(match i64::from_le_bytes(le_word(b)) {
-                -1 => Label::Outlier,
-                id if id >= 0 => Label::Cluster(id as usize),
-                other => {
-                    return Err(DataError::Binary {
-                        path: None,
-                        offset: start + i * 8,
-                        field: "labels",
-                        reason: format!("bad label id {other}"),
-                    })
-                }
-            });
+            let id = i64::from_le_bytes(le_word(b));
+            ls.push(Label::from_id(id).ok_or_else(|| DataError::Binary {
+                path: None,
+                offset: start + i * 8,
+                field: "labels",
+                reason: format!("bad label id {id}"),
+            })?);
         }
         Some(ls)
     } else {
@@ -212,47 +213,8 @@ pub fn decode(buf: &[u8]) -> Result<(Matrix, Option<Vec<Label>>), DataError> {
     Ok((Matrix::from_vec(data, rows, cols), labels))
 }
 
-/// The temp-file sibling that [`write_atomic`] stages into: `<path>.tmp`.
-///
-/// Exposed so recovery scans (and tests) can recognize the leftovers of
-/// a write that died before its rename.
-#[must_use]
-pub fn tmp_path(path: &Path) -> std::path::PathBuf {
-    let mut os = path.as_os_str().to_os_string();
-    os.push(".tmp");
-    std::path::PathBuf::from(os)
-}
-
-/// Crash-safe whole-file write: stage the bytes in `<path>.tmp`, fsync,
-/// then rename over `path` (atomic on POSIX), then best-effort fsync
-/// the parent directory so the rename itself is durable.
-///
-/// A crash at any instant leaves either the old file intact (possibly
-/// next to a detectable partial `.tmp`) or the new file complete —
-/// never a torn `path`.
-///
-/// # Errors
-///
-/// [`DataError::Io`] naming the staged or final path on any failure.
-pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), DataError> {
-    use std::io::Write;
-    let tmp = tmp_path(path);
-    let mut f = fs::File::create(&tmp).map_err(|e| DataError::io(&tmp, e))?;
-    f.write_all(bytes).map_err(|e| DataError::io(&tmp, e))?;
-    f.sync_all().map_err(|e| DataError::io(&tmp, e))?;
-    drop(f);
-    fs::rename(&tmp, path).map_err(|e| DataError::io(path, e))?;
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            if let Ok(dir) = fs::File::open(parent) {
-                let _ = dir.sync_all();
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Write the binary format to a file (crash-safe: temp file + rename).
+/// Write the binary format to a file through the crash-safe writer
+/// ([`crate::atomic`]).
 ///
 /// # Errors
 ///
@@ -263,7 +225,7 @@ pub fn write_binary(
     points: &Matrix,
     labels: Option<&[Label]>,
 ) -> Result<(), DataError> {
-    write_atomic(path, &encode(points, labels)?)
+    crate::atomic::write_atomic(path, &encode(points, labels)?)
 }
 
 /// Read a file produced by [`write_binary`].
@@ -280,6 +242,7 @@ pub fn read_binary(path: &Path) -> Result<(Matrix, Option<Vec<Label>>), DataErro
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::atomic::{tmp_path, write_atomic};
 
     fn sample() -> (Matrix, Vec<Label>) {
         let m = Matrix::from_rows(&[[1.5, -2.0, f64::MIN_POSITIVE], [0.0, 1e300, -0.0]], 3);
@@ -426,6 +389,14 @@ mod tests {
         std::fs::remove_file(&path).ok();
         assert_eq!(m, m2);
         assert_eq!(l2, Some(l));
+    }
+
+    #[test]
+    fn failed_write_binary_leaves_no_tmp() {
+        let (m, l) = sample();
+        let path =
+            std::env::temp_dir().join(format!("proclus-binio-dir-{}.prcl", std::process::id()));
+        crate::atomic::assert_failed_write_leaves_nothing(&path, |p| write_binary(p, &m, Some(&l)));
     }
 
     #[test]

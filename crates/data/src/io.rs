@@ -1,26 +1,27 @@
 //! Plain-text (CSV) dataset serialization.
 //!
 //! Format: one point per line, comma-separated coordinates; when labels
-//! are written, the last column is the label (`A`, `B`, … for clusters —
-//! matching the paper's tables — or `Out.` for outliers). A single
-//! header line `x0,x1,…[,label]` is always written.
+//! are written, the last column is the label (`C<i>` for cluster `i`,
+//! `O` for an outlier; the reader also accepts `Out.`). A single
+//! header line `x0,x1,…[,label]` is always written. [`csv_header`] and
+//! [`push_csv_row`] are the one encoding of that text, shared by
+//! [`write_csv`] and the scenario engine's streaming writer.
 
-use crate::binio::tmp_path;
+use crate::atomic::write_with;
 use crate::error::DataError;
 use crate::label::Label;
 use proclus_math::Matrix;
+use std::fmt::Write as _;
 use std::fs::File;
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufRead, BufReader};
 use std::path::Path;
 
 /// Write `points` (and optionally aligned `labels`) as CSV.
 ///
 /// Crash-safe and constant-memory: rows are streamed one at a time
-/// through a [`BufWriter`] into `<path>.tmp`, fsynced, and renamed over
-/// `path` (the same temp-file + rename contract as
-/// [`write_atomic`](crate::binio::write_atomic)), so a crash can never
-/// leave a half-written dataset under the final name and the full text
-/// is never materialized in RAM.
+/// through the crate's crash-safe writer ([`crate::atomic`]), so a
+/// crash can never leave a half-written dataset under the final name
+/// and the full text is never materialized in RAM.
 ///
 /// # Errors
 ///
@@ -37,75 +38,50 @@ pub fn write_csv(path: &Path, points: &Matrix, labels: Option<&[Label]>) -> Resu
             });
         }
     }
-    let rows = points.rows();
-    write_csv_rows(
-        path,
-        points.cols(),
-        labels.is_some(),
-        (0..rows).map(|i| (points.row(i), labels.map(|ls| ls[i]))),
-    )
+    write_with(path, |w| {
+        w.write_all(csv_header(points.cols(), labels.is_some()).as_bytes())?;
+        let mut line = String::new();
+        for i in 0..points.rows() {
+            line.clear();
+            push_csv_row(&mut line, points.row(i), labels.map(|ls| ls[i]));
+            w.write_all(line.as_bytes())?;
+        }
+        Ok(())
+    })
 }
 
-/// Stream CSV rows from any iterator into `path` under the crash-safe
-/// temp-file + rename contract. Shared by [`write_csv`] and the
-/// scenario engine's epoch streamer; never holds more than one row
-/// (plus the `BufWriter` block) in memory.
-///
-/// When `with_labels` is set, every row must carry `Some(label)`.
-///
-/// # Errors
-///
-/// [`DataError::Io`] naming the staged or final path on any failure.
-pub(crate) fn write_csv_rows<'a>(
-    path: &Path,
-    cols: usize,
-    with_labels: bool,
-    rows: impl Iterator<Item = (&'a [f64], Option<Label>)>,
-) -> Result<(), DataError> {
-    let tmp = tmp_path(path);
-    let tmperr = |e| DataError::io(&tmp, e);
-    let mut w = BufWriter::new(File::create(&tmp).map_err(tmperr)?);
-    for j in 0..cols {
+/// The CSV header line for `cols` coordinates: `x0,…,x{cols−1}`, then
+/// `,label` when `labeled`, then a newline.
+#[must_use]
+pub fn csv_header(cols: usize, labeled: bool) -> String {
+    let mut out = (0..cols)
+        .map(|j| format!("x{j}"))
+        .collect::<Vec<_>>()
+        .join(",");
+    if labeled {
+        out.push_str(",label");
+    }
+    out.push('\n');
+    out
+}
+
+/// Append one CSV data line to `out`: the coordinates in `f64`'s
+/// shortest round-trip form, then the label token when there is one.
+pub fn push_csv_row(out: &mut String, row: &[f64], label: Option<Label>) {
+    for (j, v) in row.iter().enumerate() {
         if j > 0 {
-            write!(w, ",").map_err(tmperr)?;
+            out.push(',');
         }
-        write!(w, "x{j}").map_err(tmperr)?;
+        let _ = write!(out, "{v}");
     }
-    if with_labels {
-        write!(w, ",label").map_err(tmperr)?;
-    }
-    writeln!(w).map_err(tmperr)?;
-    for (row, label) in rows {
-        for (j, v) in row.iter().enumerate() {
-            if j > 0 {
-                write!(w, ",").map_err(tmperr)?;
-            }
-            write!(w, "{v}").map_err(tmperr)?;
+    match label {
+        Some(Label::Cluster(i)) => {
+            let _ = write!(out, ",C{i}");
         }
-        if with_labels {
-            let l = label.ok_or(DataError::LengthMismatch {
-                what: "labels for write_csv_rows",
-                expected: 1,
-                got: 0,
-            })?;
-            write!(w, ",{}", label_token(l)).map_err(tmperr)?;
-        }
-        writeln!(w).map_err(tmperr)?;
+        Some(Label::Outlier) => out.push_str(",O"),
+        None => {}
     }
-    let f = w
-        .into_inner()
-        .map_err(|e| DataError::io(&tmp, e.into_error()))?;
-    f.sync_all().map_err(tmperr)?;
-    drop(f);
-    std::fs::rename(&tmp, path).map_err(|e| DataError::io(path, e))?;
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            if let Ok(dir) = File::open(parent) {
-                let _ = dir.sync_all();
-            }
-        }
-    }
-    Ok(())
+    out.push('\n');
 }
 
 /// Read a CSV produced by [`write_csv`] (header required).
@@ -116,8 +92,8 @@ pub(crate) fn write_csv_rows<'a>(
 ///
 /// [`DataError::Csv`] — naming the file, 1-based line, and offending
 /// column/token — on ragged rows, unparsable or non-finite numbers,
-/// malformed headers, or unknown label tokens; [`DataError::Io`] on
-/// OS-level failures.
+/// malformed headers, unknown label tokens, or a line that is not
+/// UTF-8; [`DataError::Io`] on OS-level failures.
 pub fn read_csv(path: &Path) -> Result<(Matrix, Option<Vec<Label>>), DataError> {
     let r = BufReader::new(File::open(path).map_err(|e| DataError::io(path, e))?);
     read_csv_from(path, r)
@@ -130,8 +106,7 @@ pub fn read_csv(path: &Path) -> Result<(Matrix, Option<Vec<Label>>), DataError> 
 ///
 /// # Errors
 ///
-/// Same as [`read_csv`]; non-UTF-8 bytes surface as [`DataError::Io`]
-/// carrying `origin` as the path.
+/// Same as [`read_csv`], with `origin` as the path.
 pub fn read_csv_bytes(
     origin: &Path,
     bytes: &[u8],
@@ -141,8 +116,10 @@ pub fn read_csv_bytes(
 
 /// Shared CSV parser over any buffered source; `path` is only for
 /// error context.
-fn read_csv_from(path: &Path, r: impl BufRead) -> Result<(Matrix, Option<Vec<Label>>), DataError> {
-    let oserr = |e| DataError::io(path, e);
+fn read_csv_from(
+    path: &Path,
+    mut r: impl BufRead,
+) -> Result<(Matrix, Option<Vec<Label>>), DataError> {
     let at =
         |line: usize, column: Option<usize>, token: Option<&str>, reason: String| DataError::Csv {
             path: path.into(),
@@ -151,11 +128,9 @@ fn read_csv_from(path: &Path, r: impl BufRead) -> Result<(Matrix, Option<Vec<Lab
             token: token.map(str::to_string),
             reason,
         };
-    let mut lines = r.lines();
-    let header = lines
-        .next()
-        .ok_or_else(|| at(1, None, None, "empty file".into()))?
-        .map_err(oserr)?;
+    let mut buf = Vec::new();
+    let header = next_line(&mut r, &mut buf, path, 1)?
+        .ok_or_else(|| at(1, None, None, "empty file".into()))?;
     let columns: Vec<&str> = header.split(',').collect();
     let has_labels = columns.last() == Some(&"label");
     let d = if has_labels {
@@ -183,19 +158,21 @@ fn read_csv_from(path: &Path, r: impl BufRead) -> Result<(Matrix, Option<Vec<Lab
     let mut data: Vec<f64> = Vec::new();
     let mut labels: Vec<Label> = Vec::new();
     let mut rows = 0usize;
-    for (lineno, line) in lines.enumerate() {
-        let line = line.map_err(oserr)?;
+    // Data lines start at line 2 (the header is line 1).
+    for ln in 2.. {
+        let Some(line) = next_line(&mut r, &mut buf, path, ln)? else {
+            break;
+        };
         if line.is_empty() {
             continue;
         }
-        // Data lines start at line 2 (the header is line 1).
-        let ln = lineno + 2;
         let fields: Vec<&str> = line.split(',').collect();
         let expected = d + usize::from(has_labels);
         if fields.len() != expected {
+            // Located at the first missing or the first extra field.
             return Err(at(
                 ln,
-                None,
+                Some(fields.len().min(expected) + 1),
                 None,
                 format!(
                     "ragged row: expected {expected} fields, got {}",
@@ -227,10 +204,43 @@ fn read_csv_from(path: &Path, r: impl BufRead) -> Result<(Matrix, Option<Vec<Lab
     ))
 }
 
-pub(crate) fn label_token(l: Label) -> String {
-    match l {
-        Label::Cluster(i) => format!("C{i}"),
-        Label::Outlier => "O".to_string(),
+/// Read the next line into `buf` and return it without its `\n` or
+/// `\r\n`; `None` at the end of the input. A line that is not UTF-8 is
+/// a [`DataError::Csv`] at the field holding its first bad byte.
+fn next_line<'b>(
+    r: &mut impl BufRead,
+    buf: &'b mut Vec<u8>,
+    path: &Path,
+    line: usize,
+) -> Result<Option<&'b str>, DataError> {
+    buf.clear();
+    if r.read_until(b'\n', buf)
+        .map_err(|e| DataError::io(path, e))?
+        == 0
+    {
+        return Ok(None);
+    }
+    if buf.last() == Some(&b'\n') {
+        buf.pop();
+        if buf.last() == Some(&b'\r') {
+            buf.pop();
+        }
+    }
+    match std::str::from_utf8(buf) {
+        Ok(text) => Ok(Some(text)),
+        Err(e) => Err(DataError::Csv {
+            path: path.into(),
+            line,
+            column: Some(
+                buf[..e.valid_up_to()]
+                    .iter()
+                    .filter(|&&b| b == b',')
+                    .count()
+                    + 1,
+            ),
+            token: None,
+            reason: "line is not UTF-8".into(),
+        }),
     }
 }
 
@@ -382,7 +392,7 @@ mod tests {
         let labels = vec![Label::Cluster(1), Label::Outlier, Label::Cluster(0)];
         write_csv(&path, &m, Some(&labels)).unwrap();
         // The staging file must be gone after a successful publish.
-        assert!(!crate::binio::tmp_path(&path).exists());
+        assert!(!crate::atomic::tmp_path(&path).exists());
         let (m2, l2) = read_csv(&path).unwrap();
         assert_eq!(m, m2);
         assert_eq!(l2, Some(labels));
@@ -396,6 +406,34 @@ mod tests {
         let err = write_csv(&path, &m, None).unwrap_err();
         assert!(matches!(err, DataError::Io { .. }), "{err:?}");
         assert!(err.to_string().contains("nonexistent-proclus-dir"), "{err}");
+    }
+
+    #[test]
+    fn failed_write_csv_leaves_no_tmp() {
+        let m = Matrix::from_rows(&[[1.0, 2.0], [3.0, 4.0]], 2);
+        crate::atomic::assert_failed_write_leaves_nothing(&tmp("is-a-dir.csv"), |p| {
+            write_csv(p, &m, Some(&[Label::Cluster(0), Label::Outlier]))
+        });
+    }
+
+    #[test]
+    fn encoders_write_the_documented_text() {
+        assert_eq!(csv_header(3, true), "x0,x1,x2,label\n");
+        assert_eq!(csv_header(1, false), "x0\n");
+        let mut s = String::new();
+        push_csv_row(&mut s, &[1.0, -0.5], Some(Label::Cluster(12)));
+        push_csv_row(&mut s, &[1e-9, 4e12], Some(Label::Outlier));
+        push_csv_row(&mut s, &[2.0], None);
+        assert_eq!(s, "1,-0.5,C12\n0.000000001,4000000000000,O\n2\n");
+    }
+
+    #[test]
+    fn non_utf8_line_names_line_and_column() {
+        let err = read_csv_bytes(Path::new("<t>"), b"x0,x1\n1,2\n3,\xff\n").unwrap_err();
+        match err {
+            DataError::Csv { line, column, .. } => assert_eq!((line, column), (3, Some(2))),
+            other => panic!("expected a located CSV error, got {other:?}"),
+        }
     }
 
     #[test]

@@ -26,6 +26,25 @@ impl Label {
     pub fn is_outlier(self) -> bool {
         matches!(self, Label::Outlier)
     }
+
+    /// The label's integer id in the binary formats and the scenario
+    /// digest: the cluster index, or −1 for an outlier.
+    #[inline]
+    pub fn id(self) -> i64 {
+        match self {
+            Label::Cluster(i) => i as i64,
+            Label::Outlier => -1,
+        }
+    }
+
+    /// The inverse of [`Label::id`]; `None` for ids below −1.
+    #[inline]
+    pub fn from_id(id: i64) -> Option<Self> {
+        match id {
+            -1 => Some(Label::Outlier),
+            _ => usize::try_from(id).ok().map(Label::Cluster),
+        }
+    }
 }
 
 impl fmt::Display for Label {
@@ -51,6 +70,17 @@ mod tests {
         assert_eq!(Label::Outlier.cluster(), None);
         assert!(Label::Outlier.is_outlier());
         assert!(!Label::Cluster(0).is_outlier());
+    }
+
+    #[test]
+    fn ids_round_trip_and_outlier_is_minus_one() {
+        assert_eq!(Label::Outlier.id(), -1);
+        assert_eq!(Label::Cluster(7).id(), 7);
+        for l in [Label::Outlier, Label::Cluster(0), Label::Cluster(41)] {
+            assert_eq!(Label::from_id(l.id()), Some(l));
+        }
+        assert_eq!(Label::from_id(-2), None);
+        assert_eq!(Label::from_id(i64::MIN), None);
     }
 
     #[test]

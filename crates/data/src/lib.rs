@@ -38,6 +38,7 @@
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
 
 pub mod adversarial;
+pub mod atomic;
 pub mod binio;
 pub mod chunks;
 pub mod error;

@@ -27,13 +27,15 @@
 //! ([`ScenarioSpec::parse`] / [`ScenarioSpec::to_canonical`]) is a
 //! hand-rolled line grammar with a byte-exact round trip.
 
-use crate::binio::tmp_path;
+use crate::atomic::{write_with, StagedFile};
+use crate::binio;
 use crate::chunks::encode_chunk;
 use crate::error::DataError;
 use crate::generator::{
     apportion, apportion_with_floor, choose_dimension_sets, first_non_finite,
     non_finite_coordinate, GeneratedCluster,
 };
+use crate::io::{csv_header, push_csv_row};
 use crate::label::Label;
 use crate::spec::{addressable_cells, DimensionSpec, SyntheticSpec};
 use proclus_math::distributions::{exponential, laplace, normal, poisson};
@@ -42,8 +44,6 @@ use proclus_math::Matrix;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use std::fs::File;
-use std::io::{BufWriter, Write};
 use std::path::Path;
 
 /// Coordinate distribution used on the cluster dimensions.
@@ -292,10 +292,11 @@ impl ScenarioSpec {
     ///
     /// [`DataError::InvalidSpec`] when the scenario does not
     /// [`validate`](ScenarioSpec::validate), or when a coordinate
-    /// leaves `f64`; rows before it have been visited.
+    /// leaves `f64`; rows before it have been visited. The first error
+    /// `visit` returns stops the stream and is returned as is.
     pub fn for_each_row<F>(&self, mut visit: F) -> Result<ScenarioTruth, DataError>
     where
-        F: FnMut(usize, &[f64], Label),
+        F: FnMut(usize, &[f64], Label) -> Result<(), DataError>,
     {
         self.validate().map_err(DataError::InvalidSpec)?;
         let d = self.base.d;
@@ -342,7 +343,7 @@ impl ScenarioSpec {
                 if let Some(j) = first_non_finite(&row) {
                     return Err(non_finite_coordinate(emitted, j));
                 }
-                visit(epoch, &row, label);
+                visit(epoch, &row, label)?;
                 emitted += 1;
             }
             truth.epochs.push(EpochTruth {
@@ -373,6 +374,7 @@ impl ScenarioSpec {
         let truth = self.for_each_row(|_, row, label| {
             data.extend_from_slice(row);
             labels.push(label);
+            Ok(())
         })?;
         Ok(GeneratedScenario {
             points: Matrix::from_vec(data, self.rows(), self.cols()),
@@ -394,61 +396,30 @@ impl ScenarioSpec {
             for v in row {
                 mix(&v.to_le_bytes());
             }
-            let id: i64 = match label {
-                Label::Cluster(i) => i as i64,
-                Label::Outlier => -1,
-            };
-            mix(&id.to_le_bytes());
+            mix(&label.id().to_le_bytes());
+            Ok(())
         })?;
         Ok(h)
     }
 
-    /// Stream the scenario into a labeled CSV file (same grammar as
-    /// [`crate::io::write_csv`]) under the crash-safe temp-file +
-    /// rename contract.
+    /// Stream the scenario into a labeled CSV file (the encoding of
+    /// [`crate::io::write_csv`]) through the crash-safe writer
+    /// ([`crate::atomic`]).
     ///
     /// # Errors
     ///
     /// [`DataError::InvalidSpec`] on an invalid scenario,
     /// [`DataError::Io`] on any I/O failure.
     pub fn write_csv(&self, path: &Path) -> Result<ScenarioTruth, DataError> {
-        self.write_streamed(path, |spec, w| {
-            let mut io_err: Option<std::io::Error> = None;
-            let mut res: Result<(), std::io::Error> = (|| {
-                for j in 0..spec.cols() {
-                    if j > 0 {
-                        write!(w, ",")?;
-                    }
-                    write!(w, "x{j}")?;
-                }
-                writeln!(w, ",label")
-            })();
-            let truth = if res.is_ok() {
-                spec.for_each_row(|_, row, label| {
-                    if io_err.is_some() {
-                        return;
-                    }
-                    let wrote = (|| -> Result<(), std::io::Error> {
-                        for (j, v) in row.iter().enumerate() {
-                            if j > 0 {
-                                write!(w, ",")?;
-                            }
-                            write!(w, "{v}")?;
-                        }
-                        writeln!(w, ",{}", crate::io::label_token(label))
-                    })();
-                    if let Err(e) = wrote {
-                        io_err = Some(e);
-                    }
-                })
-            } else {
-                // Header failed; surface the I/O error below.
-                spec.for_each_row(|_, _, _| {})
-            };
-            if let Some(e) = io_err.take() {
-                res = Err(e);
-            }
-            (truth, res)
+        self.validate().map_err(DataError::InvalidSpec)?;
+        write_with(path, |w| {
+            w.write_all(csv_header(self.cols(), true).as_bytes())?;
+            let mut line = String::new();
+            self.for_each_row(|_, row, label| {
+                line.clear();
+                push_csv_row(&mut line, row, Some(label));
+                w.write_all(line.as_bytes())
+            })
         })
     }
 
@@ -462,44 +433,16 @@ impl ScenarioSpec {
     /// [`DataError::InvalidSpec`] on an invalid scenario,
     /// [`DataError::Io`] on any I/O failure.
     pub fn write_prcl(&self, path: &Path) -> Result<ScenarioTruth, DataError> {
-        self.write_streamed(path, |spec, w| {
-            let mut res: Result<(), std::io::Error> = (|| {
-                w.write_all(crate::binio::MAGIC)?;
-                w.write_all(&[1u8, 1u8])?; // version, flags: labels
-                w.write_all(&(spec.rows() as u64).to_le_bytes())?;
-                w.write_all(&(spec.cols() as u64).to_le_bytes())
-            })();
-            let mut io_err: Option<std::io::Error> = None;
-            let mut label_ids: Vec<i64> = Vec::with_capacity(spec.rows());
-            let truth = spec.for_each_row(|_, row, label| {
-                label_ids.push(match label {
-                    Label::Cluster(i) => i as i64,
-                    Label::Outlier => -1,
-                });
-                if res.is_err() || io_err.is_some() {
-                    return;
-                }
-                for v in row {
-                    if let Err(e) = w.write_all(&v.to_le_bytes()) {
-                        io_err = Some(e);
-                        return;
-                    }
-                }
-            });
-            if res.is_ok() {
-                if let Some(e) = io_err.take() {
-                    res = Err(e);
-                }
-            }
-            if res.is_ok() {
-                res = (|| {
-                    for id in &label_ids {
-                        w.write_all(&id.to_le_bytes())?;
-                    }
-                    Ok(())
-                })();
-            }
-            (truth, res)
+        self.validate().map_err(DataError::InvalidSpec)?;
+        write_with(path, |w| {
+            w.write_all(&binio::header(self.rows(), self.cols(), true))?;
+            let mut label_ids: Vec<u8> = Vec::with_capacity(self.rows() * 8);
+            let truth = self.for_each_row(|_, row, label| {
+                label_ids.extend_from_slice(&label.id().to_le_bytes());
+                row.iter().try_for_each(|v| w.write_all(&v.to_le_bytes()))
+            })?;
+            w.write_all(&label_ids)?;
+            Ok(truth)
         })
     }
 
@@ -525,82 +468,18 @@ impl ScenarioSpec {
                 "chunk batch of {batch_rows} rows x {cols} cols exceeds the frame cell bound"
             )));
         }
-        self.write_streamed(path, |spec, w| {
-            let mut io_err: Option<std::io::Error> = None;
-            let mut buf: Vec<f64> = Vec::with_capacity(batch_rows * cols);
-            let mut flush_batch = |buf: &mut Vec<f64>, io_err: &mut Option<std::io::Error>| {
-                if buf.is_empty() || io_err.is_some() {
-                    buf.clear();
-                    return;
+        write_with(path, |w| {
+            let mut batch: Vec<f64> = Vec::with_capacity(batch_rows * cols);
+            let truth = self.for_each_row(|_, row, _| {
+                batch.extend_from_slice(row);
+                if batch.len() == batch_rows * cols {
+                    write_chunk(w, &mut batch, cols)?;
                 }
-                let rows = buf.len() / cols;
-                let batch = Matrix::from_vec(std::mem::take(buf), rows, cols);
-                match encode_chunk(&batch) {
-                    Ok(bytes) => {
-                        if let Err(e) = w.write_all(&bytes) {
-                            *io_err = Some(e);
-                        }
-                    }
-                    // Unreachable: the cell bound was checked above.
-                    Err(_) => {
-                        *io_err = Some(std::io::Error::other("chunk encoding failed"));
-                    }
-                }
-            };
-            let truth = spec.for_each_row(|_, row, _| {
-                buf.extend_from_slice(row);
-                if buf.len() == batch_rows * cols {
-                    flush_batch(&mut buf, &mut io_err);
-                }
-            });
-            flush_batch(&mut buf, &mut io_err);
-            let res = match io_err {
-                Some(e) => Err(e),
-                None => Ok(()),
-            };
-            (truth, res)
-        })
-    }
-
-    /// Shared crash-safe streaming shell: create `<path>.tmp`, hand a
-    /// `BufWriter` to `fill`, then fsync + rename on success.
-    fn write_streamed<F>(&self, path: &Path, fill: F) -> Result<ScenarioTruth, DataError>
-    where
-        F: FnOnce(
-            &Self,
-            &mut BufWriter<File>,
-        ) -> (Result<ScenarioTruth, DataError>, Result<(), std::io::Error>),
-    {
-        // Validate before touching the filesystem.
-        self.validate().map_err(DataError::InvalidSpec)?;
-        let tmp = tmp_path(path);
-        let committed = (|| {
-            let mut w = BufWriter::new(File::create(&tmp).map_err(|e| DataError::io(&tmp, e))?);
-            let (truth, wrote) = fill(self, &mut w);
-            let truth = truth?;
-            wrote.map_err(|e| DataError::io(&tmp, e))?;
-            let f = w
-                .into_inner()
-                .map_err(|e| DataError::io(&tmp, e.into_error()))?;
-            f.sync_all().map_err(|e| DataError::io(&tmp, e))?;
-            drop(f);
-            std::fs::rename(&tmp, path).map_err(|e| DataError::io(path, e))?;
+                Ok(())
+            })?;
+            write_chunk(w, &mut batch, cols)?;
             Ok(truth)
-        })();
-        if committed.is_err() {
-            // A failed write (I/O, or a row that left f64) leaves no
-            // partial file behind.
-            let _ = std::fs::remove_file(&tmp);
-        }
-        let truth = committed?;
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                if let Ok(dir) = File::open(parent) {
-                    let _ = dir.sync_all();
-                }
-            }
-        }
-        Ok(truth)
+        })
     }
 
     /// Realize the epoch-0 geometry from the epoch RNG. Draw order is
@@ -1073,6 +952,20 @@ impl ScenarioSpec {
     }
 }
 
+/// Frame the buffered rows as one `PRCK` chunk, write it and empty the
+/// buffer (a no-op on an empty buffer).
+fn write_chunk(w: &mut StagedFile, batch: &mut Vec<f64>, cols: usize) -> Result<(), DataError> {
+    if batch.is_empty() {
+        return Ok(());
+    }
+    let rows = batch.len() / cols;
+    w.write_all(&encode_chunk(&Matrix::from_vec(
+        std::mem::take(batch),
+        rows,
+        cols,
+    ))?)
+}
+
 /// Mix the spec seed with the epoch index (splitmix-style odd
 /// constant) so epochs draw from independent deterministic streams.
 fn epoch_seed(seed: u64, epoch: usize) -> u64 {
@@ -1110,6 +1003,7 @@ fn random_rotation(m: usize, rng: &mut StdRng) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::atomic::tmp_path;
 
     fn small(name: &str) -> ScenarioSpec {
         let mut s = ScenarioSpec::new(name, 400, 8, 3, 3.0);
@@ -1331,6 +1225,34 @@ mod tests {
         assert_eq!(rows, 400);
         assert_eq!(data, g.points.as_slice());
         std::fs::remove_file(&path).ok();
+    }
+
+    fn dir_target(ext: &str) -> std::path::PathBuf {
+        std::env::temp_dir().join(format!("proclus-scn-dir-{}.{ext}", std::process::id()))
+    }
+
+    #[test]
+    fn failed_write_csv_leaves_no_tmp() {
+        let spec = small("dir-csv");
+        crate::atomic::assert_failed_write_leaves_nothing(&dir_target("csv"), |p| {
+            spec.write_csv(p)
+        });
+    }
+
+    #[test]
+    fn failed_write_prcl_leaves_no_tmp() {
+        let spec = small("dir-prcl");
+        crate::atomic::assert_failed_write_leaves_nothing(&dir_target("prcl"), |p| {
+            spec.write_prcl(p)
+        });
+    }
+
+    #[test]
+    fn failed_write_chunks_leaves_no_tmp() {
+        let spec = small("dir-chunks");
+        crate::atomic::assert_failed_write_leaves_nothing(&dir_target("chunks"), |p| {
+            spec.write_chunks(p, 64)
+        });
     }
 
     #[test]

@@ -17,10 +17,10 @@ use std::path::{Path, PathBuf};
 use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
 
+use crate::aggregate::Aggregate;
 use crate::event::{Event, SCHEMA_VERSION};
 use crate::json::{self, Json};
 use crate::recorder::{Phase, Recorder};
-use crate::ring::{GaugeStats, SpanStats};
 
 /// File name of the event stream inside the trace directory.
 pub const EVENTS_FILE: &str = "events.jsonl";
@@ -32,9 +32,7 @@ struct State {
     error: Option<io::Error>,
     events_written: u64,
     events_lost: u64,
-    spans: Vec<(Phase, SpanStats)>,
-    counters: Vec<(&'static str, u64)>,
-    gauges: Vec<(&'static str, GaugeStats)>,
+    aggregate: Aggregate,
 }
 
 /// Recorder that persists a run as `events.jsonl` + `run.json`.
@@ -82,9 +80,7 @@ impl JsonlRecorder {
                 error: None,
                 events_written: 0,
                 events_lost: 0,
-                spans: Vec::new(),
-                counters: Vec::new(),
-                gauges: Vec::new(),
+                aggregate: Aggregate::default(),
             }),
         }
     }
@@ -142,28 +138,22 @@ impl JsonlRecorder {
         manifest.push_str(&format!(",\"events\":{}", state.events_written));
 
         manifest.push_str(",\"phases\":{");
-        let mut first = true;
-        for phase in Phase::ALL {
-            if let Some((_, s)) = state.spans.iter().find(|(p, _)| *p == phase) {
-                if !first {
-                    manifest.push(',');
-                }
-                first = false;
-                manifest.push_str(&format!(
-                    "\"{}\":{{\"count\":{},\"total_us\":{},\"max_us\":{}}}",
-                    phase.name(),
-                    s.count,
-                    s.total.as_micros(),
-                    s.max.as_micros()
-                ));
+        for (i, (phase, s)) in state.aggregate.spans().iter().enumerate() {
+            if i > 0 {
+                manifest.push(',');
             }
+            manifest.push_str(&format!(
+                "\"{}\":{{\"count\":{},\"total_us\":{},\"max_us\":{}}}",
+                phase.name(),
+                s.count,
+                s.total.as_micros(),
+                s.max.as_micros()
+            ));
         }
         manifest.push('}');
 
-        let mut counters = state.counters.clone();
-        counters.sort_by_key(|(n, _)| *n);
         manifest.push_str(",\"counters\":{");
-        for (i, (name, value)) in counters.iter().enumerate() {
+        for (i, (name, value)) in state.aggregate.counters().iter().enumerate() {
             if i > 0 {
                 manifest.push(',');
             }
@@ -171,10 +161,8 @@ impl JsonlRecorder {
         }
         manifest.push('}');
 
-        let mut gauges = state.gauges.clone();
-        gauges.sort_by_key(|(n, _)| *n);
         manifest.push_str(",\"gauges\":{");
-        for (i, (name, g)) in gauges.iter().enumerate() {
+        for (i, (name, g)) in state.aggregate.gauges().iter().enumerate() {
             if i > 0 {
                 manifest.push(',');
             }
@@ -263,47 +251,15 @@ impl Recorder for JsonlRecorder {
     }
 
     fn span(&self, phase: Phase, elapsed: Duration) {
-        let mut state = self.lock();
-        let entry = match state.spans.iter_mut().find(|(p, _)| *p == phase) {
-            Some((_, s)) => s,
-            None => {
-                state.spans.push((phase, SpanStats::default()));
-                match state.spans.last_mut() {
-                    Some((_, s)) => s,
-                    None => return,
-                }
-            }
-        };
-        entry.count += 1;
-        entry.total += elapsed;
-        entry.max = entry.max.max(elapsed);
+        self.lock().aggregate.span(phase, elapsed);
     }
 
     fn counter(&self, name: &'static str, delta: u64) {
-        let mut state = self.lock();
-        match state.counters.iter_mut().find(|(n, _)| *n == name) {
-            Some((_, v)) => *v += delta,
-            None => state.counters.push((name, delta)),
-        }
+        self.lock().aggregate.counter(name, delta);
     }
 
     fn gauge(&self, name: &'static str, value: f64) {
-        let mut state = self.lock();
-        match state.gauges.iter_mut().find(|(n, _)| *n == name) {
-            Some((_, g)) => {
-                g.last = value;
-                if value > g.max || g.max.is_nan() {
-                    g.max = value;
-                }
-            }
-            None => state.gauges.push((
-                name,
-                GaugeStats {
-                    last: value,
-                    max: value,
-                },
-            )),
-        }
+        self.lock().aggregate.gauge(name, value);
     }
 }
 

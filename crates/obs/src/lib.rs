@@ -37,6 +37,7 @@
 #![warn(missing_docs)]
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
 
+mod aggregate;
 pub mod event;
 pub mod json;
 pub mod jsonl;
@@ -44,10 +45,11 @@ pub mod recorder;
 pub mod ring;
 pub mod summary;
 
+pub use aggregate::{GaugeStats, SpanStats};
 pub use event::{
     Event, GATE_STAGES, QUARANTINE_REASONS, ROLLOVER_REASONS, ROLLOVER_STATES, SCHEMA_VERSION,
 };
 pub use jsonl::{JsonlRecorder, EVENTS_FILE, MANIFEST_FILE};
 pub use recorder::{timed, Fanout, NoopRecorder, Phase, Recorder};
-pub use ring::{GaugeStats, RingRecorder, SpanStats};
+pub use ring::RingRecorder;
 pub use summary::{render_env, render_manifest, RoundPoint, SwapPoint, TraceSummary};

@@ -3,7 +3,9 @@
 //!
 //! Events are kept in a capacity-bounded ring (oldest dropped first,
 //! with a drop counter so tests can assert nothing was lost); spans,
-//! counters and gauges are folded into small aggregate maps. One
+//! counters and gauges are folded into the crate's one aggregate, the
+//! same fold [`JsonlRecorder`](crate::JsonlRecorder) writes `run.json`
+//! from. One
 //! `Mutex` guards everything — cheap because the algorithms emit from
 //! the driving thread only, and poisoning is absorbed with
 //! `PoisonError::into_inner` (the workspace's no-panic policy).
@@ -12,36 +14,15 @@ use std::collections::VecDeque;
 use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
 
+use crate::aggregate::{Aggregate, GaugeStats, SpanStats};
 use crate::event::Event;
 use crate::recorder::{Phase, Recorder};
-
-/// Aggregate statistics for one phase's spans.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct SpanStats {
-    /// Number of spans recorded.
-    pub count: u64,
-    /// Total duration across all spans.
-    pub total: Duration,
-    /// Longest single span.
-    pub max: Duration,
-}
-
-/// Last-value + maximum aggregate of one gauge.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct GaugeStats {
-    /// Most recent observation.
-    pub last: f64,
-    /// Largest observation.
-    pub max: f64,
-}
 
 #[derive(Default)]
 struct Inner {
     events: VecDeque<Event>,
     dropped: u64,
-    spans: Vec<(Phase, SpanStats)>,
-    counters: Vec<(&'static str, u64)>,
-    gauges: Vec<(&'static str, GaugeStats)>,
+    aggregate: Aggregate,
 }
 
 /// Capacity-bounded in-memory recorder.
@@ -76,67 +57,37 @@ impl RingRecorder {
 
     /// Aggregate span statistics for `phase`, if any were recorded.
     pub fn span_stats(&self, phase: Phase) -> Option<SpanStats> {
-        self.lock()
-            .spans
-            .iter()
-            .find(|(p, _)| *p == phase)
-            .map(|(_, s)| *s)
+        self.lock().aggregate.span_stats(phase)
     }
 
     /// Current value of the named counter (0 if never incremented).
     pub fn counter_value(&self, name: &str) -> u64 {
-        self.lock()
-            .counters
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map_or(0, |(_, v)| *v)
+        self.lock().aggregate.counter_value(name)
     }
 
     /// Last observation of the named gauge.
     pub fn gauge_last(&self, name: &str) -> Option<f64> {
-        self.lock()
-            .gauges
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, g)| g.last)
+        self.lock().aggregate.gauge_stats(name).map(|g| g.last)
     }
 
     /// Maximum observation of the named gauge.
     pub fn gauge_max(&self, name: &str) -> Option<f64> {
-        self.lock()
-            .gauges
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, g)| g.max)
+        self.lock().aggregate.gauge_stats(name).map(|g| g.max)
     }
 
     /// All span aggregates in [`Phase::ALL`] order.
     pub fn spans(&self) -> Vec<(Phase, SpanStats)> {
-        let inner = self.lock();
-        Phase::ALL
-            .iter()
-            .filter_map(|p| {
-                inner
-                    .spans
-                    .iter()
-                    .find(|(q, _)| q == p)
-                    .map(|(_, s)| (*p, *s))
-            })
-            .collect()
+        self.lock().aggregate.spans()
     }
 
     /// All counters, sorted by name for deterministic iteration.
     pub fn counters(&self) -> Vec<(&'static str, u64)> {
-        let mut out = self.lock().counters.clone();
-        out.sort_by_key(|(n, _)| *n);
-        out
+        self.lock().aggregate.counters()
     }
 
     /// All gauges, sorted by name for deterministic iteration.
     pub fn gauges(&self) -> Vec<(&'static str, GaugeStats)> {
-        let mut out = self.lock().gauges.clone();
-        out.sort_by_key(|(n, _)| *n);
-        out
+        self.lock().aggregate.gauges()
     }
 }
 
@@ -159,49 +110,15 @@ impl Recorder for RingRecorder {
     }
 
     fn span(&self, phase: Phase, elapsed: Duration) {
-        let mut inner = self.lock();
-        let entry = match inner.spans.iter_mut().find(|(p, _)| *p == phase) {
-            Some((_, s)) => s,
-            None => {
-                inner.spans.push((phase, SpanStats::default()));
-                // Just pushed, so last() exists; avoid unwrap under the
-                // workspace lint by matching.
-                match inner.spans.last_mut() {
-                    Some((_, s)) => s,
-                    None => return,
-                }
-            }
-        };
-        entry.count += 1;
-        entry.total += elapsed;
-        entry.max = entry.max.max(elapsed);
+        self.lock().aggregate.span(phase, elapsed);
     }
 
     fn counter(&self, name: &'static str, delta: u64) {
-        let mut inner = self.lock();
-        match inner.counters.iter_mut().find(|(n, _)| *n == name) {
-            Some((_, v)) => *v += delta,
-            None => inner.counters.push((name, delta)),
-        }
+        self.lock().aggregate.counter(name, delta);
     }
 
     fn gauge(&self, name: &'static str, value: f64) {
-        let mut inner = self.lock();
-        match inner.gauges.iter_mut().find(|(n, _)| *n == name) {
-            Some((_, g)) => {
-                g.last = value;
-                if value > g.max || g.max.is_nan() {
-                    g.max = value;
-                }
-            }
-            None => inner.gauges.push((
-                name,
-                GaugeStats {
-                    last: value,
-                    max: value,
-                },
-            )),
-        }
+        self.lock().aggregate.gauge(name, value);
     }
 }
 

@@ -7,9 +7,11 @@ use proclus::baselines::{Clarans, KMeans};
 use proclus::core::{GateConfig, StreamConfig, StreamServer};
 use proclus::data::adversarial::all_cases;
 use proclus::data::binio::{decode, encode};
+use proclus::data::chunks::CHUNK_HEADER_LEN;
 use proclus::data::fault::FaultReader;
-use proclus::data::io::{read_csv, write_csv};
-use proclus::data::{encode_chunk, encode_chunk_stream, ChunkReader, DataError};
+use proclus::data::io::{csv_header, push_csv_row, read_csv, read_csv_bytes, write_csv};
+use proclus::data::{encode_chunk, encode_chunk_stream, ChunkReader, DataError, Label};
+use proclus::math::hash::fnv1a64;
 use proclus::obs::NoopRecorder;
 use proclus::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -925,6 +927,358 @@ fn prcm_decoder_survives_structure_aware_fuzzing() {
     // The budget must get past the structural checks.
     assert!(accepted > 1_000, "only {accepted} models decoded");
     assert!(assigned > 1_000, "only {assigned} decoded models assigned");
+}
+
+// ---------------------------------------------------------------------
+// Seeded, structure-aware fuzzing of the CSV, PRCL and PRCK decoders
+// ---------------------------------------------------------------------
+
+/// Fuzz cases per run of each loop below: about a second each in a
+/// debug build.
+const CSV_FUZZ_CASES: usize = 10_000;
+const PRCL_FUZZ_CASES: usize = 50_000;
+const PRCK_FUZZ_CASES: usize = 20_000;
+
+/// Values a mutation writes in place of a CSV cell: non-finite and
+/// overflowing spellings, an empty cell, an overflowing cluster id,
+/// and a few valid tokens so mutated files are still accepted.
+const CSV_EDGE_TOKENS: [&str; 12] = [
+    "nan",
+    "inf",
+    "1e999",
+    "",
+    "C18446744073709551616",
+    "-0",
+    "1e-400",
+    "O",
+    "Out.",
+    "C7",
+    "x1",
+    "label",
+];
+
+/// The datasets the three loops encode: two generated ones (with
+/// outliers) and one of edge values (signed zero, a subnormal, large
+/// magnitudes, a two-digit cluster id).
+fn fuzz_datasets() -> Vec<(Matrix, Vec<Label>)> {
+    let a = sample_dataset();
+    let b = SyntheticSpec::new(30, 5, 3, 3.0).seed(5).generate();
+    let edge = Matrix::from_rows(&[[-0.0, 5e-324, 1e300], [-2.5, 1e-300, 0.1]], 3);
+    vec![
+        (a.points, a.labels),
+        (b.points, b.labels),
+        (edge, vec![Label::Cluster(12), Label::Outlier]),
+    ]
+}
+
+/// `(m, labels)` as the shared CSV encoders write it.
+fn csv_text(m: &Matrix, labels: Option<&[Label]>) -> String {
+    let mut text = csv_header(m.cols(), labels.is_some());
+    for i in 0..m.rows() {
+        push_csv_row(&mut text, m.row(i), labels.map(|l| l[i]));
+    }
+    text
+}
+
+fn bits(m: &Matrix) -> Vec<u64> {
+    m.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
+/// Byte ranges of the `\n`-terminated lines of `bytes` (a last line
+/// without a newline included).
+fn line_spans(bytes: &[u8]) -> Vec<(usize, usize)> {
+    let mut spans = Vec::new();
+    let mut lo = 0;
+    while lo < bytes.len() {
+        let hi = bytes[lo..]
+            .iter()
+            .position(|&b| b == b'\n')
+            .map_or(bytes.len(), |nl| lo + nl + 1);
+        spans.push((lo, hi));
+        lo = hi;
+    }
+    spans
+}
+
+/// Truncate, splice with another seed, or flip 1–4 bits; the
+/// mutations every loop below shares.
+fn mutate_bytes(bytes: &mut Vec<u8>, seeds: &[Vec<u8>], rng: &mut StdRng) {
+    match rng.random_range(0..3u32) {
+        0 => bytes.truncate(rng.random_range(0..=bytes.len())),
+        1 => {
+            let other = &seeds[rng.random_range(0..seeds.len())];
+            bytes.truncate(rng.random_range(0..=bytes.len()));
+            bytes.extend_from_slice(&other[rng.random_range(0..=other.len())..]);
+        }
+        _ => {
+            for _ in 0..rng.random_range(1..=4usize) {
+                if !bytes.is_empty() {
+                    let i = rng.random_range(0..bytes.len());
+                    bytes[i] ^= 1 << rng.random_range(0..8u32);
+                }
+            }
+        }
+    }
+}
+
+/// Mutated CSV files — truncated, spliced, bit-flipped, a line
+/// duplicated, a cell replaced by an edge token — never panic
+/// `read_csv_bytes`. A rejection names a line of the input and the
+/// field at fault (only an empty input or a header without
+/// coordinates has no field). An accepted file, re-encoded by the
+/// shared encoders, decodes to the same points and labels.
+#[test]
+fn csv_reader_survives_structure_aware_fuzzing() {
+    let origin = std::path::Path::new("<fuzz>");
+    let seeds: Vec<Vec<u8>> = fuzz_datasets()
+        .iter()
+        .flat_map(|(m, l)| [csv_text(m, Some(l)), csv_text(m, None)])
+        .map(String::into_bytes)
+        .collect();
+    let mut rng = StdRng::seed_from_u64(0x4353_5646);
+    let (mut accepted, mut rejected) = (0usize, 0usize);
+    for case in 0..CSV_FUZZ_CASES {
+        let mut bytes = seeds[rng.random_range(0..seeds.len())].clone();
+        for _ in 0..rng.random_range(1..=3usize) {
+            let lines = line_spans(&bytes);
+            match rng.random_range(0..5u32) {
+                0 if !lines.is_empty() => {
+                    let (lo, hi) = lines[rng.random_range(0..lines.len())];
+                    let copy = bytes[lo..hi].to_vec();
+                    let at = lines[rng.random_range(0..lines.len())].0;
+                    bytes.splice(at..at, copy);
+                }
+                1 | 2 if !lines.is_empty() => {
+                    let (lo, hi) = lines[rng.random_range(0..lines.len())];
+                    let text = String::from_utf8_lossy(&bytes[lo..hi]).into_owned();
+                    let body = text.trim_end_matches('\n');
+                    let mut cells: Vec<&str> = body.split(',').collect();
+                    let j = rng.random_range(0..cells.len());
+                    cells[j] = CSV_EDGE_TOKENS[rng.random_range(0..CSV_EDGE_TOKENS.len())];
+                    let mut line = cells.join(",");
+                    line.push_str(&text[body.len()..]);
+                    bytes.splice(lo..hi, line.into_bytes());
+                }
+                _ => mutate_bytes(&mut bytes, &seeds, &mut rng),
+            }
+        }
+        let ctx = || format!("case {case}: {:?}", String::from_utf8_lossy(&bytes));
+        let outcome = catch_unwind(AssertUnwindSafe(|| read_csv_bytes(origin, &bytes)))
+            .unwrap_or_else(|_| panic!("read_csv_bytes panicked on {}", ctx()));
+        match outcome {
+            Ok((m, labels)) => {
+                let text = csv_text(&m, labels.as_deref());
+                let (m2, l2) = read_csv_bytes(origin, text.as_bytes())
+                    .unwrap_or_else(|e| panic!("{}: re-encoding rejected: {e}", ctx()));
+                assert_eq!((m2.rows(), m2.cols()), (m.rows(), m.cols()), "{}", ctx());
+                assert_eq!(bits(&m2), bits(&m), "{}", ctx());
+                assert_eq!(l2, labels, "{}", ctx());
+                accepted += 1;
+            }
+            Err(DataError::Csv {
+                line,
+                column,
+                reason,
+                ..
+            }) => {
+                let lines = line_spans(&bytes);
+                assert!(
+                    (1..=lines.len().max(1)).contains(&line),
+                    "{}: line {line}",
+                    ctx()
+                );
+                match column {
+                    Some(c) => {
+                        let (lo, hi) = lines[line - 1];
+                        let fields = bytes[lo..hi].iter().filter(|&&b| b == b',').count() + 1;
+                        assert!(
+                            (1..=fields + 1).contains(&c),
+                            "{}: column {c}: {reason}",
+                            ctx()
+                        );
+                    }
+                    None => assert!(
+                        line == 1 && (reason == "empty file" || reason == "no coordinate columns"),
+                        "{}: no column: {reason}",
+                        ctx()
+                    ),
+                }
+                rejected += 1;
+            }
+            Err(other) => panic!("{}: unlocated rejection {other:?}", ctx()),
+        }
+    }
+    eprintln!("csv fuzz: {accepted} accepted, {rejected} rejected");
+    assert!(
+        accepted > CSV_FUZZ_CASES / 10,
+        "only {accepted} files accepted"
+    );
+    assert!(
+        rejected > CSV_FUZZ_CASES / 2,
+        "only {rejected} files rejected"
+    );
+}
+
+/// Duplicate one row of a decodable `PRCL` buffer, with its label, and
+/// fix the header's row count; on any other buffer, duplicate an
+/// 8-byte word.
+fn duplicate_prcl_row(bytes: &mut Vec<u8>, rng: &mut StdRng) {
+    let Ok((m, labels)) = decode(bytes) else {
+        if bytes.len() >= 8 {
+            let lo = rng.random_range(0..=bytes.len() - 8);
+            let word = bytes[lo..lo + 8].to_vec();
+            let at = rng.random_range(0..=bytes.len());
+            bytes.splice(at..at, word);
+        }
+        return;
+    };
+    if m.rows() == 0 {
+        return;
+    }
+    let mut order: Vec<usize> = (0..m.rows()).collect();
+    order.insert(
+        rng.random_range(0..=m.rows()),
+        rng.random_range(0..m.rows()),
+    );
+    let labels = labels.map(|l| order.iter().map(|&i| l[i]).collect::<Vec<_>>());
+    *bytes = encode(&m.select_rows(&order), labels.as_deref()).unwrap();
+}
+
+/// Mutated `PRCL` buffers never panic `binio::decode`. A rejection
+/// names a byte offset inside the buffer and a header or payload
+/// field. An accepted buffer is exactly what the encoder writes for
+/// what it decoded to.
+#[test]
+fn prcl_decoder_survives_structure_aware_fuzzing() {
+    const FIELDS: [&str; 8] = [
+        "magic", "version", "flags", "rows", "cols", "header", "payload", "labels",
+    ];
+    let seeds: Vec<Vec<u8>> = fuzz_datasets()
+        .iter()
+        .flat_map(|(m, l)| [encode(m, Some(l)).unwrap(), encode(m, None).unwrap()])
+        .collect();
+    let mut rng = StdRng::seed_from_u64(0x5052_434c);
+    let (mut accepted, mut rejected) = (0usize, 0usize);
+    for case in 0..PRCL_FUZZ_CASES {
+        let mut bytes = seeds[rng.random_range(0..seeds.len())].clone();
+        for _ in 0..rng.random_range(1..=3usize) {
+            if rng.random_range(0..4u32) == 0 {
+                duplicate_prcl_row(&mut bytes, &mut rng);
+            } else {
+                mutate_bytes(&mut bytes, &seeds, &mut rng);
+            }
+        }
+        let ctx = || format!("case {case}: {bytes:?}");
+        let outcome = catch_unwind(AssertUnwindSafe(|| decode(&bytes)))
+            .unwrap_or_else(|_| panic!("decode panicked on {}", ctx()));
+        match outcome {
+            Ok((m, labels)) => {
+                let again = encode(&m, labels.as_deref()).unwrap();
+                assert_eq!(again, bytes, "{}: re-encoding differs", ctx());
+                accepted += 1;
+            }
+            Err(DataError::Binary {
+                offset,
+                field,
+                path: None,
+                ..
+            }) => {
+                assert!(offset <= bytes.len(), "{}: offset {offset}", ctx());
+                assert!(FIELDS.contains(&field), "{}: field {field}", ctx());
+                rejected += 1;
+            }
+            Err(other) => panic!("{}: unlocated rejection {other:?}", ctx()),
+        }
+    }
+    eprintln!("prcl fuzz: {accepted} accepted, {rejected} rejected");
+    assert!(
+        accepted > PRCL_FUZZ_CASES / 10,
+        "only {accepted} buffers accepted"
+    );
+    assert!(
+        rejected > PRCL_FUZZ_CASES / 2,
+        "only {rejected} buffers rejected"
+    );
+}
+
+/// Byte ranges of the frames `ChunkReader` accepts in `bytes`.
+fn chunk_frames(bytes: &[u8]) -> Vec<(usize, usize)> {
+    let mut reader = ChunkReader::new(bytes);
+    let mut frames = Vec::new();
+    while let Some(next) = reader.next() {
+        if let Ok(batch) = next {
+            let len = CHUNK_HEADER_LEN + batch.rows() * batch.cols() * 8 + 8;
+            frames.push((reader.offset() - len, reader.offset()));
+        }
+    }
+    frames
+}
+
+/// Mutated `PRCK` streams never panic `ChunkReader`. It yields only
+/// frames whose checksum verifies, each the encoder's bytes for the
+/// batch it yields, and every rejection names a byte offset inside
+/// the stream.
+#[test]
+fn chunk_reader_survives_structure_aware_fuzzing() {
+    let seeds: Vec<Vec<u8>> = fuzz_datasets()
+        .iter()
+        .flat_map(|(m, _)| {
+            [
+                encode_chunk_stream(m, 7).unwrap(),
+                encode_chunk_stream(m, 16).unwrap(),
+            ]
+        })
+        .collect();
+    let mut rng = StdRng::seed_from_u64(0x5052_434b);
+    let (mut frames_ok, mut rejections) = (0usize, 0usize);
+    for case in 0..PRCK_FUZZ_CASES {
+        let mut bytes = seeds[rng.random_range(0..seeds.len())].clone();
+        for _ in 0..rng.random_range(1..=3usize) {
+            let frames = chunk_frames(&bytes);
+            if rng.random_range(0..4u32) == 0 && !frames.is_empty() {
+                let (lo, hi) = frames[rng.random_range(0..frames.len())];
+                let copy = bytes[lo..hi].to_vec();
+                let at = frames[rng.random_range(0..frames.len())].0;
+                bytes.splice(at..at, copy);
+            } else {
+                mutate_bytes(&mut bytes, &seeds, &mut rng);
+            }
+        }
+        let ctx = || format!("case {case}: {bytes:?}");
+        let mut reader = ChunkReader::new(&bytes);
+        for _ in 0..=bytes.len() {
+            let next = catch_unwind(AssertUnwindSafe(|| reader.next()))
+                .unwrap_or_else(|_| panic!("ChunkReader panicked on {}", ctx()));
+            match next {
+                None => break,
+                Some(Ok(batch)) => {
+                    let end = reader.offset();
+                    let frame = encode_chunk(&batch).unwrap();
+                    assert!(frame.len() <= end, "{}", ctx());
+                    let stored = &bytes[end - frame.len()..end];
+                    assert_eq!(stored, frame.as_slice(), "{}: frame bytes differ", ctx());
+                    let (body, check) = stored.split_at(stored.len() - 8);
+                    assert_eq!(fnv1a64(body).to_le_bytes(), check, "{}: checksum", ctx());
+                    frames_ok += 1;
+                }
+                Some(Err(DataError::Binary { offset, .. })) => {
+                    assert!(offset <= bytes.len(), "{}: offset {offset}", ctx());
+                    rejections += 1;
+                }
+                Some(Err(other)) => panic!("{}: unlocated rejection {other:?}", ctx()),
+            }
+        }
+        assert!(reader.next().is_none(), "{}: reader did not end", ctx());
+    }
+    eprintln!("prck fuzz: {frames_ok} frames yielded, {rejections} rejections");
+    assert!(
+        frames_ok > PRCK_FUZZ_CASES,
+        "only {frames_ok} frames yielded"
+    );
+    assert!(
+        rejections > PRCK_FUZZ_CASES / 2,
+        "only {rejections} rejections"
+    );
 }
 
 // ---------------------------------------------------------------------

@@ -67,6 +67,7 @@ fn epoch0(spec: &ScenarioSpec) -> (Matrix, Vec<Option<usize>>) {
             data.extend_from_slice(row);
             truth.push(label.cluster());
         }
+        Ok(())
     })
     .unwrap();
     (Matrix::from_vec(data, spec.base.n, spec.cols()), truth)

@@ -9,23 +9,104 @@
 //! tier demand a **byte-identical** `events.jsonl` for every thread
 //! count, extending the workspace's bit-identical-parallelism
 //! guarantee to the trace layer.
+//!
+//! Each event is declared once, in the `events!` list below: its `type`
+//! tag, then its fields in JSON order. [`Event::kind`],
+//! [`Event::to_json`] and [`Event::from_json`] are generated from that
+//! list, and every field type is written and read by one private codec
+//! trait, so the writer and the reader cannot drift apart.
 
 use crate::json::{self, Json};
+use std::fmt::Write as _;
 
 /// Version of the event schema written to `events.jsonl` and recorded
 /// in `run.json`. Bump when a variant or field changes meaning.
 pub const SCHEMA_VERSION: u32 = 1;
 
-/// One structured fact emitted during a fit.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Event {
+/// Declares [`Event`] and generates its codec. Each entry is
+/// `Variant = "type_tag" { field: Type, ... }` with the fields in the
+/// order they are written; `field: &'static str = SET` names the closed
+/// vocabulary a string field is read back against.
+macro_rules! events {
+    ($(
+        $(#[$vmeta:meta])*
+        $variant:ident = $tag:literal {
+            $( $(#[$fmeta:meta])* $field:ident: $ty:ty $(= $vocab:expr)? ),* $(,)?
+        }
+    ),* $(,)?) => {
+        /// One structured fact emitted during a fit.
+        #[derive(Clone, Debug, PartialEq)]
+        pub enum Event {
+            $( $(#[$vmeta])* $variant { $( $(#[$fmeta])* $field: $ty ),* } ),*
+        }
+
+        /// Every `type` tag, in declaration order.
+        #[cfg(test)]
+        const KINDS: &[&str] = &[$($tag),*];
+
+        impl Event {
+            /// The event's `type` tag as written to JSON.
+            pub fn kind(&self) -> &'static str {
+                match self {
+                    $( Event::$variant { .. } => $tag, )*
+                }
+            }
+
+            /// Serialize as one JSON object (no trailing newline). The
+            /// field order is fixed, so equal events serialize to equal
+            /// bytes.
+            pub fn to_json(&self) -> String {
+                let mut s = String::with_capacity(128);
+                s.push_str("{\"type\":\"");
+                s.push_str(self.kind());
+                s.push('"');
+                match self {
+                    $( Event::$variant { $($field),* } => {
+                        $(
+                            s.push_str(concat!(",\"", stringify!($field), "\":"));
+                            $field.write(&mut s);
+                        )*
+                    } )*
+                }
+                s.push('}');
+                s
+            }
+
+            /// Reconstruct an event from a parsed JSON object.
+            pub fn from_json(v: &Json) -> Result<Event, String> {
+                let kind = v
+                    .get("type")
+                    .and_then(Json::as_str)
+                    .ok_or("missing \"type\"")?;
+                match kind {
+                    $( $tag => Ok(Event::$variant {
+                        $( $field: field(v, stringify!($field), vocab!($($vocab)?))?, )*
+                    }), )*
+                    other => Err(format!("unknown event type {other:?}")),
+                }
+            }
+        }
+    };
+}
+
+/// The vocabulary argument of a field read: the declared set, or none.
+macro_rules! vocab {
+    () => {
+        &[]
+    };
+    ($set:expr) => {
+        &$set
+    };
+}
+
+events! {
     /// A fit began. Emitted once per `fit_traced` call.
     ///
     /// Deliberately excludes the thread count: events must be identical
     /// for every thread count (the manifest's gauges carry it).
-    FitStart {
+    FitStart = "fit_start" {
         /// `"proclus"`, `"orclus"`, `"clique"`, `"kmeans"`, `"clarans"`.
-        algorithm: &'static str,
+        algorithm: &'static str = ALGORITHMS,
         /// Number of points.
         n: usize,
         /// Number of dimensions.
@@ -40,14 +121,14 @@ pub enum Event {
         restarts: usize,
     },
     /// One hill-climbing restart began (PROCLUS).
-    RestartStart {
+    RestartStart = "restart_start" {
         /// Restart index, `0..restarts`.
         restart: usize,
         /// Derived seed of this restart.
         seed: u64,
     },
     /// One hill-climbing round of the iterative phase (PROCLUS).
-    Round {
+    Round = "round" {
         /// Restart this round belongs to.
         restart: usize,
         /// 1-based round number within the restart.
@@ -76,7 +157,7 @@ pub enum Event {
         pool_blocks: u64,
     },
     /// The bad-medoid rule fired and medoids were replaced (PROCLUS).
-    Swap {
+    Swap = "swap" {
         /// Restart the swap belongs to.
         restart: usize,
         /// Round whose clustering was judged.
@@ -89,7 +170,7 @@ pub enum Event {
         threshold: f64,
     },
     /// The refinement phase finished (PROCLUS).
-    Refine {
+    Refine = "refine" {
         /// Restart being refined.
         restart: usize,
         /// The medoid point indices of the refined model.
@@ -106,9 +187,9 @@ pub enum Event {
     /// A generic per-step progress fact for the non-PROCLUS algorithms:
     /// ORCLUS merge phases, CLIQUE subspace levels, k-means / CLARANS
     /// iterations.
-    Iteration {
+    Iteration = "iteration" {
         /// Algorithm name, as in [`Event::FitStart`].
-        algorithm: &'static str,
+        algorithm: &'static str = ALGORITHMS,
         /// Step index (phase / level / iteration), 0-based.
         step: usize,
         /// Working cluster (or dense-unit) count after the step.
@@ -120,7 +201,7 @@ pub enum Event {
         objective: f64,
     },
     /// The fit finished and a model was produced.
-    FitEnd {
+    FitEnd = "fit_end" {
         /// Rounds (or steps) the returned model's search executed.
         rounds: usize,
         /// Rounds that improved the best objective.
@@ -135,7 +216,7 @@ pub enum Event {
     },
     /// A streaming batch was offered to the stream server (accepted
     /// batches only — rejected ones emit [`Event::StreamQuarantine`]).
-    StreamBatch {
+    StreamBatch = "stream_batch" {
         /// 1-based batch sequence number.
         batch: u64,
         /// Rows in the batch.
@@ -150,14 +231,14 @@ pub enum Event {
     },
     /// A batch was rejected and quarantined; the live model keeps
     /// serving and the window is untouched.
-    StreamQuarantine {
+    StreamQuarantine = "stream_quarantine" {
         /// 1-based batch sequence number.
         batch: u64,
         /// One of [`QUARANTINE_REASONS`].
-        reason: &'static str,
+        reason: &'static str = QUARANTINE_REASONS,
     },
     /// The drift detector's patience was exhausted — a rebuild begins.
-    DriftDetected {
+    DriftDetected = "drift_detected" {
         /// Batch at which patience ran out.
         batch: u64,
         /// The triggering drift score.
@@ -166,24 +247,24 @@ pub enum Event {
         threshold: f64,
     },
     /// One transition of the rollover state machine.
-    RolloverTransition {
+    RolloverTransition = "rollover_transition" {
         /// 1-based rebuild attempt this transition belongs to.
         rebuild: u64,
         /// Source state, one of [`ROLLOVER_STATES`].
-        from: &'static str,
+        from: &'static str = ROLLOVER_STATES,
         /// Target state, one of [`ROLLOVER_STATES`].
-        to: &'static str,
+        to: &'static str = ROLLOVER_STATES,
         /// Why, one of [`ROLLOVER_REASONS`].
-        reason: &'static str,
+        reason: &'static str = ROLLOVER_REASONS,
     },
     /// Gate scores at one rollover validation stage. NaN marks a score
     /// that could not be computed (degenerate labeling) — by contract
     /// an unscorable gate counts as *failed*, never as passed.
-    RolloverGate {
+    RolloverGate = "rollover_gate" {
         /// Rebuild attempt being gated.
         rebuild: u64,
         /// `"shadow"` or `"canary"` (see [`GATE_STAGES`]).
-        stage: &'static str,
+        stage: &'static str = GATE_STAGES,
         /// Candidate projected silhouette on the window.
         silhouette: f64,
         /// Live-vs-candidate ARI over the canary subset.
@@ -198,7 +279,7 @@ pub enum Event {
         passed: bool,
     },
     /// A candidate model was durably published to the registry.
-    ModelPublished {
+    ModelPublished = "model_published" {
         /// Registry generation assigned to the model.
         generation: u64,
         /// Rebuild attempt that produced it.
@@ -212,25 +293,25 @@ pub enum Event {
     /// like every other event this is a fact about *what* the server
     /// did, so a replayed request sequence produces an identical
     /// trace (latency flows through the manifest's counters instead).
-    ServeRequest {
+    ServeRequest = "serve_request" {
         /// Endpoint served, one of [`SERVE_ENDPOINTS`].
-        endpoint: &'static str,
+        endpoint: &'static str = SERVE_ENDPOINTS,
         /// HTTP status code of the response.
         status: u16,
     },
     /// One transition of a fit job through its lifecycle.
-    ServeJob {
+    ServeJob = "serve_job" {
         /// 1-based job sequence number (the numeric part of the job ID).
         job: u64,
         /// Source state, one of [`JOB_STATES`].
-        from: &'static str,
+        from: &'static str = JOB_STATES,
         /// Target state, one of [`JOB_STATES`].
-        to: &'static str,
+        to: &'static str = JOB_STATES,
     },
     /// A declarative scenario was generated — emitted once by `proclus
     /// scenario` before any rows are written, so a trace identifies the
     /// workload it ran against.
-    ScenarioMeta {
+    ScenarioMeta = "scenario_meta" {
         /// Scenario name (the parser restricts it to `[a-z0-9-]+`, so
         /// it embeds in JSON without escaping).
         name: String,
@@ -240,6 +321,10 @@ pub enum Event {
         epochs: usize,
     },
 }
+
+/// The algorithm names [`Event::FitStart`] and [`Event::Iteration`]
+/// carry.
+const ALGORITHMS: [&str; 5] = ["proclus", "orclus", "clique", "kmeans", "clarans"];
 
 /// The closed set of batch quarantine reasons.
 pub const QUARANTINE_REASONS: [&str; 4] = [
@@ -276,488 +361,127 @@ pub const SERVE_ENDPOINTS: [&str; 12] = [
 pub const JOB_STATES: [&str; 4] = ["queued", "running", "done", "failed"];
 
 impl Event {
-    /// The event's `type` tag as written to JSON.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            Event::FitStart { .. } => "fit_start",
-            Event::RestartStart { .. } => "restart_start",
-            Event::Round { .. } => "round",
-            Event::Swap { .. } => "swap",
-            Event::Refine { .. } => "refine",
-            Event::Iteration { .. } => "iteration",
-            Event::FitEnd { .. } => "fit_end",
-            Event::StreamBatch { .. } => "stream_batch",
-            Event::StreamQuarantine { .. } => "stream_quarantine",
-            Event::DriftDetected { .. } => "drift_detected",
-            Event::RolloverTransition { .. } => "rollover_transition",
-            Event::RolloverGate { .. } => "rollover_gate",
-            Event::ModelPublished { .. } => "model_published",
-            Event::ServeRequest { .. } => "serve_request",
-            Event::ServeJob { .. } => "serve_job",
-            Event::ScenarioMeta { .. } => "scenario_meta",
-        }
-    }
-
-    /// Serialize as one JSON object (no trailing newline). The field
-    /// order is fixed, so equal events serialize to equal bytes.
-    pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(128);
-        s.push_str("{\"type\":\"");
-        s.push_str(self.kind());
-        s.push('"');
-        match self {
-            Event::FitStart {
-                algorithm,
-                n,
-                d,
-                k,
-                l,
-                seed,
-                restarts,
-            } => {
-                s.push_str(&format!(
-                    ",\"algorithm\":\"{algorithm}\",\"n\":{n},\"d\":{d},\"k\":{k},\"l\":"
-                ));
-                json::write_f64(&mut s, *l);
-                s.push_str(&format!(",\"seed\":{seed},\"restarts\":{restarts}"));
-            }
-            Event::RestartStart { restart, seed } => {
-                s.push_str(&format!(",\"restart\":{restart},\"seed\":{seed}"));
-            }
-            Event::Round {
-                restart,
-                round,
-                locality_sizes,
-                dims,
-                dim_scores,
-                cluster_sizes,
-                objective,
-                best_objective,
-                improved,
-                pool_dispatches,
-                pool_blocks,
-            } => {
-                s.push_str(&format!(
-                    ",\"restart\":{restart},\"round\":{round},\"locality_sizes\":"
-                ));
-                json::write_usize_arr(&mut s, locality_sizes);
-                s.push_str(",\"dims\":");
-                write_nested_usize(&mut s, dims);
-                s.push_str(",\"dim_scores\":");
-                write_nested_f64(&mut s, dim_scores);
-                s.push_str(",\"cluster_sizes\":");
-                json::write_usize_arr(&mut s, cluster_sizes);
-                s.push_str(",\"objective\":");
-                json::write_f64(&mut s, *objective);
-                s.push_str(",\"best_objective\":");
-                json::write_f64(&mut s, *best_objective);
-                s.push_str(&format!(
-                    ",\"improved\":{improved},\"pool_dispatches\":{pool_dispatches},\"pool_blocks\":{pool_blocks}"
-                ));
-            }
-            Event::Swap {
-                restart,
-                round,
-                bad,
-                cluster_sizes,
-                threshold,
-            } => {
-                s.push_str(&format!(
-                    ",\"restart\":{restart},\"round\":{round},\"bad\":"
-                ));
-                json::write_usize_arr(&mut s, bad);
-                s.push_str(",\"cluster_sizes\":");
-                json::write_usize_arr(&mut s, cluster_sizes);
-                s.push_str(",\"threshold\":");
-                json::write_f64(&mut s, *threshold);
-            }
-            Event::Refine {
-                restart,
-                medoids,
-                dims,
-                spheres,
-                outliers,
-                objective,
-            } => {
-                s.push_str(&format!(",\"restart\":{restart},\"medoids\":"));
-                json::write_usize_arr(&mut s, medoids);
-                s.push_str(",\"dims\":");
-                write_nested_usize(&mut s, dims);
-                s.push_str(",\"spheres\":");
-                json::write_f64_arr(&mut s, spheres);
-                s.push_str(&format!(",\"outliers\":{outliers},\"objective\":"));
-                json::write_f64(&mut s, *objective);
-            }
-            Event::Iteration {
-                algorithm,
-                step,
-                clusters,
-                dimensionality,
-                objective,
-            } => {
-                s.push_str(&format!(
-                    ",\"algorithm\":\"{algorithm}\",\"step\":{step},\"clusters\":{clusters},\"dimensionality\":{dimensionality},\"objective\":"
-                ));
-                json::write_f64(&mut s, *objective);
-            }
-            Event::FitEnd {
-                rounds,
-                improvements,
-                objective,
-                iterative_objective,
-                outliers,
-            } => {
-                s.push_str(&format!(
-                    ",\"rounds\":{rounds},\"improvements\":{improvements},\"objective\":"
-                ));
-                json::write_f64(&mut s, *objective);
-                s.push_str(",\"iterative_objective\":");
-                json::write_f64(&mut s, *iterative_objective);
-                s.push_str(&format!(",\"outliers\":{outliers}"));
-            }
-            Event::StreamBatch {
-                batch,
-                rows,
-                window,
-                drift_score,
-                drifted,
-            } => {
-                s.push_str(&format!(
-                    ",\"batch\":{batch},\"rows\":{rows},\"window\":{window},\"drift_score\":"
-                ));
-                json::write_f64(&mut s, *drift_score);
-                s.push_str(&format!(",\"drifted\":{drifted}"));
-            }
-            Event::StreamQuarantine { batch, reason } => {
-                s.push_str(&format!(",\"batch\":{batch},\"reason\":\"{reason}\""));
-            }
-            Event::DriftDetected {
-                batch,
-                score,
-                threshold,
-            } => {
-                s.push_str(&format!(",\"batch\":{batch},\"score\":"));
-                json::write_f64(&mut s, *score);
-                s.push_str(",\"threshold\":");
-                json::write_f64(&mut s, *threshold);
-            }
-            Event::RolloverTransition {
-                rebuild,
-                from,
-                to,
-                reason,
-            } => {
-                s.push_str(&format!(
-                    ",\"rebuild\":{rebuild},\"from\":\"{from}\",\"to\":\"{to}\",\"reason\":\"{reason}\""
-                ));
-            }
-            Event::RolloverGate {
-                rebuild,
-                stage,
-                silhouette,
-                ari,
-                coverage,
-                cost_ratio,
-                outlier_fraction,
-                passed,
-            } => {
-                s.push_str(&format!(
-                    ",\"rebuild\":{rebuild},\"stage\":\"{stage}\",\"silhouette\":"
-                ));
-                json::write_f64(&mut s, *silhouette);
-                s.push_str(",\"ari\":");
-                json::write_f64(&mut s, *ari);
-                s.push_str(",\"coverage\":");
-                json::write_f64(&mut s, *coverage);
-                s.push_str(",\"cost_ratio\":");
-                json::write_f64(&mut s, *cost_ratio);
-                s.push_str(",\"outlier_fraction\":");
-                json::write_f64(&mut s, *outlier_fraction);
-                s.push_str(&format!(",\"passed\":{passed}"));
-            }
-            Event::ModelPublished {
-                generation,
-                rebuild,
-                objective,
-            } => {
-                s.push_str(&format!(
-                    ",\"generation\":{generation},\"rebuild\":{rebuild},\"objective\":"
-                ));
-                json::write_f64(&mut s, *objective);
-            }
-            Event::ServeRequest { endpoint, status } => {
-                s.push_str(&format!(",\"endpoint\":\"{endpoint}\",\"status\":{status}"));
-            }
-            Event::ServeJob { job, from, to } => {
-                s.push_str(&format!(
-                    ",\"job\":{job},\"from\":\"{from}\",\"to\":\"{to}\""
-                ));
-            }
-            Event::ScenarioMeta { name, seed, epochs } => {
-                s.push_str(&format!(
-                    ",\"name\":\"{name}\",\"seed\":{seed},\"epochs\":{epochs}"
-                ));
-            }
-        }
-        s.push('}');
-        s
-    }
-
     /// Parse one `events.jsonl` line back into an [`Event`].
     pub fn parse_line(line: &str) -> Result<Event, String> {
         let v = json::parse(line).map_err(|e| e.to_string())?;
         Event::from_json(&v)
     }
+}
 
-    /// Reconstruct an event from a parsed JSON object.
-    pub fn from_json(v: &Json) -> Result<Event, String> {
-        let kind = v
-            .get("type")
-            .and_then(Json::as_str)
-            .ok_or("missing \"type\"")?;
-        let get_usize = |key: &str| -> Result<usize, String> {
-            v.get(key)
-                .and_then(Json::as_usize)
-                .ok_or_else(|| format!("missing or invalid {key:?}"))
-        };
-        let get_f64 = |key: &str| -> Result<f64, String> {
-            v.get(key)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("missing or invalid {key:?}"))
-        };
-        let get_usize_arr = |key: &str| -> Result<Vec<usize>, String> {
-            v.get(key)
-                .and_then(Json::as_arr)
-                .ok_or_else(|| format!("missing {key:?}"))?
-                .iter()
-                .map(|x| x.as_usize().ok_or_else(|| format!("bad entry in {key:?}")))
-                .collect()
-        };
-        let get_f64_arr = |key: &str| -> Result<Vec<f64>, String> {
-            v.get(key)
-                .and_then(Json::as_arr)
-                .ok_or_else(|| format!("missing {key:?}"))?
-                .iter()
-                .map(|x| x.as_f64().ok_or_else(|| format!("bad entry in {key:?}")))
-                .collect()
-        };
-        let get_nested_usize = |key: &str| -> Result<Vec<Vec<usize>>, String> {
-            v.get(key)
-                .and_then(Json::as_arr)
-                .ok_or_else(|| format!("missing {key:?}"))?
-                .iter()
-                .map(|row| {
-                    row.as_arr()
-                        .ok_or_else(|| format!("bad row in {key:?}"))?
-                        .iter()
-                        .map(|x| x.as_usize().ok_or_else(|| format!("bad entry in {key:?}")))
-                        .collect()
-                })
-                .collect()
-        };
-        let get_nested_f64 = |key: &str| -> Result<Vec<Vec<f64>>, String> {
-            v.get(key)
-                .and_then(Json::as_arr)
-                .ok_or_else(|| format!("missing {key:?}"))?
-                .iter()
-                .map(|row| {
-                    row.as_arr()
-                        .ok_or_else(|| format!("bad row in {key:?}"))?
-                        .iter()
-                        .map(|x| x.as_f64().ok_or_else(|| format!("bad entry in {key:?}")))
-                        .collect()
-                })
-                .collect()
-        };
-        let algorithm = || -> Result<&'static str, String> {
-            let name = v
-                .get("algorithm")
-                .and_then(Json::as_str)
-                .ok_or("missing \"algorithm\"")?;
-            // Static names keep Event cheap; unknown names are a schema
-            // violation, not data.
-            ["proclus", "orclus", "clique", "kmeans", "clarans"]
-                .iter()
-                .find(|&&a| a == name)
-                .copied()
-                .ok_or_else(|| format!("unknown algorithm {name:?}"))
-        };
-        let get_u64 = |key: &str| -> Result<u64, String> {
-            v.get(key)
-                .and_then(Json::as_usize)
-                .map(|x| x as u64)
-                .ok_or_else(|| format!("missing or invalid {key:?}"))
-        };
-        let get_bool = |key: &str| -> Result<bool, String> {
-            v.get(key)
-                .and_then(Json::as_bool)
-                .ok_or_else(|| format!("missing {key:?}"))
-        };
-        // Enum-valued string fields resolve against a closed vocabulary
-        // (same policy as `algorithm`): unknown names are a schema
-        // violation, and resolving to the static str keeps Event cheap.
-        let vocab = |key: &str, allowed: &'static [&'static str]| -> Result<&'static str, String> {
-            let name = v
-                .get(key)
-                .and_then(Json::as_str)
-                .ok_or_else(|| format!("missing {key:?}"))?;
-            allowed
-                .iter()
-                .find(|&&a| a == name)
-                .copied()
-                .ok_or_else(|| format!("unknown {key} {name:?}"))
-        };
-        match kind {
-            "fit_start" => Ok(Event::FitStart {
-                algorithm: algorithm()?,
-                n: get_usize("n")?,
-                d: get_usize("d")?,
-                k: get_usize("k")?,
-                l: get_f64("l")?,
-                seed: get_u64("seed")?,
-                restarts: get_usize("restarts")?,
-            }),
-            "restart_start" => Ok(Event::RestartStart {
-                restart: get_usize("restart")?,
-                seed: get_u64("seed")?,
-            }),
-            "round" => Ok(Event::Round {
-                restart: get_usize("restart")?,
-                round: get_usize("round")?,
-                locality_sizes: get_usize_arr("locality_sizes")?,
-                dims: get_nested_usize("dims")?,
-                dim_scores: get_nested_f64("dim_scores")?,
-                cluster_sizes: get_usize_arr("cluster_sizes")?,
-                objective: get_f64("objective")?,
-                best_objective: get_f64("best_objective")?,
-                improved: v
-                    .get("improved")
-                    .and_then(Json::as_bool)
-                    .ok_or("missing \"improved\"")?,
-                pool_dispatches: get_u64("pool_dispatches")?,
-                pool_blocks: get_u64("pool_blocks")?,
-            }),
-            "swap" => Ok(Event::Swap {
-                restart: get_usize("restart")?,
-                round: get_usize("round")?,
-                bad: get_usize_arr("bad")?,
-                cluster_sizes: get_usize_arr("cluster_sizes")?,
-                threshold: get_f64("threshold")?,
-            }),
-            "refine" => Ok(Event::Refine {
-                restart: get_usize("restart")?,
-                medoids: get_usize_arr("medoids")?,
-                dims: get_nested_usize("dims")?,
-                spheres: get_f64_arr("spheres")?,
-                outliers: get_usize("outliers")?,
-                objective: get_f64("objective")?,
-            }),
-            "iteration" => Ok(Event::Iteration {
-                algorithm: algorithm()?,
-                step: get_usize("step")?,
-                clusters: get_usize("clusters")?,
-                dimensionality: get_usize("dimensionality")?,
-                objective: get_f64("objective")?,
-            }),
-            "fit_end" => Ok(Event::FitEnd {
-                rounds: get_usize("rounds")?,
-                improvements: get_usize("improvements")?,
-                objective: get_f64("objective")?,
-                iterative_objective: get_f64("iterative_objective")?,
-                outliers: get_usize("outliers")?,
-            }),
-            "stream_batch" => Ok(Event::StreamBatch {
-                batch: get_u64("batch")?,
-                rows: get_usize("rows")?,
-                window: get_usize("window")?,
-                drift_score: get_f64("drift_score")?,
-                drifted: get_bool("drifted")?,
-            }),
-            "stream_quarantine" => Ok(Event::StreamQuarantine {
-                batch: get_u64("batch")?,
-                reason: vocab("reason", &QUARANTINE_REASONS)?,
-            }),
-            "drift_detected" => Ok(Event::DriftDetected {
-                batch: get_u64("batch")?,
-                score: get_f64("score")?,
-                threshold: get_f64("threshold")?,
-            }),
-            "rollover_transition" => Ok(Event::RolloverTransition {
-                rebuild: get_u64("rebuild")?,
-                from: vocab("from", &ROLLOVER_STATES)?,
-                to: vocab("to", &ROLLOVER_STATES)?,
-                reason: vocab("reason", &ROLLOVER_REASONS)?,
-            }),
-            "rollover_gate" => Ok(Event::RolloverGate {
-                rebuild: get_u64("rebuild")?,
-                stage: vocab("stage", &GATE_STAGES)?,
-                silhouette: get_f64("silhouette")?,
-                ari: get_f64("ari")?,
-                coverage: get_f64("coverage")?,
-                cost_ratio: get_f64("cost_ratio")?,
-                outlier_fraction: get_f64("outlier_fraction")?,
-                passed: get_bool("passed")?,
-            }),
-            "model_published" => Ok(Event::ModelPublished {
-                generation: get_u64("generation")?,
-                rebuild: get_u64("rebuild")?,
-                objective: get_f64("objective")?,
-            }),
-            "serve_request" => Ok(Event::ServeRequest {
-                endpoint: vocab("endpoint", &SERVE_ENDPOINTS)?,
-                status: u16::try_from(get_usize("status")?)
-                    .map_err(|_| "status out of range".to_string())?,
-            }),
-            "serve_job" => Ok(Event::ServeJob {
-                job: get_u64("job")?,
-                from: vocab("from", &JOB_STATES)?,
-                to: vocab("to", &JOB_STATES)?,
-            }),
-            "scenario_meta" => {
-                let name = v
-                    .get("name")
-                    .and_then(Json::as_str)
-                    .ok_or("missing \"name\"")?;
-                // Open field, but keep it to the parser's charset so
-                // round-tripping never needs JSON string escaping.
-                if name.is_empty()
-                    || !name
-                        .chars()
-                        .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '-')
-                {
-                    return Err(format!("invalid scenario name {name:?}"));
-                }
-                Ok(Event::ScenarioMeta {
-                    name: name.to_string(),
-                    seed: get_u64("seed")?,
-                    epochs: get_usize("epochs")?,
-                })
+/// Read member `key` of the event object `v`.
+fn field<T: Field>(v: &Json, key: &str, vocab: &[&'static str]) -> Result<T, String> {
+    let value = v.get(key).ok_or_else(|| format!("missing {key:?}"))?;
+    T::read(value, vocab).ok_or_else(|| format!("invalid {key:?}: {value}"))
+}
+
+/// How one field type is written to and read from an event line.
+trait Field: Sized {
+    /// Append the value's JSON text to `out`.
+    fn write(&self, out: &mut String);
+
+    /// Read the value back. `vocab` is the closed set a `&'static str`
+    /// must be one of (resolving to the static name keeps [`Event`]
+    /// cheap); the other types ignore it.
+    fn read(v: &Json, vocab: &[&'static str]) -> Option<Self>;
+}
+
+impl Field for usize {
+    fn write(&self, out: &mut String) {
+        json::write_usize(out, *self);
+    }
+
+    fn read(v: &Json, _: &[&'static str]) -> Option<Self> {
+        v.as_usize()
+    }
+}
+
+impl Field for u64 {
+    fn write(&self, out: &mut String) {
+        // Writing into a `String` cannot fail.
+        let _ = write!(out, "{self}");
+    }
+
+    fn read(v: &Json, _: &[&'static str]) -> Option<Self> {
+        v.as_u64()
+    }
+}
+
+impl Field for u16 {
+    fn write(&self, out: &mut String) {
+        json::write_usize(out, usize::from(*self));
+    }
+
+    fn read(v: &Json, _: &[&'static str]) -> Option<Self> {
+        v.as_u64().and_then(|x| u16::try_from(x).ok())
+    }
+}
+
+impl Field for f64 {
+    fn write(&self, out: &mut String) {
+        json::write_f64(out, *self);
+    }
+
+    fn read(v: &Json, _: &[&'static str]) -> Option<Self> {
+        v.as_f64()
+    }
+}
+
+impl Field for bool {
+    fn write(&self, out: &mut String) {
+        out.push_str(if *self { "true" } else { "false" });
+    }
+
+    fn read(v: &Json, _: &[&'static str]) -> Option<Self> {
+        v.as_bool()
+    }
+}
+
+/// A vocabulary name: a name outside the declared set is a schema
+/// violation, not data.
+impl Field for &'static str {
+    fn write(&self, out: &mut String) {
+        json::write_str(out, self);
+    }
+
+    fn read(v: &Json, vocab: &[&'static str]) -> Option<Self> {
+        let name = v.as_str()?;
+        vocab.iter().find(|&&a| a == name).copied()
+    }
+}
+
+/// The scenario name, the one open string field: it is held to the
+/// scenario parser's `[a-z0-9-]+`, so round-tripping never needs JSON
+/// string escaping.
+impl Field for String {
+    fn write(&self, out: &mut String) {
+        json::write_str(out, self);
+    }
+
+    fn read(v: &Json, _: &[&'static str]) -> Option<Self> {
+        let name = v.as_str()?;
+        let valid = !name.is_empty()
+            && name
+                .bytes()
+                .all(|b| b.is_ascii_lowercase() || b.is_ascii_digit() || b == b'-');
+        valid.then(|| name.to_string())
+    }
+}
+
+impl<T: Field> Field for Vec<T> {
+    fn write(&self, out: &mut String) {
+        out.push('[');
+        for (i, x) in self.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
             }
-            other => Err(format!("unknown event type {other:?}")),
+            x.write(out);
         }
+        out.push(']');
     }
-}
 
-fn write_nested_usize(out: &mut String, rows: &[Vec<usize>]) {
-    out.push('[');
-    for (i, row) in rows.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        json::write_usize_arr(out, row);
+    fn read(v: &Json, vocab: &[&'static str]) -> Option<Self> {
+        v.as_arr()?.iter().map(|x| T::read(x, vocab)).collect()
     }
-    out.push(']');
-}
-
-fn write_nested_f64(out: &mut String, rows: &[Vec<f64>]) {
-    out.push('[');
-    for (i, row) in rows.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        json::write_f64_arr(out, row);
-    }
-    out.push(']');
 }
 
 #[cfg(test)]
@@ -944,5 +668,46 @@ mod tests {
             "{\"type\":\"serve_job\",\"job\":1,\"from\":\"queued\",\"to\":\"vanished\"}"
         )
         .is_err());
+    }
+
+    #[test]
+    fn every_variant_has_a_sample() {
+        let sampled: Vec<&str> = samples().iter().map(Event::kind).collect();
+        assert_eq!(
+            sampled, KINDS,
+            "samples() must hold one event per variant, in order"
+        );
+    }
+
+    #[test]
+    fn u64_fields_round_trip_exactly() {
+        // Restart 1's derived seed in every multi-restart trace, above 2^53.
+        for seed in [11_400_714_819_323_198_502, u64::MAX] {
+            let e = Event::RestartStart { restart: 1, seed };
+            let line = e.to_json();
+            assert_eq!(
+                line,
+                format!("{{\"type\":\"restart_start\",\"restart\":1,\"seed\":{seed}}}")
+            );
+            assert_eq!(Event::parse_line(&line).unwrap(), e);
+        }
+        assert!(Event::parse_line(
+            "{\"type\":\"restart_start\",\"restart\":1,\"seed\":18446744073709551616}"
+        )
+        .is_err());
+        assert!(Event::parse_line(
+            "{\"type\":\"serve_request\",\"endpoint\":\"fit\",\"status\":65536}"
+        )
+        .is_err());
+    }
+
+    #[test]
+    fn scenario_names_keep_the_parser_charset() {
+        for bad in ["", "Upper", "with space", "quo\\\"te"] {
+            let line = format!(
+                "{{\"type\":\"scenario_meta\",\"name\":\"{bad}\",\"seed\":1,\"epochs\":1}}"
+            );
+            assert!(Event::parse_line(&line).is_err(), "{line}");
+        }
     }
 }

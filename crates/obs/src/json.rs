@@ -18,6 +18,9 @@
 
 use std::fmt::{self, Write as _};
 
+/// 2^64, the first integer a `u64` cannot hold.
+const U64_END: f64 = 18_446_744_073_709_551_616.0;
+
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Json {
@@ -25,7 +28,10 @@ pub enum Json {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any JSON number (always carried as `f64`).
+    /// A non-negative integer below 2^64, held exactly.
+    Int(u64),
+    /// Any other number: [`parse`] yields it for negative, fractional
+    /// and 2^64-or-larger values, writers may hold any `f64` here.
     Num(f64),
     /// A string.
     Str(String),
@@ -48,6 +54,7 @@ impl Json {
     /// (`"inf"`, `"-inf"`, `"nan"`) written by [`write_f64`].
     pub fn as_f64(&self) -> Option<f64> {
         match self {
+            Json::Int(x) => Some(*x as f64),
             Json::Num(v) => Some(*v),
             Json::Str(s) => match s.as_str() {
                 "inf" => Some(f64::INFINITY),
@@ -59,14 +66,19 @@ impl Json {
         }
     }
 
-    /// Non-negative integer view (rejects fractional and negative).
-    pub fn as_usize(&self) -> Option<usize> {
+    /// Exact non-negative integer view: rejects fractional, negative,
+    /// and 2^64 and above.
+    pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Json::Num(v) if *v >= 0.0 && v.fract() == 0.0 && *v <= u64::MAX as f64 => {
-                Some(*v as usize)
-            }
+            Json::Int(x) => Some(*x),
+            Json::Num(v) if *v >= 0.0 && v.fract() == 0.0 && *v < U64_END => Some(*v as u64),
             _ => None,
         }
+    }
+
+    /// [`Json::as_u64`], narrowed to `usize`.
+    pub fn as_usize(&self) -> Option<usize> {
+        self.as_u64().and_then(|x| usize::try_from(x).ok())
     }
 
     /// String view.
@@ -186,6 +198,9 @@ pub fn write_json(out: &mut String, v: &Json) {
     match v {
         Json::Null => out.push_str("null"),
         Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+        Json::Int(x) => {
+            let _ = write!(out, "{x}");
+        }
         Json::Num(n) => write_f64(out, *n),
         Json::Str(s) => write_str(out, s),
         Json::Arr(items) => {
@@ -230,15 +245,30 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// Deepest array/object nesting [`parse`] accepts. The documents this
+/// workspace writes nest at most four levels; the bound keeps the
+/// recursive descent's stack use fixed whatever the input holds.
+const MAX_DEPTH: usize = 128;
+
 /// Parse one JSON document; trailing whitespace is allowed, trailing
 /// content is not.
+///
+/// A non-negative integer below 2^64 is read as [`Json::Int`], exact
+/// when its literal is all digits (`5.0` or `1e2` go through `f64`
+/// first); any other number is a [`Json::Num`]. A number beyond the
+/// `f64` range and nesting deeper than 128 levels are rejected. Time is
+/// linear in the input length.
 pub fn parse(input: &str) -> Result<Json, JsonError> {
-    let bytes = input.as_bytes();
-    let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(err(pos, "trailing content"));
+    let mut p = Parser {
+        src: input,
+        bytes: input.as_bytes(),
+        pos: 0,
+        depth: 0,
+    };
+    let value = p.value()?;
+    p.skip_ws();
+    if p.pos != p.bytes.len() {
+        return Err(err(p.pos, "trailing content"));
     }
     Ok(value)
 }
@@ -250,154 +280,189 @@ fn err(at: usize, reason: impl ToString) -> JsonError {
     }
 }
 
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
+/// Recursive-descent state: the input, the read offset and the number
+/// of arrays and objects open around it.
+struct Parser<'a> {
+    src: &'a str,
+    bytes: &'a [u8],
+    pos: usize,
+    depth: usize,
 }
 
-fn expect(bytes: &[u8], pos: &mut usize, c: u8) -> Result<(), JsonError> {
-    if *pos < bytes.len() && bytes[*pos] == c {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(err(*pos, format!("expected {:?}", c as char)))
+impl Parser<'_> {
+    fn peek(&self) -> Option<u8> {
+        self.bytes.get(self.pos).copied()
     }
-}
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
-    skip_ws(bytes, pos);
-    match bytes.get(*pos) {
-        None => Err(err(*pos, "unexpected end of input")),
-        Some(b'{') => parse_obj(bytes, pos),
-        Some(b'[') => parse_arr(bytes, pos),
-        Some(b'"') => Ok(Json::Str(parse_string(bytes, pos)?)),
-        Some(b't') => parse_lit(bytes, pos, "true", Json::Bool(true)),
-        Some(b'f') => parse_lit(bytes, pos, "false", Json::Bool(false)),
-        Some(b'n') => parse_lit(bytes, pos, "null", Json::Null),
-        Some(_) => parse_num(bytes, pos),
+    fn skip_ws(&mut self) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
+        }
     }
-}
 
-fn parse_lit(bytes: &[u8], pos: &mut usize, lit: &str, value: Json) -> Result<Json, JsonError> {
-    if bytes[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
-        Ok(value)
-    } else {
-        Err(err(*pos, format!("expected {lit:?}")))
+    fn expect(&mut self, c: u8) -> Result<(), JsonError> {
+        if self.peek() == Some(c) {
+            self.pos += 1;
+            Ok(())
+        } else {
+            Err(err(self.pos, format!("expected {:?}", c as char)))
+        }
     }
-}
 
-fn parse_num(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
-    let start = *pos;
-    while *pos < bytes.len()
-        && matches!(bytes[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-    {
-        *pos += 1;
+    fn value(&mut self) -> Result<Json, JsonError> {
+        self.skip_ws();
+        match self.peek() {
+            None => Err(err(self.pos, "unexpected end of input")),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(err(
+                        self.pos,
+                        format!("nesting deeper than {MAX_DEPTH} levels"),
+                    ));
+                }
+                self.depth += 1;
+                let value = if open == b'{' { self.obj() } else { self.arr() };
+                self.depth -= 1;
+                value
+            }
+            Some(b'"') => Ok(Json::Str(self.string()?)),
+            Some(b't') => self.lit("true", Json::Bool(true)),
+            Some(b'f') => self.lit("false", Json::Bool(false)),
+            Some(b'n') => self.lit("null", Json::Null),
+            Some(_) => self.num(),
+        }
     }
-    let text = std::str::from_utf8(&bytes[start..*pos]).map_err(|_| err(start, "bad utf8"))?;
-    text.parse::<f64>()
-        .map(Json::Num)
-        .map_err(|_| err(start, format!("bad number {text:?}")))
-}
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
-    expect(bytes, pos, b'"')?;
-    let mut out = String::new();
-    loop {
-        match bytes.get(*pos) {
-            None => return Err(err(*pos, "unterminated string")),
-            Some(b'"') => {
-                *pos += 1;
+    fn lit(&mut self, lit: &str, value: Json) -> Result<Json, JsonError> {
+        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+            self.pos += lit.len();
+            Ok(value)
+        } else {
+            Err(err(self.pos, format!("expected {lit:?}")))
+        }
+    }
+
+    fn num(&mut self) -> Result<Json, JsonError> {
+        let start = self.pos;
+        while matches!(
+            self.peek(),
+            Some(b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
+        ) {
+            self.pos += 1;
+        }
+        // The scanned bytes are ASCII, so the slice is on char bounds.
+        let text = &self.src[start..self.pos];
+        if text.bytes().all(|b| b.is_ascii_digit()) {
+            if let Ok(x) = text.parse::<u64>() {
+                return Ok(Json::Int(x));
+            }
+        }
+        let v = text
+            .parse::<f64>()
+            .map_err(|_| err(start, format!("bad number {text:?}")))?;
+        if !v.is_finite() {
+            return Err(err(start, format!("number {text:?} is out of range")));
+        }
+        if v.fract() == 0.0 && v.is_sign_positive() && v < U64_END {
+            Ok(Json::Int(v as u64))
+        } else {
+            Ok(Json::Num(v))
+        }
+    }
+
+    fn string(&mut self) -> Result<String, JsonError> {
+        self.expect(b'"')?;
+        let mut out = String::new();
+        loop {
+            // Copy the run up to the next quote or backslash whole: both
+            // are ASCII, so the run ends on a char boundary of `src`.
+            let run = self.pos;
+            let len = self.bytes[run..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .ok_or_else(|| err(self.bytes.len(), "unterminated string"))?;
+            self.pos += len;
+            out.push_str(&self.src[run..self.pos]);
+            if self.peek() == Some(b'"') {
+                self.pos += 1;
                 return Ok(out);
             }
-            Some(b'\\') => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .ok_or_else(|| err(*pos, "truncated \\u escape"))?;
-                        let hex =
-                            std::str::from_utf8(hex).map_err(|_| err(*pos, "bad \\u escape"))?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| err(*pos, "bad \\u escape"))?;
-                        // Surrogates are not produced by our writer;
-                        // map unpaired ones to the replacement char.
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        *pos += 4;
-                    }
-                    _ => return Err(err(*pos, "bad escape")),
+            self.pos += 1;
+            let c = match self.peek() {
+                Some(b'"') => '"',
+                Some(b'\\') => '\\',
+                Some(b'/') => '/',
+                Some(b'n') => '\n',
+                Some(b'r') => '\r',
+                Some(b't') => '\t',
+                Some(b'b') => '\u{8}',
+                Some(b'f') => '\u{c}',
+                Some(b'u') => {
+                    let code = self.bytes[self.pos + 1..]
+                        .get(..4)
+                        .and_then(|hex| {
+                            hex.iter()
+                                .try_fold(0, |acc, &b| Some(acc * 16 + char::from(b).to_digit(16)?))
+                        })
+                        .ok_or_else(|| err(self.pos, "bad \\u escape"))?;
+                    self.pos += 4;
+                    // Surrogates are not produced by our writer; map
+                    // them to the replacement char.
+                    char::from_u32(code).unwrap_or('\u{fffd}')
                 }
-                *pos += 1;
-            }
-            Some(_) => {
-                // Consume one UTF-8 scalar.
-                let rest =
-                    std::str::from_utf8(&bytes[*pos..]).map_err(|_| err(*pos, "bad utf8"))?;
-                let Some(c) = rest.chars().next() else {
-                    return Err(err(*pos, "unterminated string"));
-                };
-                out.push(c);
-                *pos += c.len_utf8();
+                _ => return Err(err(self.pos, "bad escape")),
+            };
+            out.push(c);
+            self.pos += 1;
+        }
+    }
+
+    fn arr(&mut self) -> Result<Json, JsonError> {
+        self.expect(b'[')?;
+        let mut items = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b']') {
+            self.pos += 1;
+            return Ok(Json::Arr(items));
+        }
+        loop {
+            items.push(self.value()?);
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b']') => {
+                    self.pos += 1;
+                    return Ok(Json::Arr(items));
+                }
+                _ => return Err(err(self.pos, "expected ',' or ']'")),
             }
         }
     }
-}
 
-fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
-    expect(bytes, pos, b'[')?;
-    let mut items = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(Json::Arr(items));
-    }
-    loop {
-        items.push(parse_value(bytes, pos)?);
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            _ => return Err(err(*pos, "expected ',' or ']'")),
+    fn obj(&mut self) -> Result<Json, JsonError> {
+        self.expect(b'{')?;
+        let mut members = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
+            return Ok(Json::Obj(members));
         }
-    }
-}
-
-fn parse_obj(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
-    expect(bytes, pos, b'{')?;
-    let mut members = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(Json::Obj(members));
-    }
-    loop {
-        skip_ws(bytes, pos);
-        let key = parse_string(bytes, pos)?;
-        skip_ws(bytes, pos);
-        expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos)?;
-        members.push((key, value));
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(Json::Obj(members));
+        loop {
+            self.skip_ws();
+            let key = self.string()?;
+            self.skip_ws();
+            self.expect(b':')?;
+            let value = self.value()?;
+            members.push((key, value));
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b'}') => {
+                    self.pos += 1;
+                    return Ok(Json::Obj(members));
+                }
+                _ => return Err(err(self.pos, "expected ',' or '}'")),
             }
-            _ => return Err(err(*pos, "expected ',' or '}'")),
         }
     }
 }
@@ -418,7 +483,8 @@ mod tests {
             Json::Null,
             Json::Bool(true),
             Json::Bool(false),
-            Json::Num(0.0),
+            Json::Int(0),
+            Json::Int(u64::MAX),
             Json::Num(-17.5),
             Json::Num(1e300),
             Json::Str("plain".into()),
@@ -431,7 +497,7 @@ mod tests {
     #[test]
     fn containers_roundtrip() {
         let v = Json::Obj(vec![
-            ("a".into(), Json::Arr(vec![Json::Num(1.0), Json::Null])),
+            ("a".into(), Json::Arr(vec![Json::Int(1), Json::Null])),
             ("b".into(), Json::Obj(vec![("c".into(), Json::Bool(true))])),
             ("empty".into(), Json::Arr(vec![])),
             ("none".into(), Json::Obj(vec![])),
@@ -471,6 +537,74 @@ mod tests {
         assert!(parse("01a").is_err());
         assert!(parse("\"open").is_err());
         assert!(parse("{} trailing").is_err());
+    }
+
+    #[test]
+    fn digit_only_integers_read_exactly() {
+        for x in [0, 1, (1 << 53) + 1, 11_400_714_819_323_198_502, u64::MAX] {
+            let v = parse(&x.to_string()).unwrap();
+            assert_eq!(v, Json::Int(x));
+            assert_eq!(v.as_u64(), Some(x));
+        }
+        // 2^64 and above are numbers, but no integer view holds them.
+        for text in ["18446744073709551616", "1e20"] {
+            let v = parse(text).unwrap();
+            assert!(matches!(v, Json::Num(_)), "{text}");
+            assert_eq!(v.as_u64(), None, "{text}");
+            assert_eq!(v.as_usize(), None, "{text}");
+        }
+        assert_eq!(Json::Num(18_446_744_073_709_551_616.0).as_u64(), None);
+        // An integral value in another spelling is still an integer;
+        // `-0` stays a float so it writes back as `-0`.
+        assert_eq!(parse("5.0").unwrap(), Json::Int(5));
+        assert_eq!(parse("1e2").unwrap(), Json::Int(100));
+        assert!(parse("-0").unwrap().as_f64().unwrap().is_sign_negative());
+        // An integral float written out reads back with the same value.
+        let mut s = String::new();
+        write_json(&mut s, &Json::Num(1_152_921_504_606_846_976.0));
+        assert_eq!(
+            parse(&s).unwrap().as_f64(),
+            Some(1_152_921_504_606_846_976.0)
+        );
+    }
+
+    #[test]
+    fn numbers_beyond_f64_are_rejected_where_they_start() {
+        assert_eq!(parse("[1, 1e999]").unwrap_err().at, 4);
+        assert_eq!(parse("-1e999").unwrap_err().at, 0);
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&ok).is_ok());
+        let deep = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        let e = parse(&deep).unwrap_err();
+        assert_eq!(e.at, MAX_DEPTH);
+        assert!(e.reason.contains("nesting"), "{e}");
+        // A bomb far past the bound fails at the same place, not on the
+        // stack.
+        let bomb = "{\"a\":".repeat(100_000);
+        assert_eq!(parse(&bomb).unwrap_err().at, 5 * MAX_DEPTH);
+    }
+
+    #[test]
+    fn long_strings_parse_in_one_pass() {
+        let body = "é".repeat(2 << 20); // 4 MiB of two-byte chars.
+        let v = parse(&format!("{{\"s\":\"{body}\\n\"}}")).unwrap();
+        let s = v.get("s").unwrap().as_str().unwrap();
+        assert_eq!(s.len(), body.len() + 1);
+        assert!(s.ends_with("é\n"));
+    }
+
+    #[test]
+    fn unicode_escapes() {
+        assert_eq!(parse(r#""\u00e9x""#).unwrap(), Json::Str("éx".into()));
+        assert_eq!(parse(r#""\ud800""#).unwrap(), Json::Str("\u{fffd}".into()));
+        for bad in [r#""\u12""#, r#""\u+123""#, r#""\uzzzz""#, "\"\\"] {
+            let e = parse(bad).unwrap_err();
+            assert!(e.at <= bad.len(), "{bad}: {e}");
+        }
     }
 
     #[test]

@@ -49,76 +49,57 @@ pub fn handle(state: &AppState, req: &Request) -> Response {
     resp
 }
 
+/// An endpoint body: the state, the request, and the rest of the path
+/// after a prefix route's trailing `/` (empty for an exact route).
+type Handler = fn(&AppState, &Request, &str) -> Response;
+
+/// The URL space, one row per endpoint: method, path, the endpoint's
+/// name in [`proclus_obs::event::SERVE_ENDPOINTS`], and its body. A path
+/// ending in `/` is a prefix whose remainder names the resource; no
+/// request path matches two rows.
+const ROUTES: [(&str, &str, &str, Handler); 11] = [
+    ("GET", "/healthz", "health", |s, _, _| health(s)),
+    ("POST", "/v1/datasets/", "upload", |s, r, name| {
+        upload(s, name, &r.body)
+    }),
+    ("GET", "/v1/datasets", "datasets", |s, _, _| {
+        list_datasets(s)
+    }),
+    ("POST", "/v1/fit", "fit", |s, r, _| submit_fit(s, r)),
+    ("GET", "/v1/jobs", "jobs", |s, _, _| list_jobs(s)),
+    ("GET", "/v1/jobs/", "job", |s, _, id| job(s, id)),
+    ("GET", "/v1/models", "models", |s, _, _| list_models(s)),
+    ("GET", "/v1/models/", "model", |s, _, generation| {
+        model(s, generation)
+    }),
+    ("POST", "/v1/assign", "assign", |s, r, _| {
+        assign(s, r, false)
+    }),
+    ("POST", "/v1/classify", "classify", |s, r, _| {
+        assign(s, r, true)
+    }),
+    ("POST", "/v1/shutdown", "shutdown", |s, _, _| shutdown(s)),
+];
+
 fn route(state: &AppState, req: &Request) -> (&'static str, Response) {
     let path = req.path.as_str();
-    let method = req.method.as_str();
-    match (method, path) {
-        ("GET", "/healthz") => ("health", health(state)),
-        ("GET", "/v1/datasets") => ("datasets", list_datasets(state)),
-        ("POST", "/v1/fit") => ("fit", submit_fit(state, req)),
-        ("GET", "/v1/jobs") => ("jobs", list_jobs(state)),
-        ("GET", "/v1/models") => ("models", list_models(state)),
-        ("POST", "/v1/assign") => ("assign", assign(state, req, false)),
-        ("POST", "/v1/classify") => ("classify", assign(state, req, true)),
-        ("POST", "/v1/shutdown") => ("shutdown", shutdown(state)),
-        _ => {
-            if let Some(name) = path.strip_prefix("/v1/datasets/") {
-                return route_method(method, "POST", "upload", || upload(state, name, &req.body));
-            }
-            if let Some(id) = path.strip_prefix("/v1/jobs/") {
-                return route_method(method, "GET", "job", || job(state, id));
-            }
-            if let Some(generation) = path.strip_prefix("/v1/models/") {
-                return route_method(method, "GET", "model", || model(state, generation));
-            }
-            if matches!(
-                path,
-                "/healthz"
-                    | "/v1/datasets"
-                    | "/v1/fit"
-                    | "/v1/jobs"
-                    | "/v1/models"
-                    | "/v1/assign"
-                    | "/v1/classify"
-                    | "/v1/shutdown"
-            ) {
-                let endpoint = match path {
-                    "/healthz" => "health",
-                    "/v1/datasets" => "datasets",
-                    "/v1/fit" => "fit",
-                    "/v1/jobs" => "jobs",
-                    "/v1/models" => "models",
-                    "/v1/assign" => "assign",
-                    "/v1/classify" => "classify",
-                    _ => "shutdown",
-                };
-                return (
-                    endpoint,
-                    Response::error(405, &format!("{method} is not valid for {path}")),
-                );
-            }
-            (
-                "unknown",
-                Response::error(404, &format!("no route for {path}")),
-            )
+    for (method, route, endpoint, run) in ROUTES {
+        let rest = if route.ends_with('/') {
+            path.strip_prefix(route)
+        } else {
+            (path == route).then_some("")
+        };
+        let Some(rest) = rest else { continue };
+        if req.method != method {
+            let message = format!("{} is not valid for {path}; use {method}", req.method);
+            return (endpoint, Response::error(405, &message));
         }
+        return (endpoint, run(state, req, rest));
     }
-}
-
-fn route_method(
-    method: &str,
-    want: &str,
-    endpoint: &'static str,
-    run: impl FnOnce() -> Response,
-) -> (&'static str, Response) {
-    if method == want {
-        (endpoint, run())
-    } else {
-        (
-            endpoint,
-            Response::error(405, &format!("use {want} for this endpoint")),
-        )
-    }
+    (
+        "unknown",
+        Response::error(404, &format!("no route for {path}")),
+    )
 }
 
 // -- endpoint implementations ------------------------------------------
@@ -237,9 +218,9 @@ fn submit_fit(state: &AppState, req: &Request) -> Response {
     };
     let seed = match parsed.get("seed") {
         None => 0,
-        Some(v) => match v.as_usize() {
-            Some(s) => s as u64,
-            None => return Response::error(400, "\"seed\" must be a non-negative integer"),
+        Some(v) => match v.as_u64() {
+            Some(s) => s,
+            None => return Response::error(400, "\"seed\" must be an integer in 0..2^64"),
         },
     };
     let restarts = match parsed.get("restarts") {
@@ -495,6 +476,19 @@ mod tests {
         assert_eq!(handle(&s, &post("/healthz", b"")).status, 405);
         assert_eq!(handle(&s, &get("/v1/datasets/abc")).status, 405);
         assert_eq!(handle(&s, &post("/v1/jobs/job-000001", b"")).status, 405);
+    }
+
+    #[test]
+    fn every_routed_endpoint_is_in_the_event_vocabulary() {
+        let names = ROUTES.iter().map(|&(_, _, endpoint, _)| endpoint);
+        for endpoint in names.chain(["unknown"]) {
+            assert!(
+                proclus_obs::event::SERVE_ENDPOINTS.contains(&endpoint),
+                "{endpoint}"
+            );
+        }
+        // And every name in the vocabulary is routed, once.
+        assert_eq!(ROUTES.len() + 1, proclus_obs::event::SERVE_ENDPOINTS.len());
     }
 
     #[test]

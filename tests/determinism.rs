@@ -150,12 +150,15 @@ fn golden_event_stream_is_byte_identical_across_threads() {
          (got 0x{:016X})",
         fnv1a64(&serial)
     );
-    // Every line must round-trip through the parser (the stream is a
-    // machine interface, not just a log).
+    // Every line must round-trip through the parser byte for byte (the
+    // stream is a machine interface, not just a log): restart 1's
+    // derived seed is above 2^53, so a reader that goes through `f64`
+    // fails here.
     let text = String::from_utf8(serial).unwrap();
     let mut kinds = Vec::new();
     for line in text.lines() {
         let ev = proclus::obs::Event::parse_line(line).unwrap();
+        assert_eq!(ev.to_json(), line, "event line does not round-trip");
         kinds.push(ev.kind());
     }
     assert_eq!(kinds.first(), Some(&"fit_start"));

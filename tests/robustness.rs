@@ -1282,6 +1282,198 @@ fn chunk_reader_survives_structure_aware_fuzzing() {
 }
 
 // ---------------------------------------------------------------------
+// Seeded, structure-aware fuzzing of the JSON reader
+// ---------------------------------------------------------------------
+
+/// Fuzz cases per run of the JSON loop: about a second in a debug
+/// build.
+const JSON_FUZZ_CASES: usize = 20_000;
+
+/// Values a mutation writes in place of a member's value: a number
+/// beyond `f64`, signed zero, 2^64 and `u64::MAX`, unpaired and paired
+/// surrogate escapes, nesting just past and well inside the bound, an
+/// unterminated nest, and a few plain values.
+fn json_edge_tokens() -> Vec<String> {
+    let mut tokens: Vec<String> = [
+        "1e999",
+        "-1e999",
+        "-0",
+        "18446744073709551616",
+        "18446744073709551615",
+        "9007199254740993",
+        "\"\\ud800\"",
+        "\"\\ud83d\\ude00\"",
+        "\"\\u00zz\"",
+        "0.5",
+        "-1",
+        "null",
+        "true",
+        "\"nan\"",
+        "\"\"",
+    ]
+    .map(String::from)
+    .to_vec();
+    tokens.push(format!("{}{}", "[".repeat(129), "]".repeat(129)));
+    tokens.push(format!("{}1{}", "[".repeat(100), "]".repeat(100)));
+    tokens.push("{\"a\":".repeat(200));
+    tokens
+}
+
+/// The JSON documents the loop mutates: fit bodies, every line of a
+/// traced fit's `events.jsonl`, and its `run.json`.
+fn json_seeds() -> Vec<Vec<u8>> {
+    let mut seeds: Vec<Vec<u8>> = [
+        "{\"dataset\":\"train\",\"k\":3,\"l\":3,\"seed\":17,\"restarts\":2}",
+        "{\"dataset\":\"d\",\"k\":2,\"l\":2.5,\"seed\":18446744073709551615}",
+        "{\"dataset\":\"d\",\"k\":4,\"l\":4}",
+    ]
+    .map(|body| body.as_bytes().to_vec())
+    .to_vec();
+    let dir = tmp("json-fuzz-trace");
+    let rec = proclus::obs::JsonlRecorder::create(&dir).expect("trace dir");
+    let data = SyntheticSpec::new(300, 6, 3, 3.0).seed(11).generate();
+    Proclus::new(3, 3.0)
+        .seed(17)
+        .restarts(2)
+        .fit_traced(&data.points, &rec)
+        .expect("traced fit");
+    let empty = || proclus::obs::json::Json::Obj(Vec::new());
+    let manifest = rec.finish(empty(), empty()).expect("manifest");
+    let events = std::fs::read(dir.join(proclus::obs::EVENTS_FILE)).expect("events");
+    seeds.extend(
+        events
+            .split(|&b| b == b'\n')
+            .filter(|l| !l.is_empty())
+            .map(<[u8]>::to_vec),
+    );
+    seeds.push(std::fs::read(manifest).expect("run.json"));
+    std::fs::remove_dir_all(&dir).ok();
+    seeds
+}
+
+/// End of the JSON value starting at `at`: the next `,`, `}` or `]`
+/// outside any string and nesting, or the end of the input. Tolerant
+/// of malformed text, as earlier mutations leave it.
+fn json_value_end(bytes: &[u8], mut at: usize) -> usize {
+    let (mut depth, mut in_str) = (0usize, false);
+    while at < bytes.len() {
+        match bytes[at] {
+            b'\\' if in_str => at += 1,
+            b'"' => in_str = !in_str,
+            _ if in_str => {}
+            b'{' | b'[' => depth += 1,
+            b',' | b'}' | b']' if depth == 0 => return at,
+            b'}' | b']' => depth -= 1,
+            _ => {}
+        }
+        at += 1;
+    }
+    bytes.len()
+}
+
+/// `(key start, value start, value end)` of every `"key":value` member
+/// in `bytes` (the seeds are compact, so a key's closing quote is
+/// directly followed by the colon).
+fn json_members(bytes: &[u8]) -> Vec<(usize, usize, usize)> {
+    let mut members = Vec::new();
+    let mut at = 0;
+    while at < bytes.len() {
+        if bytes[at] != b'"' {
+            at += 1;
+            continue;
+        }
+        let mut end = at + 1;
+        while end < bytes.len() && bytes[end] != b'"' {
+            end += if bytes[end] == b'\\' { 2 } else { 1 };
+        }
+        if bytes.get(end + 1) == Some(&b':') {
+            members.push((at, end + 2, json_value_end(bytes, end + 2)));
+        }
+        at = end + 1;
+    }
+    members
+}
+
+/// Mutated JSON documents — truncated, spliced, bit-flipped, a member
+/// duplicated, a value replaced by an edge token — never panic
+/// `json::parse`. A rejection's offset lies inside the input. An
+/// accepted document, written back with `write_json`, re-parses to the
+/// same value; and an accepted event re-encodes to a line that parses
+/// back to the same bytes.
+#[test]
+fn json_reader_survives_structure_aware_fuzzing() {
+    use proclus::obs::json;
+    let seeds = json_seeds();
+    let edges = json_edge_tokens();
+    let mut rng = StdRng::seed_from_u64(0x4A53_4F4E);
+    let (mut accepted, mut rejected, mut events) = (0usize, 0usize, 0usize);
+    for case in 0..JSON_FUZZ_CASES {
+        let mut bytes = seeds[rng.random_range(0..seeds.len())].clone();
+        for _ in 0..rng.random_range(1..=3usize) {
+            let members = json_members(&bytes);
+            match rng.random_range(0..5u32) {
+                0 if !members.is_empty() => {
+                    let (key, _, end) = members[rng.random_range(0..members.len())];
+                    let mut copy = vec![b','];
+                    copy.extend_from_slice(&bytes[key..end]);
+                    bytes.splice(end..end, copy);
+                }
+                1 | 2 if !members.is_empty() => {
+                    let (_, value, end) = members[rng.random_range(0..members.len())];
+                    let token = edges[rng.random_range(0..edges.len())].as_bytes();
+                    bytes.splice(value..end, token.iter().copied());
+                }
+                _ => mutate_bytes(&mut bytes, &seeds, &mut rng),
+            }
+        }
+        let text = String::from_utf8_lossy(&bytes).into_owned();
+        let ctx = || format!("case {case}: {text:?}");
+        let outcome = catch_unwind(AssertUnwindSafe(|| json::parse(&text)))
+            .unwrap_or_else(|_| panic!("json::parse panicked on {}", ctx()));
+        match outcome {
+            Ok(v) => {
+                let mut written = String::new();
+                json::write_json(&mut written, &v);
+                let back = json::parse(&written)
+                    .unwrap_or_else(|e| panic!("{}: re-parse of {written:?}: {e}", ctx()));
+                assert_eq!(back, v, "{}: written as {written:?}", ctx());
+                if let Ok(event) = proclus::obs::Event::from_json(&v) {
+                    let line = event.to_json();
+                    let again = proclus::obs::Event::parse_line(&line)
+                        .unwrap_or_else(|e| panic!("{}: event line {line:?}: {e}", ctx()));
+                    assert_eq!(again.to_json(), line, "{}", ctx());
+                    events += 1;
+                }
+                accepted += 1;
+            }
+            Err(e) => {
+                assert!(
+                    e.at <= text.len(),
+                    "{}: offset {} of {}",
+                    ctx(),
+                    e.at,
+                    text.len()
+                );
+                rejected += 1;
+            }
+        }
+    }
+    eprintln!("json fuzz: {accepted} accepted ({events} as events), {rejected} rejected");
+    assert!(
+        accepted > JSON_FUZZ_CASES / 10,
+        "only {accepted} documents accepted"
+    );
+    assert!(
+        rejected > JSON_FUZZ_CASES / 3,
+        "only {rejected} documents rejected"
+    );
+    assert!(
+        events > JSON_FUZZ_CASES / 20,
+        "only {events} events accepted"
+    );
+}
+
+// ---------------------------------------------------------------------
 // Protocol fault injection: the resident server under wire-level abuse
 // ---------------------------------------------------------------------
 //
@@ -1472,6 +1664,34 @@ mod serve_faults {
         );
         let text = String::from_utf8_lossy(&resp);
         assert!(text.contains("{\"datasets\":[]}"), "{text}");
+        server.shutdown();
+    }
+
+    /// A fit body nested 200 000 arrays deep is a located 400, not a
+    /// stack overflow that takes the whole server down.
+    #[test]
+    fn deeply_nested_fit_body_is_400_not_fatal() {
+        let server = server("depth-bomb");
+        let addr = server.addr();
+        let body = "[".repeat(200_000);
+        let mut raw = format!(
+            "POST /v1/fit HTTP/1.1\r\nConnection: close\r\nContent-Length: {}\r\n\r\n",
+            body.len()
+        )
+        .into_bytes();
+        raw.extend_from_slice(body.as_bytes());
+        let resp = exchange(addr, &raw);
+        assert!(
+            status_of(&resp).starts_with("HTTP/1.1 400"),
+            "{}",
+            status_of(&resp)
+        );
+        assert!(
+            String::from_utf8_lossy(&resp).contains("at byte 128: nesting deeper than 128"),
+            "{}",
+            String::from_utf8_lossy(&resp)
+        );
+        assert_still_serving(addr, "a 200 000-deep fit body");
         server.shutdown();
     }
 

@@ -237,6 +237,28 @@ fn upload_fit_poll_assign_end_to_end() {
     server.shutdown();
 }
 
+/// A fit body's `"seed"` is read as the exact integer it spells, up to
+/// `u64::MAX`; 2^64 is a 400, not a seed rounded to fit.
+#[test]
+fn fit_seed_is_read_exactly_up_to_u64_max() {
+    let (_points, upload) = workload();
+    let server = start_server("seed", 4);
+    let addr = server.addr();
+    let resp = exchange(addr, &request("POST", "/v1/datasets/train", &upload));
+    assert_eq!(parts(&resp).0, 201);
+
+    let body = br#"{"dataset":"train","k":3,"l":3,"seed":18446744073709551616}"#;
+    let resp = exchange(addr, &request("POST", "/v1/fit", body));
+    assert_eq!(parts(&resp).0, 400, "{}", body_str(&resp));
+
+    let body = br#"{"dataset":"train","k":3,"l":3,"seed":18446744073709551615}"#;
+    let resp = exchange(addr, &request("POST", "/v1/fit", body));
+    assert_eq!(parts(&resp).0, 202, "{}", body_str(&resp));
+    let done = wait_for_job(addr, "job-000001");
+    assert!(done.contains("\"seed\":18446744073709551615,"), "{done}");
+    server.shutdown();
+}
+
 // ---------------------------------------------------------------------
 // Concurrency: ≥8 clients hammering assign while a fit runs
 // ---------------------------------------------------------------------

@@ -177,9 +177,10 @@ fn drift_scenario_promotes_twice_and_is_thread_invariant() {
     ] {
         assert!(text.contains(needle), "decision log missing {needle}");
     }
-    // Every line round-trips through the event parser.
+    // Every line round-trips through the event parser byte for byte.
     for line in text.lines() {
-        proclus::obs::Event::parse_line(line).unwrap();
+        let ev = proclus::obs::Event::parse_line(line).unwrap();
+        assert_eq!(ev.to_json(), line, "event line does not round-trip");
     }
 }
 

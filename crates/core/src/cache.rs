@@ -4,11 +4,17 @@
 //! PROCLUS's hill climb replaces only the *bad* medoids between rounds
 //! (Figure 2), and it swaps them for other points of the candidate set
 //! `M`, so most of a round's per-medoid state is unchanged from the
-//! round before and the same medoids and `(mᵢ, Dᵢ)` pairs come back
-//! many times within a fit. This module caches that state and
+//! round before, and a medoid or `(mᵢ, Dᵢ)` pair swapped out often
+//! comes back in a later vertex. This module caches that state and
 //! recomputes only what a swap actually touched, **bit-identically** to
 //! recomputing everything (pinned by `tests/determinism.rs` and the
 //! whole-fit digests of `tests/invariants.rs`).
+//!
+//! A round on a whole vertex the climb has already scored never gets
+//! here: [`crate::iterate`] replays it from its per-restart vertex
+//! memo. So the cache serves only the partial overlaps between
+//! different vertices, and its hit ratios are lower than they were
+//! when revisits ran every pass again.
 //!
 //! # What is cached, and its key
 //!

@@ -9,6 +9,34 @@
 //! stops after `max_stale_rounds` consecutive non-improving rounds (or
 //! the absolute `max_rounds` cap), then hands over to the refinement
 //! phase.
+//!
+//! # Revisited vertices
+//!
+//! Each swap draws from the few candidates of `M` the best vertex does
+//! not use (10 at the default `B = 3`, `k = 5`), so a climb often comes
+//! back to a vertex it has already scored: about half the rounds of a
+//! fit on fit-d20's data. Each climb keeps a memo of the vertices it
+//! has scored, keyed by the ordered medoid vector, and a round on a
+//! memo vertex runs no pass.
+//!
+//! * **Exact.** A round reads no RNG (only `replace_bad`, after the
+//!   round, does) and no cross-round state but the [`RoundCache`],
+//!   whose output is bit-identical to a fresh pass. So the round is a
+//!   pure function of its medoid vector, and a revisit's output is its
+//!   first visit's, bit for bit.
+//! * **Never an improvement.** Within a climb the best objective only
+//!   falls, and the first visit already took part in it: a revisit's
+//!   objective is at least the best (or NaN), so it is always
+//!   `improved = false` and one more stale round.
+//! * **Traced alike.** With the recorder enabled the memo also keeps
+//!   each vertex's `round` payload, and a revisit replays it with the
+//!   current best objective and the same semantic pass counts, so
+//!   `events.jsonl` is the one every round's passes would write.
+//!   Untraced fits keep only the keys. A revisit books no phase span;
+//!   the `iterate.revisits` manifest counter counts them.
+//! * **Bounded.** At most one entry per round, so at most `max_rounds`
+//!   medoid vectors of `k` indices; the memo is dropped when the climb
+//!   ends.
 
 use crate::cache::RoundCache;
 use crate::dims::{chosen_scores, find_dimensions_from_averages};
@@ -26,6 +54,7 @@ use rand::rngs::StdRng;
 use rand::seq::index::sample;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
+use std::collections::HashMap;
 
 /// Execute the full three-phase PROCLUS algorithm: `restarts`
 /// independent climbs, keeping the run with the lowest iterative
@@ -134,6 +163,7 @@ fn drive(
                 + diag.restarts as u64 * REFINE_PASSES;
             record_pool_measurements(rec, pool, passes);
             record_cache_measurements(rec, &cache);
+            rec.counter("iterate.revisits", diag.revisits as u64);
         }
         match best {
             Some(model) => Ok(model.with_diagnostics(diag.clone())),
@@ -299,8 +329,9 @@ fn check_initial(params: &Proclus, points: &Matrix, initial: &[usize]) -> Result
 /// `forced_start` pins the first vertex of the climb. All O(N·k·d)
 /// passes run through `pool`, routed via `cache` so rounds that share
 /// per-medoid state with earlier rounds recompute only what a swap
-/// touched; `rec` observes every round of the climb (`restart` tags
-/// the events with the climb's index).
+/// touched, and a round whose vertex the climb has already scored runs
+/// none (see the module docs); `rec` observes every round of the climb
+/// (`restart` tags the events with the climb's index).
 #[allow(clippy::too_many_arguments)]
 fn run_once(
     params: &Proclus,
@@ -315,8 +346,6 @@ fn run_once(
 ) -> Result<ProclusModel, ProclusError> {
     let n = points.rows();
     let k = params.k;
-    let total_dims = params.total_dimensions();
-    let metric = params.distance;
     let mut rng = StdRng::seed_from_u64(seed);
 
     // ---- Phase 1: initialization --------------------------------------
@@ -350,70 +379,44 @@ fn run_once(
     let mut rounds = 0usize;
     let mut improvements = 0usize;
     let mut stale = 0usize;
+    // Every vertex this climb has scored, with its `round` payload when
+    // the recorder is enabled (keys only otherwise). At most one entry
+    // per round, dropped with the climb.
+    let mut visited: HashMap<Vec<usize>, Option<RoundRecord>> = HashMap::new();
 
     loop {
         rounds += 1;
-        // Fused pass: the locality sizes and the per-dimension average
-        // distances X over the localities come from a single O(N·k·d)
-        // sweep (the members themselves are only needed for the X
-        // reference sets, which the kernel folds in as it tests them).
-        let (locality_sizes, x) = timed(rec, Phase::Locality, || {
-            let deltas = medoid_deltas(points, &current, metric);
-            cache.fused_round(pool, &current, &deltas)
-        });
-        let mut dims = timed(rec, Phase::Dims, || {
-            find_dimensions_from_averages(&x, total_dims, params.standardize_dimensions)
-        });
-        // The score of each chosen dimension, for the round event. Kept
-        // in sync with whichever averages produced the final `dims`
-        // (locality X here, cluster X after an inner refinement).
-        let mut dim_scores = if rec.enabled() {
-            chosen_scores(&x, &dims, params.standardize_dimensions)
-        } else {
-            Vec::new()
-        };
-        // Sharpen the dimension estimates against the assigned clusters
-        // (see `Proclus::inner_refinements`): localities blur together
-        // in high dimensions, clusters do not. An assignment that a
-        // recomputation follows also returns the cluster-based X it
-        // needs, from the same sweep.
-        let mut refinements = 0;
-        let flat = loop {
-            let with_x = refinements < params.inner_refinements;
-            let (flat, cluster_x) = timed(rec, Phase::Assign, || {
-                cache.assign(pool, &current, &dims, with_x)
-            });
-            let Some(cx) = cluster_x else {
-                break flat;
-            };
-            refinements += 1;
-            dims = timed(rec, Phase::Dims, || {
-                find_dimensions_from_averages(&cx, total_dims, params.standardize_dimensions)
-            });
-            if rec.enabled() {
-                dim_scores = chosen_scores(&cx, &dims, params.standardize_dimensions);
-            }
-        };
-        let eval = timed(rec, Phase::Evaluate, || pool.evaluate(&flat, &dims));
-        let objective = eval.objective;
-
-        let improved = objective < best_objective;
-        let cluster_sizes_snapshot: Vec<usize> = if rec.enabled() {
-            eval.sizes.clone()
-        } else {
-            Vec::new()
-        };
-        if improved {
-            best_objective = objective;
-            best = current.clone();
-            best_clustering = Some((dims.clone(), eval.sizes));
-            improvements += 1;
-            stale = 0;
-        } else {
+        let (record, improved) = if let Some(first) = visited.get(&current) {
+            // A revisit: the round is a pure function of `current`, so
+            // its first visit's output is this round's, bit for bit, and
+            // `best_objective` is already at most that objective.
+            diag.revisits += 1;
             stale += 1;
-        }
+            debug_assert!(
+                first
+                    .as_ref()
+                    .is_none_or(|r| r.objective >= best_objective || r.objective.is_nan()),
+                "a revisited vertex improved on the best objective"
+            );
+            (first.clone(), false)
+        } else {
+            let round = score_vertex(params, points, &current, pool, cache, rec);
+            let improved = round.objective < best_objective;
+            if improved {
+                best_objective = round.objective;
+                best = current.clone();
+                best_clustering = Some((round.dims.clone(), round.cluster_sizes.clone()));
+                improvements += 1;
+                stale = 0;
+            } else {
+                stale += 1;
+            }
+            let record = rec.enabled().then_some(round);
+            visited.insert(current.clone(), record.clone());
+            (record, improved)
+        };
 
-        if rec.enabled() {
+        if let Some(record) = record {
             // How many fused slots this round actually recomputed: the
             // per-round cache-effectiveness gauge (measurement channel
             // only — `round` events stay cache-independent).
@@ -432,11 +435,11 @@ fn run_once(
             rec.event(&Event::Round {
                 restart,
                 round: rounds,
-                locality_sizes,
-                dims: dims.clone(),
-                dim_scores: std::mem::take(&mut dim_scores),
-                cluster_sizes: cluster_sizes_snapshot,
-                objective,
+                locality_sizes: record.locality_sizes,
+                dims: record.dims,
+                dim_scores: record.dim_scores,
+                cluster_sizes: record.cluster_sizes,
+                objective: record.objective,
                 best_objective,
                 improved,
                 pool_dispatches: passes,
@@ -503,7 +506,7 @@ fn run_once(
             pool,
             &best,
             &cluster_x,
-            total_dims,
+            params.total_dimensions(),
             params.standardize_dimensions,
         )
     });
@@ -536,8 +539,85 @@ fn run_once(
         (final_objective, best_objective),
         rounds,
         improvements,
-        metric,
+        params.distance,
     ))
+}
+
+/// One round's output: what its `round` event reports, and what a
+/// revisit of the same vertex replays.
+#[derive(Clone)]
+struct RoundRecord {
+    locality_sizes: Vec<usize>,
+    dims: Vec<Vec<usize>>,
+    /// The score of each chosen dimension; empty when the recorder is
+    /// disabled.
+    dim_scores: Vec<Vec<f64>>,
+    cluster_sizes: Vec<usize>,
+    objective: f64,
+}
+
+/// Score the vertex `medoids`: one round of Figure 2's climb
+/// (localities → dimensions → assignment → objective). It reads no RNG
+/// and no cross-round state but `cache`, whose output is bit-identical
+/// to a fresh pass, so it is a pure function of `medoids`.
+fn score_vertex(
+    params: &Proclus,
+    points: &Matrix,
+    medoids: &[usize],
+    pool: &mut Pool<'_>,
+    cache: &mut RoundCache,
+    rec: &dyn Recorder,
+) -> RoundRecord {
+    let total_dims = params.total_dimensions();
+    // Fused pass: the locality sizes and the per-dimension average
+    // distances X over the localities come from a single O(N·k·d)
+    // sweep (the members themselves are only needed for the X
+    // reference sets, which the kernel folds in as it tests them).
+    let (locality_sizes, x) = timed(rec, Phase::Locality, || {
+        let deltas = medoid_deltas(points, medoids, params.distance);
+        cache.fused_round(pool, medoids, &deltas)
+    });
+    let mut dims = timed(rec, Phase::Dims, || {
+        find_dimensions_from_averages(&x, total_dims, params.standardize_dimensions)
+    });
+    // The score of each chosen dimension, for the round event. Kept
+    // in sync with whichever averages produced the final `dims`
+    // (locality X here, cluster X after an inner refinement).
+    let mut dim_scores = if rec.enabled() {
+        chosen_scores(&x, &dims, params.standardize_dimensions)
+    } else {
+        Vec::new()
+    };
+    // Sharpen the dimension estimates against the assigned clusters
+    // (see `Proclus::inner_refinements`): localities blur together
+    // in high dimensions, clusters do not. An assignment that a
+    // recomputation follows also returns the cluster-based X it
+    // needs, from the same sweep.
+    let mut refinements = 0;
+    let flat = loop {
+        let with_x = refinements < params.inner_refinements;
+        let (flat, cluster_x) = timed(rec, Phase::Assign, || {
+            cache.assign(pool, medoids, &dims, with_x)
+        });
+        let Some(cx) = cluster_x else {
+            break flat;
+        };
+        refinements += 1;
+        dims = timed(rec, Phase::Dims, || {
+            find_dimensions_from_averages(&cx, total_dims, params.standardize_dimensions)
+        });
+        if rec.enabled() {
+            dim_scores = chosen_scores(&cx, &dims, params.standardize_dimensions);
+        }
+    };
+    let eval = timed(rec, Phase::Evaluate, || pool.evaluate(&flat, &dims));
+    RoundRecord {
+        locality_sizes,
+        dims,
+        dim_scores,
+        cluster_sizes: eval.sizes,
+        objective: eval.objective,
+    }
 }
 
 /// Build the next vertex: `base` with the medoids at positions `bad`

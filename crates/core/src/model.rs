@@ -99,6 +99,11 @@ pub struct FitDiagnostics {
     /// Medoids swapped out by the bad-medoid rule, summed over all
     /// restarts.
     pub bad_medoid_swaps: usize,
+    /// Hill-climbing rounds whose vertex an earlier round of the same
+    /// restart had already scored, summed over all restarts. Such a
+    /// round replays its first visit's output instead of running its
+    /// passes.
+    pub revisits: usize,
     /// The degradations taken, in the order they happened.
     pub degradations: Vec<Degradation>,
 }
@@ -594,6 +599,7 @@ mod tests {
             restarts: 5,
             failed_restarts: 1,
             bad_medoid_swaps: 9,
+            revisits: 12,
             degradations: vec![
                 Degradation::CandidatePoolExhausted { round: 8 },
                 Degradation::NonFiniteRowsExcluded { count: 2 },

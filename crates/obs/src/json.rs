@@ -255,7 +255,8 @@ const MAX_DEPTH: usize = 128;
 ///
 /// A non-negative integer below 2^64 is read as [`Json::Int`], exact
 /// when its literal is all digits (`5.0` or `1e2` go through `f64`
-/// first); any other number is a [`Json::Num`]. A number beyond the
+/// first); any other number is a [`Json::Num`]. Numbers follow RFC
+/// 8259's grammar (no `+2`, `.5`, `1.` or `01`). A number beyond the
 /// `f64` range and nesting deeper than 128 levels are rejected. Time is
 /// linear in the input length.
 pub fn parse(input: &str) -> Result<Json, JsonError> {
@@ -342,13 +343,32 @@ impl Parser<'_> {
         }
     }
 
+    /// One number, spelled as RFC 8259 allows:
+    /// `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`.
+    /// A spelling outside it fails at the first byte that breaks it.
     fn num(&mut self) -> Result<Json, JsonError> {
         let start = self.pos;
-        while matches!(
-            self.peek(),
-            Some(b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-        ) {
+        if self.peek() == Some(b'-') {
             self.pos += 1;
+        }
+        if self.peek() == Some(b'0') {
+            self.pos += 1;
+            if matches!(self.peek(), Some(b'0'..=b'9')) {
+                return Err(err(self.pos, "digit after a leading zero"));
+            }
+        } else {
+            self.digits("a digit")?;
+        }
+        if self.peek() == Some(b'.') {
+            self.pos += 1;
+            self.digits("a digit after '.'")?;
+        }
+        if matches!(self.peek(), Some(b'e' | b'E')) {
+            self.pos += 1;
+            if matches!(self.peek(), Some(b'+' | b'-')) {
+                self.pos += 1;
+            }
+            self.digits("an exponent digit")?;
         }
         // The scanned bytes are ASCII, so the slice is on char bounds.
         let text = &self.src[start..self.pos];
@@ -368,6 +388,19 @@ impl Parser<'_> {
         } else {
             Ok(Json::Num(v))
         }
+    }
+
+    /// Skip a run of ASCII digits; an empty run is an error that
+    /// names `what` was expected.
+    fn digits(&mut self, what: &str) -> Result<(), JsonError> {
+        let from = self.pos;
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.pos += 1;
+        }
+        if self.pos == from {
+            return Err(err(self.pos, format!("expected {what}")));
+        }
+        Ok(())
     }
 
     fn string(&mut self) -> Result<String, JsonError> {
@@ -566,6 +599,38 @@ mod tests {
             parse(&s).unwrap().as_f64(),
             Some(1_152_921_504_606_846_976.0)
         );
+    }
+
+    #[test]
+    fn number_spellings_outside_the_json_grammar_fail_where_they_break() {
+        for (text, at) in [
+            ("+2", 0),
+            (".5", 0),
+            ("-.5", 1),
+            ("-", 1),
+            ("1.", 2),
+            ("1.e3", 2),
+            ("01", 1),
+            ("-00", 2),
+            ("1e", 2),
+            ("1e+", 3),
+            ("[1, 2.x]", 6),
+        ] {
+            let e = parse(text).unwrap_err();
+            assert_eq!(e.at, at, "{text}: {e}");
+        }
+        // Every spelling the grammar allows still reads.
+        for (text, value) in [
+            ("0", 0.0),
+            ("-0.5", -0.5),
+            ("10", 10.0),
+            ("2.50", 2.5),
+            ("1E+2", 100.0),
+            ("25e-1", 2.5),
+            ("-0e0", 0.0),
+        ] {
+            assert_eq!(parse(text).unwrap().as_f64(), Some(value), "{text}");
+        }
     }
 
     #[test]

@@ -213,8 +213,12 @@ fn submit_fit(state: &AppState, req: &Request) -> Response {
     let Some(k) = parsed.get("k").and_then(|v| v.as_usize()) else {
         return Response::error(400, "fit body needs an integer \"k\"");
     };
-    let Some(l) = parsed.get("l").and_then(|v| v.as_f64()) else {
-        return Response::error(400, "fit body needs a number \"l\"");
+    // A JSON number only: `as_f64` would also read the writer's
+    // non-finite marker strings ("nan", "inf", "-inf").
+    let l = match parsed.get("l") {
+        Some(&json::Json::Int(x)) => x as f64,
+        Some(&json::Json::Num(v)) if v.is_finite() => v,
+        _ => return Response::error(400, "fit body needs a finite number \"l\""),
     };
     let seed = match parsed.get("seed") {
         None => 0,

@@ -385,3 +385,131 @@ fn fit_end_matches_the_returned_model() {
         assert_eq!(*outliers, model.outliers().len(), "seed {seed}");
     }
 }
+
+/// Logs, in call order, every event and `locality` span, and adds up
+/// the `iterate.revisits` counter: a round with no `locality` span
+/// since the previous round ran no pass.
+#[derive(Default)]
+struct RoundLog {
+    calls: std::sync::Mutex<Vec<Option<Event>>>,
+    revisits: std::sync::atomic::AtomicU64,
+}
+
+impl proclus::obs::Recorder for RoundLog {
+    fn enabled(&self) -> bool {
+        true
+    }
+
+    fn event(&self, event: &Event) {
+        self.calls.lock().unwrap().push(Some(event.clone()));
+    }
+
+    fn span(&self, phase: proclus::obs::Phase, _elapsed: std::time::Duration) {
+        if phase == proclus::obs::Phase::Locality {
+            self.calls.lock().unwrap().push(None);
+        }
+    }
+
+    fn counter(&self, name: &'static str, delta: u64) {
+        if name == "iterate.revisits" {
+            self.revisits
+                .fetch_add(delta, std::sync::atomic::Ordering::Relaxed);
+        }
+    }
+}
+
+/// FNV-1a over a model's assignment, cluster dimensions and objective
+/// bits: equal digests mean the same clustering.
+fn model_digest(model: &ProclusModel) -> u64 {
+    let mut bytes = Vec::new();
+    for a in model.assignment() {
+        bytes.extend_from_slice(&a.map_or(-1, |c| c as i64).to_le_bytes());
+    }
+    for c in model.clusters() {
+        bytes.extend_from_slice(&(c.dimensions.len() as u64).to_le_bytes());
+        for &d in &c.dimensions {
+            bytes.extend_from_slice(&(d as u64).to_le_bytes());
+        }
+    }
+    bytes.extend_from_slice(&model.objective().to_bits().to_le_bytes());
+    proclus::math::hash::fnv1a64(&bytes)
+}
+
+/// A candidate pool of `B·k = 6` leaves each swap three unused points,
+/// so the climb keeps coming back to vertices it has scored. Such a
+/// round runs no pass: it replays its first visit, which is never an
+/// improvement. The model and the event stream are pinned to the
+/// digests of the engine that rescored every revisit, at 1 and 4
+/// threads alike.
+#[test]
+fn revisited_vertices_replay_their_first_visit() {
+    let data = SyntheticSpec::new(400, 8, K, 3.0).seed(23).generate();
+    let mut streams = Vec::new();
+    for threads in [1, 4] {
+        let log = RoundLog::default();
+        let model = Proclus::new(K, L)
+            .seed(23)
+            .medoid_factor(2)
+            .restarts(3)
+            .threads(threads)
+            .fit_traced(&data.points, &log)
+            .expect("fit");
+        let ctx = format!("threads {threads}");
+        assert_eq!(
+            model_digest(&model),
+            0x2a23_6d20_83aa_0119,
+            "{ctx}: model digest moved"
+        );
+        let calls = log.calls.into_inner().unwrap();
+        let events: Vec<Event> = calls.iter().flatten().cloned().collect();
+        assert_eq!(
+            event_stream_digest(&events),
+            0x0ba1_9de3_e06a_1fae,
+            "{ctx}: event-stream digest moved"
+        );
+
+        // Split each restart's rounds into first visits (a locality
+        // pass ran) and revisits (none did).
+        let (mut fresh, mut revisits, mut ran) = (Vec::new(), 0u64, false);
+        for call in &calls {
+            match call {
+                None => ran = true,
+                Some(Event::RestartStart { .. }) => fresh.clear(),
+                Some(Event::Round {
+                    locality_sizes,
+                    dims,
+                    dim_scores,
+                    cluster_sizes,
+                    objective,
+                    improved,
+                    round,
+                    ..
+                }) => {
+                    let payload = (
+                        locality_sizes.clone(),
+                        dims.clone(),
+                        dim_scores.clone(),
+                        cluster_sizes.clone(),
+                        objective.to_bits(),
+                    );
+                    if std::mem::take(&mut ran) {
+                        fresh.push(payload);
+                        continue;
+                    }
+                    revisits += 1;
+                    assert!(!improved, "{ctx}: revisit round {round} improved");
+                    assert!(
+                        fresh.contains(&payload),
+                        "{ctx}: revisit round {round} repeats no earlier round"
+                    );
+                }
+                Some(_) => {}
+            }
+        }
+        assert!(revisits > 0, "{ctx}: no round revisited a vertex");
+        assert_eq!(log.revisits.into_inner(), revisits, "{ctx}");
+        assert_eq!(model.diagnostics().revisits as u64, revisits, "{ctx}");
+        streams.push(events);
+    }
+    assert_eq!(streams[0], streams[1], "threads 1 vs 4");
+}

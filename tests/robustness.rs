@@ -1290,9 +1290,10 @@ fn chunk_reader_survives_structure_aware_fuzzing() {
 const JSON_FUZZ_CASES: usize = 20_000;
 
 /// Values a mutation writes in place of a member's value: a number
-/// beyond `f64`, signed zero, 2^64 and `u64::MAX`, unpaired and paired
-/// surrogate escapes, nesting just past and well inside the bound, an
-/// unterminated nest, and a few plain values.
+/// beyond `f64`, signed zero, 2^64 and `u64::MAX`, number spellings
+/// JSON's grammar forbids, unpaired and paired surrogate escapes,
+/// nesting just past and well inside the bound, an unterminated nest,
+/// and a few plain values.
 fn json_edge_tokens() -> Vec<String> {
     let mut tokens: Vec<String> = [
         "1e999",
@@ -1301,6 +1302,11 @@ fn json_edge_tokens() -> Vec<String> {
         "18446744073709551616",
         "18446744073709551615",
         "9007199254740993",
+        "+2",
+        ".5",
+        "1.",
+        "01",
+        "-.5",
         "\"\\ud800\"",
         "\"\\ud83d\\ude00\"",
         "\"\\u00zz\"",
@@ -1320,8 +1326,9 @@ fn json_edge_tokens() -> Vec<String> {
 }
 
 /// The JSON documents the loop mutates: fit bodies, every line of a
-/// traced fit's `events.jsonl`, and its `run.json`.
-fn json_seeds() -> Vec<Vec<u8>> {
+/// traced fit's `events.jsonl`, and its `run.json`. The trace goes to
+/// a temporary directory named after `tag`, one per calling test.
+fn json_seeds(tag: &str) -> Vec<Vec<u8>> {
     let mut seeds: Vec<Vec<u8>> = [
         "{\"dataset\":\"train\",\"k\":3,\"l\":3,\"seed\":17,\"restarts\":2}",
         "{\"dataset\":\"d\",\"k\":2,\"l\":2.5,\"seed\":18446744073709551615}",
@@ -1329,7 +1336,7 @@ fn json_seeds() -> Vec<Vec<u8>> {
     ]
     .map(|body| body.as_bytes().to_vec())
     .to_vec();
-    let dir = tmp("json-fuzz-trace");
+    let dir = tmp(&format!("json-seeds-{tag}"));
     let rec = proclus::obs::JsonlRecorder::create(&dir).expect("trace dir");
     let data = SyntheticSpec::new(300, 6, 3, 3.0).seed(11).generate();
     Proclus::new(3, 3.0)
@@ -1394,6 +1401,30 @@ fn json_members(bytes: &[u8]) -> Vec<(usize, usize, usize)> {
     members
 }
 
+/// Every member value of every seed document, replaced by a number
+/// spelling JSON's grammar forbids, is rejected at the byte where the
+/// spelling breaks the grammar.
+#[test]
+fn json_reader_rejects_forbidden_number_spellings_where_they_break() {
+    use proclus::obs::json;
+    // (spelling, offset of the first byte the grammar rejects)
+    let spellings = [("+2", 0), (".5", 0), ("1.", 2), ("01", 1), ("-.5", 1)];
+    let mut checked = 0;
+    for seed in json_seeds("spellings") {
+        for (_, value, end) in json_members(&seed) {
+            for (spelling, off) in spellings {
+                let mut bytes = seed.clone();
+                bytes.splice(value..end, spelling.bytes());
+                let text = String::from_utf8(bytes).expect("seeds are UTF-8");
+                let e = json::parse(&text).expect_err(&text);
+                assert_eq!(e.at, value + off, "{text}: {e}");
+                checked += 1;
+            }
+        }
+    }
+    assert!(checked > 1_000, "only {checked} substitutions");
+}
+
 /// Mutated JSON documents — truncated, spliced, bit-flipped, a member
 /// duplicated, a value replaced by an edge token — never panic
 /// `json::parse`. A rejection's offset lies inside the input. An
@@ -1403,7 +1434,7 @@ fn json_members(bytes: &[u8]) -> Vec<(usize, usize, usize)> {
 #[test]
 fn json_reader_survives_structure_aware_fuzzing() {
     use proclus::obs::json;
-    let seeds = json_seeds();
+    let seeds = json_seeds("fuzz");
     let edges = json_edge_tokens();
     let mut rng = StdRng::seed_from_u64(0x4A53_4F4E);
     let (mut accepted, mut rejected, mut events) = (0usize, 0usize, 0usize);

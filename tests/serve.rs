@@ -259,6 +259,33 @@ fn fit_seed_is_read_exactly_up_to_u64_max() {
     server.shutdown();
 }
 
+/// A fit body's `"l"` is a finite JSON number. The non-finite marker
+/// strings the event writer uses are strings, answered 400 at submit,
+/// not queued as a job that can only fail.
+#[test]
+fn fit_l_must_be_a_finite_json_number() {
+    let (_points, upload) = workload();
+    let server = start_server("fit-l", 4);
+    let addr = server.addr();
+    let resp = exchange(addr, &request("POST", "/v1/datasets/d", &upload));
+    assert_eq!(parts(&resp).0, 201);
+    for l in ["\"nan\"", "\"inf\"", "\"-inf\"", "\"3\"", "null", "[3]"] {
+        let body = format!("{{\"dataset\":\"d\",\"k\":2,\"l\":{l}}}");
+        let resp = exchange(addr, &request("POST", "/v1/fit", body.as_bytes()));
+        let (status, _, text) = parts(&resp);
+        let text = String::from_utf8_lossy(&text);
+        assert_eq!(status, 400, "{body}: {text}");
+        assert!(text.contains("finite number"), "{body}: {text}");
+    }
+    let resp = exchange(
+        addr,
+        &request("POST", "/v1/fit", br#"{"dataset":"d","k":2,"l":2.5}"#),
+    );
+    assert_eq!(parts(&resp).0, 202, "{}", body_str(&resp));
+    assert!(wait_for_job(addr, "job-000001").contains("\"state\":\"done\""));
+    server.shutdown();
+}
+
 // ---------------------------------------------------------------------
 // Concurrency: ≥8 clients hammering assign while a fit runs
 // ---------------------------------------------------------------------

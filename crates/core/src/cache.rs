@@ -18,20 +18,25 @@
 //!
 //! # What is cached, and its key
 //!
-//! * **Fused locality + `X` slots** — for each medoid slot, the
-//!   locality size `|Lᵢ|` and the per-dimension average distances
-//!   `Xᵢⱼ`, keyed by `(mᵢ, δᵢ)` (the δ value compared *bitwise*). The
-//!   members themselves are never kept: a round reads only the size
-//!   and `X`. A slot's
-//!   fused result depends only on its own medoid and radius: swapping
-//!   medoid `j` invalidates slot `j` directly and exactly those slots
-//!   whose nearest-other-medoid distance changed — which is precisely a
-//!   δ bit-change, since `medoid_deltas` is recomputed (cheaply,
-//!   O(k²·d)) every round from the same code path.
+//! * **Fused locality + `X` results** — the locality size `|Lᵢ|` and
+//!   the per-dimension average distances `Xᵢⱼ` of every `(mᵢ, δᵢ)` pair
+//!   the fit has computed, in one map keyed by the pair's value (δ
+//!   compared *bitwise*) and tied to no slot. The members themselves are
+//!   never kept: a round reads only the size and `X`. A pair's result
+//!   depends only on its own medoid and radius, so a medoid that leaves
+//!   and comes back with the same δ, or a pair that reappears in another
+//!   slot, is served again. A swap recomputes the swapped-in medoid and
+//!   exactly the medoids whose nearest-other-medoid distance changed —
+//!   which is precisely a δ bit-change, since `medoid_deltas` is
+//!   recomputed (cheaply, O(k²·d)) every round from the same code path.
+//!   The map is never evicted. It holds one entry of `d + 1` numbers per
+//!   fused recompute and is dropped with the per-fit cache, so its size
+//!   is bounded by the fit's recompute count, which does not depend on
+//!   the thread count (148 entries on a fit-d20 fit, 274 on fit-d100).
 //! * **The column store** — one LRU of whole-`N` `f64` columns under
 //!   two value keys, tied to no slot:
 //!   - `Full(m)`: the finalized full-space segmental distances to
-//!     medoid `m`. A fused slot that misses while its medoid's column is
+//!     medoid `m`. A fused pair that misses while its medoid's column is
 //!     resident skips the `N·d` distance sweep and runs only the δ
 //!     threshold and the `X` sums over the stored slice, so a δ-only
 //!     change costs exactly that. A miss without it sweeps, and the
@@ -76,9 +81,10 @@
 //! same bits. A stored `Full` slice is thresholded and summed by the
 //! very loop that thresholds freshly swept distances. Each tile of an
 //! assignment picks its labels from its column slices, stored or fresh,
-//! with [`crate::kernel::argmin_columns`], whose loop is literally the
-//! comparison loop of the scalar [`crate::assign::assign_points`]; its
-//! `X` partials are merged in tile order.
+//! with [`crate::kernel::argmin_columns`], whose branch-free select
+//! keeps every rule of the comparison loop of the scalar
+//! [`crate::assign::assign_points`]; its `X` partials are merged in tile
+//! order.
 //! The cache books no semantic passes: [`crate::iterate`] counts those
 //! (`pool_dispatches`/`pool_blocks` in `round` events) from the shape
 //! of each round, so the event stream does not depend on what the
@@ -101,9 +107,11 @@ use std::sync::Arc;
 /// as `cache.*` (measurement channel only — never the event stream).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Fused locality/`X` slots served from cache.
+    /// Fused locality/`X` lookups served from the map (or from a pair
+    /// repeated earlier in the same call).
     pub fused_slot_hits: u64,
-    /// Fused locality/`X` slots recomputed after invalidation.
+    /// Fused locality/`X` lookups computed: one per distinct pair the
+    /// map missed, so also the number of map entries.
     pub fused_slot_recomputes: u64,
     /// Fused recomputes that read their medoid's stored `Full` column.
     pub full_column_hits: u64,
@@ -117,15 +125,6 @@ pub struct CacheStats {
     pub evictions: u64,
     /// Most column bytes resident at once.
     pub peak_resident_bytes: u64,
-}
-
-/// One cached fused slot: the locality size `|Lᵢ|` and `X` row of a
-/// `(mᵢ, δᵢ)` pair.
-struct FusedSlot {
-    medoid: usize,
-    delta_bits: u64,
-    size: usize,
-    x: Vec<f64>,
 }
 
 /// The value key of a stored column.
@@ -239,18 +238,22 @@ fn gather(tiles: &[Vec<Vec<f64>>], c: usize, n: usize) -> Vec<f64> {
 /// per fit (it spans restarts — the value keys make stale state
 /// harmless) and route every round's heavy pass through it.
 pub struct RoundCache {
-    fused: Vec<Option<FusedSlot>>,
+    /// The locality size `|Lᵢ|` and `X` row of every `(mᵢ, δᵢ bits)`
+    /// pair computed in this fit.
+    fused: HashMap<(usize, u64), (usize, Vec<f64>)>,
+    /// Medoid slots per round; sizes the column store's floor.
+    k: usize,
     store: ColumnStore,
     stats: CacheStats,
     round_recomputed: u64,
 }
 
 impl RoundCache {
-    /// An empty cache for fits with `k` medoid slots (the slot table
-    /// grows if a call brings more).
+    /// An empty cache for fits with `k` medoid slots.
     pub fn new(k: usize) -> Self {
         RoundCache {
-            fused: (0..k).map(|_| None).collect(),
+            fused: HashMap::new(),
+            k,
             store: ColumnStore::default(),
             stats: CacheStats::default(),
             round_recomputed: 0,
@@ -262,16 +265,16 @@ impl RoundCache {
         self.stats
     }
 
-    /// Fused slots recomputed since the previous call — the per-round
+    /// Fused pairs computed since the previous call — the per-round
     /// "medoids recomputed" gauge.
     pub fn take_round_recomputed(&mut self) -> u64 {
         std::mem::take(&mut self.round_recomputed)
     }
 
-    /// The fused locality + `X` pass, serving unchanged `(mᵢ, δᵢ)`
-    /// slots from cache and recomputing the rest in one subset pass.
-    /// Returns the locality sizes `|Lᵢ|` and the `X` averages,
-    /// bit-identical to [`crate::kernel::fused_block`] over
+    /// The fused locality + `X` pass, serving every `(mᵢ, δᵢ)` pair
+    /// computed before and computing the rest, each distinct pair once,
+    /// in one subset pass. Returns the locality sizes `|Lᵢ|` and the `X`
+    /// averages, bit-identical to [`crate::kernel::fused_block`] over
     /// [`crate::kernel::blocks`], merged by [`crate::kernel::merge_fused`].
     pub fn fused_round(
         &mut self,
@@ -279,39 +282,37 @@ impl RoundCache {
         medoids: &[usize],
         deltas: &[f64],
     ) -> (Vec<usize>, Vec<Vec<f64>>) {
-        self.grow_to(medoids.len());
-        let missing: Vec<usize> = medoids
+        let keys: Vec<(usize, u64)> = medoids
             .iter()
             .zip(deltas)
-            .enumerate()
-            .filter(|&(i, (&m, &delta))| {
-                !matches!(
-                    &self.fused[i],
-                    Some(s) if s.medoid == m && s.delta_bits == delta.to_bits()
-                )
-            })
-            .map(|(i, _)| i)
+            .map(|(&m, &delta)| (m, delta.to_bits()))
             .collect();
-        self.stats.fused_slot_hits += (medoids.len() - missing.len()) as u64;
+        let mut missing: Vec<usize> = Vec::new();
+        for (i, key) in keys.iter().enumerate() {
+            if !self.fused.contains_key(key) && missing.iter().all(|&j| keys[j] != *key) {
+                missing.push(i);
+            }
+        }
+        self.stats.fused_slot_hits += (keys.len() - missing.len()) as u64;
         self.stats.fused_slot_recomputes += missing.len() as u64;
         self.round_recomputed += missing.len() as u64;
         if !missing.is_empty() {
             self.recompute_fused(pool, medoids, deltas, &missing);
         }
-        self.fused
-            .iter()
-            .take(medoids.len())
-            .flatten()
-            .map(|s| (s.size, s.x.clone()))
+        keys.iter()
+            .map(|key| {
+                let (size, x) = &self.fused[key];
+                (*size, x.clone())
+            })
             .unzip()
     }
 
-    /// Recompute the `missing` fused slots in one tile pass. Each slot's
-    /// size and `X` row depend only on its own `(mᵢ, δᵢ)` and the fixed
-    /// tiling, so a pass over the missing slots alone is bit-identical
-    /// to those slots of a full pass. Slots whose medoid has a stored
-    /// `Full` column read it; the rest sweep, and their distances are
-    /// stored.
+    /// Compute the `missing` slots' fused results in one tile pass and
+    /// keep them under their `(mᵢ, δᵢ bits)` keys. Each slot's size and
+    /// `X` row depend only on its own `(mᵢ, δᵢ)` and the fixed tiling,
+    /// so a pass over the missing slots alone is bit-identical to those
+    /// slots of a full pass. Slots whose medoid has a stored `Full`
+    /// column read it; the rest sweep, and their distances are stored.
     fn recompute_fused(
         &mut self,
         pool: &mut Pool<'_>,
@@ -330,12 +331,8 @@ impl RoundCache {
         self.stats.full_column_recomputes += keys.len() as u64 - hits;
         let (sizes, x) = kernel::merge_fused(partials, missing.len(), points.cols());
         for ((&slot, size), xi) in missing.iter().zip(sizes).zip(x) {
-            self.fused[slot] = Some(FusedSlot {
-                medoid: medoids[slot],
-                delta_bits: deltas[slot].to_bits(),
-                size,
-                x: xi,
-            });
+            let key = (medoids[slot], deltas[slot].to_bits());
+            self.fused.insert(key, (size, xi));
         }
     }
 
@@ -355,7 +352,6 @@ impl RoundCache {
         dims: &[Vec<usize>],
         with_x: bool,
     ) -> (Vec<usize>, Option<Vec<Vec<f64>>>) {
-        self.grow_to(medoids.len());
         let (points, metric) = (pool.points(), pool.metric());
         let keys: Vec<ColumnKey> = medoids
             .iter()
@@ -401,7 +397,7 @@ impl RoundCache {
         T: Send + 'env,
         F: Fn(&TileView<'env>, &[Option<&[f64]>]) -> (T, Vec<Vec<f64>>) + Send + Sync + 'env,
     {
-        let budget = column_budget(pool.points(), self.fused.len());
+        let budget = column_budget(pool.points(), self.k);
         let n = pool.points().rows();
         self.store.begin_call();
         let stored: Vec<Option<Arc<Vec<f64>>>> =
@@ -426,14 +422,6 @@ impl RoundCache {
             self.store.insert(key, column, budget, &mut self.stats);
         }
         (partials, hits)
-    }
-
-    /// Grow the slot table to at least `k` slots (`run_once` is called
-    /// with a fixed `k`, but the cache does not assume it).
-    fn grow_to(&mut self, k: usize) {
-        while self.fused.len() < k {
-            self.fused.push(None);
-        }
     }
 }
 
@@ -677,6 +665,62 @@ mod tests {
                     "an unchanged vertex runs only its two assignments"
                 );
                 assert_eq!(after.blocks - before.blocks, 2 * nblocks);
+            });
+        }
+    }
+
+    /// Fused results are keyed by `(m, δ bits)`, not by slot: a medoid
+    /// that leaves and comes back with the same δ, and the same pairs in
+    /// permuted slots, are served without a fan-out and equal a fresh
+    /// cache bit for bit. Each distinct pair of the script is computed
+    /// exactly once.
+    #[test]
+    fn fused_results_are_keyed_by_value_not_by_slot() {
+        let points = random_points(3000, 6, 13);
+        let metric = DistanceKind::Manhattan;
+        let bits = |(sizes, x): (Vec<usize>, Vec<Vec<f64>>)| {
+            let x: Vec<Vec<u64>> = x
+                .iter()
+                .map(|row| row.iter().map(|v| v.to_bits()).collect())
+                .collect();
+            (sizes, x)
+        };
+        // (vertex, whether every pair of it was computed before)
+        let script: [(&[usize], bool); 6] = [
+            (&[10, 900, 2100], false),
+            (&[10, 900, 2500], false), // 2100 leaves ...
+            (&[10, 900, 2100], true),  // ... and comes back
+            (&[2100, 10, 900], true),  // the same pairs, permuted
+            (&[900, 2100, 10], true),
+            (&[2500, 10, 900], true),
+        ];
+        for threads in [1, 4] {
+            with_pool(&points, metric, threads, |pool| {
+                let mut cache = RoundCache::new(3);
+                let mut distinct = std::collections::HashSet::new();
+                for (round, &(medoids, seen)) in script.iter().enumerate() {
+                    let ctx = format!("threads {threads} round {round}");
+                    let deltas = medoid_deltas(&points, medoids, metric);
+                    let new_pairs = medoids
+                        .iter()
+                        .zip(&deltas)
+                        .filter(|&(&m, &delta)| distinct.insert((m, delta.to_bits())))
+                        .count();
+                    assert_eq!(new_pairs == 0, seen, "{ctx}: the script's premise");
+                    let before = pool.physical_stats();
+                    let got = bits(cache.fused_round(pool, medoids, &deltas));
+                    assert_eq!(cache.take_round_recomputed(), new_pairs as u64, "{ctx}");
+                    if seen {
+                        assert_eq!(pool.physical_stats(), before, "{ctx}: ran a fan-out");
+                    }
+                    let want = bits(RoundCache::new(3).fused_round(pool, medoids, &deltas));
+                    assert_eq!(got, want, "{ctx}");
+                }
+                assert_eq!(
+                    cache.stats().fused_slot_recomputes,
+                    distinct.len() as u64,
+                    "threads {threads}"
+                );
             });
         }
     }

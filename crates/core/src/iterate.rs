@@ -417,7 +417,7 @@ fn run_once(
         };
 
         if let Some(record) = record {
-            // How many fused slots this round actually recomputed: the
+            // How many fused pairs this round actually computed: the
             // per-round cache-effectiveness gauge (measurement channel
             // only — `round` events stay cache-independent).
             rec.gauge(

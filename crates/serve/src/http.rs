@@ -233,8 +233,17 @@ pub fn read_request<R: BufRead, W: Write>(
             .map_err(ParseError::Io)?;
     }
 
-    let mut body = vec![0u8; content_length];
-    io::Read::read_exact(r, &mut body).map_err(ParseError::Io)?;
+    // Read into spare capacity: zero-filling the buffer first would
+    // touch every page of a large body once more than the read does.
+    let mut body = Vec::with_capacity(content_length);
+    io::Read::read_to_end(&mut io::Read::take(r, content_length as u64), &mut body)
+        .map_err(ParseError::Io)?;
+    if body.len() < content_length {
+        return Err(ParseError::Io(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            "connection closed inside the body",
+        )));
+    }
     Ok(Some(Request {
         method: method.to_string(),
         path: path.to_string(),
@@ -378,6 +387,31 @@ mod tests {
             parse(b"POST /x HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc"),
             Err(ParseError::Io(_))
         ));
+    }
+
+    /// The body is read to exactly `Content-Length` bytes across short
+    /// reads, leaving the next request on the stream; a body the peer
+    /// cuts short is an `UnexpectedEof` I/O error, never a short body.
+    #[test]
+    fn body_reads_exactly_content_length_or_fails_with_unexpected_eof() {
+        let raw =
+            b"POST /a HTTP/1.1\r\nContent-Length: 10\r\n\r\n0123456789GET /b HTTP/1.1\r\n\r\n";
+        // A 3-byte buffer makes every body read a short one.
+        let mut r = BufReader::with_capacity(3, raw.as_slice());
+        let mut sink = Vec::new();
+        let first = read_request(&mut r, &mut sink).unwrap().unwrap();
+        assert_eq!(first.body, b"0123456789");
+        let second = read_request(&mut r, &mut sink).unwrap().unwrap();
+        assert_eq!((second.path.as_str(), second.body.len()), ("/b", 0));
+        assert!(read_request(&mut r, &mut sink).unwrap().is_none());
+
+        for body in ["", "abc", "012345678"] {
+            let raw = format!("POST /x HTTP/1.1\r\nContent-Length: 10\r\n\r\n{body}");
+            match parse(raw.as_bytes()) {
+                Err(ParseError::Io(e)) => assert_eq!(e.kind(), io::ErrorKind::UnexpectedEof),
+                other => panic!("{body:?}: must be UnexpectedEof, got {other:?}"),
+            }
+        }
     }
 
     #[test]

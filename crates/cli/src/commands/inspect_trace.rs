@@ -1,20 +1,24 @@
 //! `proclus inspect-trace` — summarize a trace directory written by
-//! `proclus fit --trace-out`: manifest header, per-phase time
-//! breakdown, convergence curve, and swap history. With `--diff A B`
-//! it compares two runs' manifests phase by phase and counter by
-//! counter instead.
+//! `--trace-out` of `proclus fit`, `stream`, `serve` or `scenario`:
+//! manifest header, per-phase time breakdown, counters with the cache,
+//! stream and serve health they derive, convergence curve, and swap
+//! history. With `--diff A B` it compares two runs' manifests phase by
+//! phase and counter by counter instead.
 
 use crate::args::Args;
 use proclus_obs::json;
-use proclus_obs::{render_env, render_manifest, Event, TraceSummary, EVENTS_FILE, MANIFEST_FILE};
+use proclus_obs::{
+    render_env, render_manifest, Counter, Event, TraceSummary, EVENTS_FILE, MANIFEST_FILE,
+};
 use std::error::Error;
 use std::io::Write;
 use std::path::PathBuf;
 
 pub const HELP: &str = "\
-proclus inspect-trace — summarize a fit trace (run.json + events.jsonl)
+proclus inspect-trace — summarize a trace directory (run.json + events.jsonl)
 
-  --input <dir>    trace directory written by `proclus fit --trace-out`
+  --input <dir>    trace directory written by --trace-out of `proclus fit`,
+                   `stream`, `serve` or `scenario`
                    (required unless --diff is given)
   --events <path>  read this events.jsonl instead of <dir>/events.jsonl
   --diff <A> <B>   compare two runs instead: each a trace directory or
@@ -48,6 +52,14 @@ fn read_to_string(path: &PathBuf) -> Result<String, Box<dyn Error>> {
     })
 }
 
+/// Counter `key` of a parsed manifest, if it carries one.
+fn counter(manifest: &json::Json, key: Counter) -> Option<usize> {
+    manifest
+        .get("counters")
+        .and_then(|c| c.get(key.name()))
+        .and_then(json::Json::as_usize)
+}
+
 /// Derived round-cache effectiveness: hits / (hits + recomputes) per
 /// cache layer, from the `cache.*` manifest counters, then the column
 /// store's full-column hits and evictions. `None` when the trace has no
@@ -56,15 +68,9 @@ fn read_to_string(path: &PathBuf) -> Result<String, Box<dyn Error>> {
 /// cluster-row layer's counters, which older manifests carry, are
 /// listed raw but not derived.
 fn cache_summary(manifest: &json::Json) -> Option<String> {
-    let counter = |name: &str| {
-        manifest
-            .get("counters")
-            .and_then(|c| c.get(name))
-            .and_then(json::Json::as_usize)
-    };
-    let layer = |label: &str, hits: &str, recomputes: &str| -> Option<String> {
-        let h = counter(hits)?;
-        let r = counter(recomputes)?;
+    let layer = |label: &str, hits: Counter, recomputes: Counter| -> Option<String> {
+        let h = counter(manifest, hits)?;
+        let r = counter(manifest, recomputes)?;
         let total = h + r;
         // A 0-lookup layer has no meaningful rate: "0.0%" would read
         // as "nothing hit" when in fact nothing was ever asked.
@@ -76,19 +82,23 @@ fn cache_summary(manifest: &json::Json) -> Option<String> {
     };
     let fused = layer(
         "fused",
-        "cache.fused_slot_hits",
-        "cache.fused_slot_recomputes",
+        Counter::CacheFusedSlotHits,
+        Counter::CacheFusedSlotRecomputes,
     )?;
-    let cols = layer("columns", "cache.column_hits", "cache.column_recomputes")?;
+    let cols = layer(
+        "columns",
+        Counter::CacheColumnHits,
+        Counter::CacheColumnRecomputes,
+    )?;
     let mut line = format!("round cache: {fused}, {cols}");
     if let Some(full) = layer(
         "full columns",
-        "cache.full_column_hits",
-        "cache.full_column_recomputes",
+        Counter::CacheFullColumnHits,
+        Counter::CacheFullColumnRecomputes,
     ) {
         line.push_str(&format!(", {full}"));
     }
-    if let Some(evictions) = counter("cache.evictions") {
+    if let Some(evictions) = counter(manifest, Counter::CacheEvictions) {
         line.push_str(&format!(", {evictions} evictions"));
     }
     Some(line)
@@ -98,19 +108,14 @@ fn cache_summary(manifest: &json::Json) -> Option<String> {
 /// counters: request volume, error split, queue pressure, and job
 /// outcomes. `None` for traces that never served traffic.
 fn serve_summary(manifest: &json::Json) -> Option<String> {
-    let counter = |name: &str| {
-        manifest
-            .get("counters")
-            .and_then(|c| c.get(name))
-            .and_then(json::Json::as_usize)
-    };
-    let requests = counter("serve.requests")?;
-    let c4xx = counter("serve.status_4xx").unwrap_or(0);
-    let c5xx = counter("serve.status_5xx").unwrap_or(0);
-    let queue_full = counter("serve.queue_full").unwrap_or(0);
-    let done = counter("serve.jobs_done").unwrap_or(0);
-    let failed = counter("serve.jobs_failed").unwrap_or(0);
-    let protocol = counter("serve.protocol_errors").unwrap_or(0);
+    let requests = counter(manifest, Counter::ServeRequests)?;
+    let count = |key| counter(manifest, key).unwrap_or(0);
+    let c4xx = count(Counter::ServeStatus4xx);
+    let c5xx = count(Counter::ServeStatus5xx);
+    let queue_full = count(Counter::ServeQueueFull);
+    let done = count(Counter::ServeJobsDone);
+    let failed = count(Counter::ServeJobsFailed);
+    let protocol = count(Counter::ServeProtocolErrors);
     Some(format!(
         "serve health: {requests} requests ({c4xx} 4xx, {c5xx} 5xx, \
          {protocol} protocol faults), {queue_full} backpressured, \
@@ -388,11 +393,14 @@ mod tests {
         assert!(text.contains("convergence"), "{text}");
         assert!(text.contains("params: k=2"), "{text}");
         // Cache counters surface both raw and as derived hit rates.
-        assert!(text.contains("cache.fused_slot_hits"), "{text}");
+        assert!(text.contains(Counter::CacheFusedSlotHits.name()), "{text}");
         assert!(text.contains("round cache: fused "), "{text}");
         assert!(text.contains(", full columns "), "{text}");
         assert!(text.contains(" evictions"), "{text}");
-        assert!(text.contains("cache.peak_resident_bytes"), "{text}");
+        assert!(
+            text.contains(Counter::CachePeakResidentBytes.name()),
+            "{text}"
+        );
         assert!(!text.contains("cluster rows"), "{text}");
         // The manifest names the environment it ran in.
         assert!(text.contains("env: nproc="), "{text}");
@@ -636,7 +644,8 @@ mod tests {
                 assert_eq!(cells[ratio], "1.00", "{phase}: {text}");
             }
         }
-        assert_eq!(row(&text, "cache.column_hits")[3], "1.00", "{text}");
+        let column_hits = row(&text, Counter::CacheColumnHits.name());
+        assert_eq!(column_hits[3], "1.00", "{text}");
     }
 
     /// `--diff` prints both sides' environments before any table. A

@@ -28,8 +28,8 @@ commands:
   serve      resident HTTP server (upload / fit / assign / classify)
   evaluate   confusion matrix / ARI / NMI of two labeled files
   inspect    summarize a dataset file
-  inspect-trace  summarize a fit trace written by `fit --trace-out`,
-             or diff two of them phase by phase
+  inspect-trace  summarize a fit, stream, serve or scenario trace
+             written by --trace-out, or diff two of them phase by phase
   help       show this message (or `proclus <command> --help`)
 
 Dataset files ending in .csv are text; any other extension uses the

@@ -49,7 +49,7 @@ use crate::params::Proclus;
 use crate::pool::{with_pool, Pool};
 use crate::refine::refine_with_pool;
 use proclus_math::Matrix;
-use proclus_obs::{timed, Event, NoopRecorder, Phase, Recorder};
+use proclus_obs::{timed, Counter, Event, Gauge, NoopRecorder, Phase, Recorder};
 use rand::rngs::StdRng;
 use rand::seq::index::sample;
 use rand::seq::SliceRandom;
@@ -163,7 +163,7 @@ fn drive(
                 + diag.restarts as u64 * REFINE_PASSES;
             record_pool_measurements(rec, pool, passes);
             record_cache_measurements(rec, &cache);
-            rec.counter("iterate.revisits", diag.revisits as u64);
+            rec.counter(Counter::IterateRevisits, diag.revisits as u64);
         }
         match best {
             Some(model) => Ok(model.with_diagnostics(diag.clone())),
@@ -203,27 +203,33 @@ fn blocks_per_pass(points: &Matrix) -> u64 {
 /// by this module, `passes` of them, each a sweep over every row block.
 /// The `physical_*` pair counts the fan-outs that actually ran.
 fn record_pool_measurements(rec: &dyn Recorder, pool: &Pool<'_>, passes: u64) {
-    rec.counter("pool.dispatches", passes);
-    rec.counter("pool.blocks", passes * blocks_per_pass(pool.points()));
+    rec.counter(Counter::PoolDispatches, passes);
+    rec.counter(Counter::PoolBlocks, passes * blocks_per_pass(pool.points()));
     let physical = pool.physical_stats();
-    rec.counter("pool.physical_dispatches", physical.dispatches);
-    rec.counter("pool.physical_blocks", physical.blocks);
-    rec.gauge("pool.workers", pool.workers() as f64);
-    rec.gauge("pool.queue_high_water", pool.queue_high_water() as f64);
+    rec.counter(Counter::PoolPhysicalDispatches, physical.dispatches);
+    rec.counter(Counter::PoolPhysicalBlocks, physical.blocks);
+    rec.gauge(Gauge::PoolWorkers, pool.workers() as f64);
+    rec.gauge(Gauge::PoolQueueHighWater, pool.queue_high_water() as f64);
 }
 
 /// Round-cache effectiveness → `cache.*` counters (manifest channel
 /// only).
 fn record_cache_measurements(rec: &dyn Recorder, cache: &RoundCache) {
     let stats = cache.stats();
-    rec.counter("cache.fused_slot_hits", stats.fused_slot_hits);
-    rec.counter("cache.fused_slot_recomputes", stats.fused_slot_recomputes);
-    rec.counter("cache.column_hits", stats.column_hits);
-    rec.counter("cache.column_recomputes", stats.column_recomputes);
-    rec.counter("cache.full_column_hits", stats.full_column_hits);
-    rec.counter("cache.full_column_recomputes", stats.full_column_recomputes);
-    rec.counter("cache.evictions", stats.evictions);
-    rec.counter("cache.peak_resident_bytes", stats.peak_resident_bytes);
+    rec.counter(Counter::CacheFusedSlotHits, stats.fused_slot_hits);
+    rec.counter(
+        Counter::CacheFusedSlotRecomputes,
+        stats.fused_slot_recomputes,
+    );
+    rec.counter(Counter::CacheColumnHits, stats.column_hits);
+    rec.counter(Counter::CacheColumnRecomputes, stats.column_recomputes);
+    rec.counter(Counter::CacheFullColumnHits, stats.full_column_hits);
+    rec.counter(
+        Counter::CacheFullColumnRecomputes,
+        stats.full_column_recomputes,
+    );
+    rec.counter(Counter::CacheEvictions, stats.evictions);
+    rec.counter(Counter::CachePeakResidentBytes, stats.peak_resident_bytes);
 }
 
 /// Emit `fit_end` for a successful fit.
@@ -421,7 +427,7 @@ fn run_once(
             // per-round cache-effectiveness gauge (measurement channel
             // only — `round` events stay cache-independent).
             rec.gauge(
-                "cache.medoids_recomputed",
+                Gauge::CacheMedoidsRecomputed,
                 cache.take_round_recomputed() as f64,
             );
             // This round's semantic passes. A restart's refinement
@@ -853,7 +859,7 @@ mod tests {
         assert!(rec.span_stats(Phase::Init).is_some());
         assert!(rec.span_stats(Phase::Assign).is_some());
         assert!(rec.span_stats(Phase::Refine).is_some());
-        assert!(rec.counter_value("pool.dispatches") > 0);
+        assert!(rec.counter_value(Counter::PoolDispatches.name()) > 0);
     }
 
     /// The climb books its own semantic passes: `2 + inner_refinements`
@@ -896,14 +902,15 @@ mod tests {
                     }
                 }
                 assert_eq!(first_rounds, 3, "inner {inner}");
-                assert_eq!(rec.counter_value("pool.dispatches"), booked + 2);
-                assert_eq!(rec.counter_value("pool.blocks"), (booked + 2) * nblocks);
+                let count = |key: Counter| rec.counter_value(key.name());
+                assert_eq!(count(Counter::PoolDispatches), booked + 2);
+                assert_eq!(count(Counter::PoolBlocks), (booked + 2) * nblocks);
                 // Every semantic pass runs at most one fan-out.
                 let ctx = format!("inner {inner}, threads {threads}");
-                let physical = rec.counter_value("pool.physical_dispatches");
+                let physical = count(Counter::PoolPhysicalDispatches);
                 assert!(physical <= booked + 2, "{ctx}: {physical} fan-outs");
-                let physical_blocks = rec.counter_value("pool.physical_blocks");
-                let blocks = rec.counter_value("pool.blocks");
+                let physical_blocks = count(Counter::PoolPhysicalBlocks);
+                let blocks = count(Counter::PoolBlocks);
                 assert!(physical_blocks <= blocks, "{ctx}: {physical_blocks} blocks");
                 runs.push((rec.events(), rec.counters()));
             }

@@ -1,12 +1,13 @@
 //! [`Aggregate`]: the span / counter / gauge fold that both
 //! [`RingRecorder`](crate::RingRecorder) and
-//! [`JsonlRecorder`](crate::JsonlRecorder) hold, and the ordered views
-//! they report it through (spans in [`Phase::ALL`] order, counters and
-//! gauges by name).
+//! [`JsonlRecorder`](crate::JsonlRecorder) hold, one slot per key of the
+//! [`metric`](crate::metric) list, and the ordered views they report it
+//! through (spans in [`Phase::ALL`] order, counters and gauges by
+//! name).
 
 use std::time::Duration;
 
-use crate::recorder::Phase;
+use crate::metric::{Counter, Gauge, Phase};
 
 /// Aggregate statistics for one phase's spans.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -28,101 +29,90 @@ pub struct GaugeStats {
     pub max: f64,
 }
 
-/// Spans, counters and gauges folded in arrival order; O(phases +
-/// names) in size.
-#[derive(Default)]
+/// Spans, counters and gauges folded into one slot per declared key;
+/// a slot stays `None` until its key is first recorded, so the manifest
+/// lists only what the run emitted.
 pub(crate) struct Aggregate {
-    spans: Vec<(Phase, SpanStats)>,
-    counters: Vec<(&'static str, u64)>,
-    gauges: Vec<(&'static str, GaugeStats)>,
+    spans: [Option<SpanStats>; Phase::ALL.len()],
+    counters: [Option<u64>; Counter::ALL.len()],
+    gauges: [Option<GaugeStats>; Gauge::ALL.len()],
+}
+
+impl Default for Aggregate {
+    fn default() -> Self {
+        Aggregate {
+            spans: [None; Phase::ALL.len()],
+            counters: [None; Counter::ALL.len()],
+            gauges: [None; Gauge::ALL.len()],
+        }
+    }
+}
+
+/// The recorded slots of `keys`, in `keys`' order.
+fn recorded<K: Copy, V: Copy>(keys: &[K], slots: &[Option<V>]) -> Vec<(K, V)> {
+    keys.iter()
+        .zip(slots)
+        .filter_map(|(&k, v)| v.map(|v| (k, v)))
+        .collect()
 }
 
 impl Aggregate {
     /// Fold one span of `phase`.
     pub(crate) fn span(&mut self, phase: Phase, elapsed: Duration) {
-        let i = match self.spans.iter().position(|(p, _)| *p == phase) {
-            Some(i) => i,
-            None => {
-                self.spans.push((phase, SpanStats::default()));
-                self.spans.len() - 1
-            }
-        };
-        let s = &mut self.spans[i].1;
+        let s = self.spans[phase as usize].get_or_insert_with(SpanStats::default);
         s.count += 1;
         s.total += elapsed;
         s.max = s.max.max(elapsed);
     }
 
-    /// Add `delta` to the named counter.
-    pub(crate) fn counter(&mut self, name: &'static str, delta: u64) {
-        match self.counters.iter_mut().find(|(n, _)| *n == name) {
-            Some((_, v)) => *v += delta,
-            None => self.counters.push((name, delta)),
-        }
+    /// Add `delta` to counter `key`.
+    pub(crate) fn counter(&mut self, key: Counter, delta: u64) {
+        *self.counters[key as usize].get_or_insert(0) += delta;
     }
 
-    /// Record one observation of the named gauge.
-    pub(crate) fn gauge(&mut self, name: &'static str, value: f64) {
-        match self.gauges.iter_mut().find(|(n, _)| *n == name) {
-            Some((_, g)) => {
-                g.last = value;
-                if value > g.max || g.max.is_nan() {
-                    g.max = value;
-                }
-            }
-            None => self.gauges.push((
-                name,
-                GaugeStats {
-                    last: value,
-                    max: value,
-                },
-            )),
+    /// Record one observation of gauge `key`.
+    pub(crate) fn gauge(&mut self, key: Gauge, value: f64) {
+        let g = self.gauges[key as usize].get_or_insert(GaugeStats {
+            last: value,
+            max: value,
+        });
+        g.last = value;
+        if value > g.max || g.max.is_nan() {
+            g.max = value;
         }
     }
 
     /// The span statistics of `phase`, if any span was recorded.
     pub(crate) fn span_stats(&self, phase: Phase) -> Option<SpanStats> {
-        self.spans
-            .iter()
-            .find(|(p, _)| *p == phase)
-            .map(|(_, s)| *s)
+        self.spans[phase as usize]
     }
 
-    /// The named counter (0 if never incremented).
-    pub(crate) fn counter_value(&self, name: &str) -> u64 {
-        self.counters
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map_or(0, |(_, v)| *v)
+    /// Counter `key` (0 if never incremented).
+    pub(crate) fn counter_value(&self, key: Counter) -> u64 {
+        self.counters[key as usize].unwrap_or(0)
     }
 
-    /// The named gauge, if it was ever observed.
-    pub(crate) fn gauge_stats(&self, name: &str) -> Option<GaugeStats> {
-        self.gauges
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, g)| *g)
+    /// Gauge `key`, if it was ever observed.
+    pub(crate) fn gauge_stats(&self, key: Gauge) -> Option<GaugeStats> {
+        self.gauges[key as usize]
     }
 
-    /// All span statistics in [`Phase::ALL`] order.
+    /// All recorded span statistics in [`Phase::ALL`] order.
     pub(crate) fn spans(&self) -> Vec<(Phase, SpanStats)> {
-        Phase::ALL
-            .iter()
-            .filter_map(|&p| self.span_stats(p).map(|s| (p, s)))
-            .collect()
+        recorded(Phase::ALL, &self.spans)
     }
 
-    /// All counters, sorted by name.
-    pub(crate) fn counters(&self) -> Vec<(&'static str, u64)> {
-        let mut out = self.counters.clone();
-        out.sort_by_key(|(n, _)| *n);
+    /// All recorded counters, sorted by name.
+    pub(crate) fn counters(&self) -> Vec<(Counter, u64)> {
+        let mut out = recorded(Counter::ALL, &self.counters);
+        out.sort_by_key(|(k, _)| k.name());
         out
     }
 
-    /// All gauges, sorted by name.
-    pub(crate) fn gauges(&self) -> Vec<(&'static str, GaugeStats)> {
-        let mut out = self.gauges.clone();
-        out.sort_by_key(|(n, _)| *n);
+    /// All recorded gauges, sorted by name.
+    pub(crate) fn gauges(&self) -> Vec<(Gauge, GaugeStats)> {
+        let mut out = recorded(Gauge::ALL, &self.gauges);
+        out.sort_by_key(|(k, _)| k.name());
         out
     }
 }
@@ -134,31 +124,35 @@ mod tests {
     #[test]
     fn views_are_ordered_whatever_the_arrival_order() {
         let mut agg = Aggregate::default();
-        agg.counter("zeta", 1);
-        agg.counter("alpha", 2);
-        agg.counter("zeta", 3);
-        agg.gauge("g2", 1.0);
-        agg.gauge("g1", 5.0);
-        agg.gauge("g1", 2.0);
+        // Declared pool-first, named cache-first: the view sorts by name.
+        agg.counter(Counter::PoolBlocks, 1);
+        agg.counter(Counter::CacheEvictions, 2);
+        agg.counter(Counter::PoolBlocks, 3);
+        agg.gauge(Gauge::PoolWorkers, 1.0);
+        agg.gauge(Gauge::CacheMedoidsRecomputed, 5.0);
+        agg.gauge(Gauge::CacheMedoidsRecomputed, 2.0);
         let late = Phase::ALL[Phase::ALL.len() - 1];
         let early = Phase::ALL[0];
         agg.span(late, Duration::from_micros(5));
         agg.span(early, Duration::from_micros(7));
         agg.span(late, Duration::from_micros(9));
-        assert_eq!(agg.counters(), vec![("alpha", 2), ("zeta", 4)]);
-        assert_eq!(agg.counter_value("missing"), 0);
+        assert_eq!(
+            agg.counters(),
+            vec![(Counter::CacheEvictions, 2), (Counter::PoolBlocks, 4)]
+        );
+        assert_eq!(agg.counter_value(Counter::ServeRequests), 0);
         let gauges = agg.gauges();
         assert_eq!(
             gauges[0],
             (
-                "g1",
+                Gauge::CacheMedoidsRecomputed,
                 GaugeStats {
                     last: 2.0,
                     max: 5.0
                 }
             )
         );
-        assert_eq!(gauges[1].0, "g2");
+        assert_eq!(gauges[1].0, Gauge::PoolWorkers);
         let spans = agg.spans();
         assert_eq!(spans[0].0, early);
         assert_eq!(

@@ -20,7 +20,8 @@ use std::time::Duration;
 use crate::aggregate::Aggregate;
 use crate::event::{Event, SCHEMA_VERSION};
 use crate::json::{self, Json};
-use crate::recorder::{Phase, Recorder};
+use crate::metric::{Counter, Gauge, Phase};
+use crate::recorder::Recorder;
 
 /// File name of the event stream inside the trace directory.
 pub const EVENTS_FILE: &str = "events.jsonl";
@@ -153,20 +154,20 @@ impl JsonlRecorder {
         manifest.push('}');
 
         manifest.push_str(",\"counters\":{");
-        for (i, (name, value)) in state.aggregate.counters().iter().enumerate() {
+        for (i, (key, value)) in state.aggregate.counters().iter().enumerate() {
             if i > 0 {
                 manifest.push(',');
             }
-            manifest.push_str(&format!("\"{name}\":{value}"));
+            manifest.push_str(&format!("\"{}\":{value}", key.name()));
         }
         manifest.push('}');
 
         manifest.push_str(",\"gauges\":{");
-        for (i, (name, g)) in state.aggregate.gauges().iter().enumerate() {
+        for (i, (key, g)) in state.aggregate.gauges().iter().enumerate() {
             if i > 0 {
                 manifest.push(',');
             }
-            manifest.push_str(&format!("\"{name}\":{{\"last\":"));
+            manifest.push_str(&format!("\"{}\":{{\"last\":", key.name()));
             json::write_f64(&mut manifest, g.last);
             manifest.push_str(",\"max\":");
             json::write_f64(&mut manifest, g.max);
@@ -254,12 +255,12 @@ impl Recorder for JsonlRecorder {
         self.lock().aggregate.span(phase, elapsed);
     }
 
-    fn counter(&self, name: &'static str, delta: u64) {
-        self.lock().aggregate.counter(name, delta);
+    fn counter(&self, key: Counter, delta: u64) {
+        self.lock().aggregate.counter(key, delta);
     }
 
-    fn gauge(&self, name: &'static str, value: f64) {
-        self.lock().aggregate.gauge(name, value);
+    fn gauge(&self, key: Gauge, value: f64) {
+        self.lock().aggregate.gauge(key, value);
     }
 }
 
@@ -296,8 +297,8 @@ mod tests {
         }
         rec.span(Phase::Assign, Duration::from_micros(120));
         rec.span(Phase::Assign, Duration::from_micros(80));
-        rec.counter("pool.dispatches", 5);
-        rec.gauge("pool.workers", 4.0);
+        rec.counter(Counter::PoolDispatches, 5);
+        rec.gauge(Gauge::PoolWorkers, 4.0);
 
         let params = json::parse("{\"k\":2,\"l\":3}").unwrap();
         let result = json::parse("{\"objective\":1.5}").unwrap();
@@ -332,14 +333,14 @@ mod tests {
         assert_eq!(
             manifest
                 .get("counters")
-                .and_then(|c| c.get("pool.dispatches"))
+                .and_then(|c| c.get(Counter::PoolDispatches.name()))
                 .and_then(Json::as_usize),
             Some(5)
         );
         assert_eq!(
             manifest
                 .get("gauges")
-                .and_then(|g| g.get("pool.workers"))
+                .and_then(|g| g.get(Gauge::PoolWorkers.name()))
                 .and_then(|w| w.get("max"))
                 .and_then(Json::as_f64),
             Some(4.0)

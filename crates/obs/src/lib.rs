@@ -14,9 +14,12 @@
 //!   workspace's bit-identical-parallelism guarantee to the trace
 //!   layer. This is what the invariant/metamorphic test tier consumes.
 //! * **Measurements** (spans / counters / gauges) — wall-clock phase
-//!   timings, worker-pool queue depths, dispatch counts. These are
-//!   scheduling-dependent and therefore live only in aggregate form in
-//!   the run manifest, never in the event stream.
+//!   timings, worker-pool queue depths, dispatch counts. These live
+//!   only in aggregate form in the run manifest, never in the event
+//!   stream. Every key is declared once, with its manifest name and the
+//!   channel that emits it, in the list of the [`metric`] module:
+//!   [`Phase`], [`Counter`] and [`Gauge`] are generated from it, so a
+//!   recorder call cannot name an undeclared metric.
 //!
 //! Recorders:
 //!
@@ -41,6 +44,7 @@ mod aggregate;
 pub mod event;
 pub mod json;
 pub mod jsonl;
+pub mod metric;
 pub mod recorder;
 pub mod ring;
 pub mod summary;
@@ -50,6 +54,7 @@ pub use event::{
     Event, GATE_STAGES, QUARANTINE_REASONS, ROLLOVER_REASONS, ROLLOVER_STATES, SCHEMA_VERSION,
 };
 pub use jsonl::{JsonlRecorder, EVENTS_FILE, MANIFEST_FILE};
-pub use recorder::{timed, Fanout, NoopRecorder, Phase, Recorder};
+pub use metric::{Channel, Counter, Gauge, Phase};
+pub use recorder::{timed, Fanout, NoopRecorder, Recorder};
 pub use ring::RingRecorder;
 pub use summary::{render_env, render_manifest, RoundPoint, SwapPoint, TraceSummary};

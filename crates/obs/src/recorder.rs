@@ -6,8 +6,9 @@
 //! * [`Recorder::event`] carries [`Event`]s — deterministic facts about
 //!   the search that must be identical for every thread count.
 //! * [`Recorder::span`] / [`Recorder::counter`] / [`Recorder::gauge`]
-//!   carry measurements (durations, queue depths, worker counts) that
-//!   are allowed to vary run-to-run; they only ever land in aggregate
+//!   carry measurements (durations, queue depths, worker counts),
+//!   keyed by the [`Phase`], [`Counter`] and [`Gauge`] of the
+//!   [`metric`](crate::metric) list; they only ever land in aggregate
 //!   form in the run manifest, never in the event stream.
 //!
 //! The default implementation of every method is a no-op, and
@@ -22,73 +23,7 @@
 use std::time::Duration;
 
 use crate::event::Event;
-
-/// Instrumented phases of the supported algorithms. Used as span and
-/// counter keys so the manifest's per-phase time breakdown has a fixed
-/// vocabulary.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum Phase {
-    /// PROCLUS phase 1: greedy candidate-medoid selection.
-    Init,
-    /// Neighbor-index construction. The index is retired and no span
-    /// is recorded any more; the phase stays so old manifests and the
-    /// readers that name it keep working.
-    Index,
-    /// Locality computation (`Lᵢ`, fused with per-dim averages).
-    Locality,
-    /// FindDimensions (Z-score allocation).
-    Dims,
-    /// AssignPoints.
-    Assign,
-    /// EvaluateClusters.
-    Evaluate,
-    /// PROCLUS phase 3: refinement + outlier handling.
-    Refine,
-    /// CLIQUE dense-unit mining.
-    Mine,
-    /// CLIQUE connected-component clustering / generic cluster build.
-    Cluster,
-    /// ORCLUS merge / CLIQUE level advance.
-    Merge,
-    /// Streaming ingest: batch validation, window/reservoir upkeep,
-    /// drift scoring, and rollover gating (candidate fits record their
-    /// own phases).
-    Stream,
-}
-
-impl Phase {
-    /// Stable lowercase name used in manifests and summaries.
-    pub fn name(self) -> &'static str {
-        match self {
-            Phase::Init => "init",
-            Phase::Index => "index",
-            Phase::Locality => "locality",
-            Phase::Dims => "dims",
-            Phase::Assign => "assign",
-            Phase::Evaluate => "evaluate",
-            Phase::Refine => "refine",
-            Phase::Mine => "mine",
-            Phase::Cluster => "cluster",
-            Phase::Merge => "merge",
-            Phase::Stream => "stream",
-        }
-    }
-
-    /// Every phase, in the order summaries print them.
-    pub const ALL: [Phase; 11] = [
-        Phase::Init,
-        Phase::Index,
-        Phase::Locality,
-        Phase::Dims,
-        Phase::Assign,
-        Phase::Evaluate,
-        Phase::Refine,
-        Phase::Mine,
-        Phase::Cluster,
-        Phase::Merge,
-        Phase::Stream,
-    ];
-}
+use crate::metric::{Counter, Gauge, Phase};
 
 /// Sink for structured run events and phase measurements.
 ///
@@ -109,12 +44,12 @@ pub trait Recorder: Sync {
     /// Record one timed execution of `phase`.
     fn span(&self, _phase: Phase, _elapsed: Duration) {}
 
-    /// Add `delta` to the named monotone counter.
-    fn counter(&self, _name: &'static str, _delta: u64) {}
+    /// Add `delta` to the monotone counter `key`.
+    fn counter(&self, _key: Counter, _delta: u64) {}
 
-    /// Record an observation of the named gauge (manifests keep the
+    /// Record an observation of the gauge `key` (manifests keep the
     /// last value and the maximum).
-    fn gauge(&self, _name: &'static str, _value: f64) {}
+    fn gauge(&self, _key: Gauge, _value: f64) {}
 }
 
 /// The default recorder: collects nothing, reports disabled.
@@ -152,14 +87,14 @@ impl Recorder for Fanout<'_> {
         self.b.span(phase, elapsed);
     }
 
-    fn counter(&self, name: &'static str, delta: u64) {
-        self.a.counter(name, delta);
-        self.b.counter(name, delta);
+    fn counter(&self, key: Counter, delta: u64) {
+        self.a.counter(key, delta);
+        self.b.counter(key, delta);
     }
 
-    fn gauge(&self, name: &'static str, value: f64) {
-        self.a.gauge(name, value);
-        self.b.gauge(name, value);
+    fn gauge(&self, key: Gauge, value: f64) {
+        self.a.gauge(key, value);
+        self.b.gauge(key, value);
     }
 }
 
@@ -190,12 +125,6 @@ mod tests {
     }
 
     #[test]
-    fn phase_names_are_unique() {
-        let names: std::collections::BTreeSet<_> = Phase::ALL.iter().map(|p| p.name()).collect();
-        assert_eq!(names.len(), Phase::ALL.len());
-    }
-
-    #[test]
     fn fanout_forwards_to_both() {
         let a = RingRecorder::new(16);
         let b = RingRecorder::new(16);
@@ -205,13 +134,13 @@ mod tests {
             restart: 0,
             seed: 1,
         });
-        fan.counter("blocks", 3);
-        fan.gauge("queue_high_water", 2.0);
+        fan.counter(Counter::PoolBlocks, 3);
+        fan.gauge(Gauge::PoolQueueHighWater, 2.0);
         fan.span(Phase::Dims, Duration::from_micros(5));
         for rec in [&a, &b] {
             assert_eq!(rec.events().len(), 1);
-            assert_eq!(rec.counter_value("blocks"), 3);
-            assert_eq!(rec.gauge_last("queue_high_water"), Some(2.0));
+            assert_eq!(rec.counter_value(Counter::PoolBlocks.name()), 3);
+            assert_eq!(rec.gauge_last(Gauge::PoolQueueHighWater), Some(2.0));
             assert_eq!(rec.span_stats(Phase::Dims).map(|s| s.count), Some(1));
         }
     }

@@ -16,7 +16,8 @@ use std::time::Duration;
 
 use crate::aggregate::{Aggregate, GaugeStats, SpanStats};
 use crate::event::Event;
-use crate::recorder::{Phase, Recorder};
+use crate::metric::{Counter, Gauge, Phase};
+use crate::recorder::Recorder;
 
 #[derive(Default)]
 struct Inner {
@@ -32,8 +33,8 @@ pub struct RingRecorder {
 }
 
 impl RingRecorder {
-    /// A recorder holding at most `capacity` events (aggregates are
-    /// unbounded — they are O(phases + names)).
+    /// A recorder holding at most `capacity` events (aggregates hold
+    /// one slot per declared metric).
     pub fn new(capacity: usize) -> Self {
         RingRecorder {
             capacity,
@@ -60,19 +61,23 @@ impl RingRecorder {
         self.lock().aggregate.span_stats(phase)
     }
 
-    /// Current value of the named counter (0 if never incremented).
+    /// Current value of the counter named `name` in the manifest (0 if
+    /// never incremented, or if no counter is declared under `name`).
     pub fn counter_value(&self, name: &str) -> u64 {
-        self.lock().aggregate.counter_value(name)
+        Counter::ALL
+            .iter()
+            .find(|c| c.name() == name)
+            .map_or(0, |&c| self.lock().aggregate.counter_value(c))
     }
 
-    /// Last observation of the named gauge.
-    pub fn gauge_last(&self, name: &str) -> Option<f64> {
-        self.lock().aggregate.gauge_stats(name).map(|g| g.last)
+    /// Last observation of gauge `key`.
+    pub fn gauge_last(&self, key: Gauge) -> Option<f64> {
+        self.lock().aggregate.gauge_stats(key).map(|g| g.last)
     }
 
-    /// Maximum observation of the named gauge.
-    pub fn gauge_max(&self, name: &str) -> Option<f64> {
-        self.lock().aggregate.gauge_stats(name).map(|g| g.max)
+    /// Maximum observation of gauge `key`.
+    pub fn gauge_max(&self, key: Gauge) -> Option<f64> {
+        self.lock().aggregate.gauge_stats(key).map(|g| g.max)
     }
 
     /// All span aggregates in [`Phase::ALL`] order.
@@ -80,13 +85,14 @@ impl RingRecorder {
         self.lock().aggregate.spans()
     }
 
-    /// All counters, sorted by name for deterministic iteration.
-    pub fn counters(&self) -> Vec<(&'static str, u64)> {
+    /// All recorded counters, sorted by name for deterministic
+    /// iteration.
+    pub fn counters(&self) -> Vec<(Counter, u64)> {
         self.lock().aggregate.counters()
     }
 
-    /// All gauges, sorted by name for deterministic iteration.
-    pub fn gauges(&self) -> Vec<(&'static str, GaugeStats)> {
+    /// All recorded gauges, sorted by name for deterministic iteration.
+    pub fn gauges(&self) -> Vec<(Gauge, GaugeStats)> {
         self.lock().aggregate.gauges()
     }
 }
@@ -113,12 +119,12 @@ impl Recorder for RingRecorder {
         self.lock().aggregate.span(phase, elapsed);
     }
 
-    fn counter(&self, name: &'static str, delta: u64) {
-        self.lock().aggregate.counter(name, delta);
+    fn counter(&self, key: Counter, delta: u64) {
+        self.lock().aggregate.counter(key, delta);
     }
 
-    fn gauge(&self, name: &'static str, value: f64) {
-        self.lock().aggregate.gauge(name, value);
+    fn gauge(&self, key: Gauge, value: f64) {
+        self.lock().aggregate.gauge(key, value);
     }
 }
 
@@ -181,15 +187,18 @@ mod tests {
     #[test]
     fn counters_accumulate_and_gauges_track_last_and_max() {
         let rec = RingRecorder::new(4);
-        rec.counter("pool.blocks", 4);
-        rec.counter("pool.blocks", 6);
-        assert_eq!(rec.counter_value("pool.blocks"), 10);
-        assert_eq!(rec.counter_value("unknown"), 0);
+        rec.counter(Counter::PoolBlocks, 4);
+        rec.counter(Counter::PoolBlocks, 6);
+        assert_eq!(rec.counter_value(Counter::PoolBlocks.name()), 10);
+        assert_eq!(rec.counter_value(Counter::PoolDispatches.name()), 0);
+        // A retired name the end-to-end benchmark still reads.
+        assert_eq!(rec.counter_value("index.range_verified"), 0);
 
-        rec.gauge("queue", 3.0);
-        rec.gauge("queue", 7.0);
-        rec.gauge("queue", 2.0);
-        assert_eq!(rec.gauge_last("queue"), Some(2.0));
-        assert_eq!(rec.gauge_max("queue"), Some(7.0));
+        let queue = Gauge::PoolQueueHighWater;
+        rec.gauge(queue, 3.0);
+        rec.gauge(queue, 7.0);
+        rec.gauge(queue, 2.0);
+        assert_eq!(rec.gauge_last(queue), Some(2.0));
+        assert_eq!(rec.gauge_max(queue), Some(7.0));
     }
 }

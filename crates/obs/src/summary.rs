@@ -73,16 +73,6 @@ pub struct TraceSummary {
     pub gates: Vec<(u64, String, bool)>,
     /// Published models `(generation, rebuild, objective)`.
     pub publishes: Vec<(u64, u64, f64)>,
-    /// HTTP requests handled by the serving daemon.
-    pub serve_requests: usize,
-    /// Requests answered with a 4xx status.
-    pub serve_client_errors: usize,
-    /// Requests answered with a 5xx status.
-    pub serve_server_errors: usize,
-    /// Fit jobs that reached the `done` state.
-    pub serve_jobs_done: usize,
-    /// Fit jobs that reached the `failed` state.
-    pub serve_jobs_failed: usize,
     /// Scenario identity `(name, seed, epochs)` from `scenario_meta`,
     /// when the trace came from a declarative workload.
     pub scenario: Option<(String, u64, usize)>,
@@ -199,19 +189,8 @@ impl TraceSummary {
                     rebuild,
                     objective,
                 } => s.publishes.push((*generation, *rebuild, *objective)),
-                Event::ServeRequest { status, .. } => {
-                    s.serve_requests += 1;
-                    match status {
-                        400..=499 => s.serve_client_errors += 1,
-                        500..=599 => s.serve_server_errors += 1,
-                        _ => {}
-                    }
-                }
-                Event::ServeJob { to, .. } => match *to {
-                    "done" => s.serve_jobs_done += 1,
-                    "failed" => s.serve_jobs_failed += 1,
-                    _ => {}
-                },
+                // The manifest's `serve.*` counters summarize serving.
+                Event::ServeRequest { .. } | Event::ServeJob { .. } => {}
                 Event::ScenarioMeta { name, seed, epochs } => {
                     s.scenario = Some((name.clone(), *seed, *epochs));
                 }
@@ -305,16 +284,6 @@ impl TraceSummary {
                     "  batch {batch}: drift detected (score {score} > threshold {threshold})\n"
                 ));
             }
-        }
-        if self.serve_requests > 0 {
-            out.push_str(&format!(
-                "serve: {} requests ({} client errors, {} server errors), {} jobs done, {} failed\n",
-                self.serve_requests,
-                self.serve_client_errors,
-                self.serve_server_errors,
-                self.serve_jobs_done,
-                self.serve_jobs_failed
-            ));
         }
         if !self.transitions.is_empty() {
             out.push_str("rollover decision log:\n");
@@ -597,54 +566,24 @@ mod tests {
         assert!(text.contains("published generation 2"));
     }
 
+    /// Serve events add nothing to the summary: `inspect-trace`'s
+    /// `serve health:` line reads the manifest's `serve.*` counters.
     #[test]
     fn serve_events_fold_and_render() {
         let events = vec![
-            Event::ServeRequest {
-                endpoint: "assign",
-                status: 200,
-            },
-            Event::ServeRequest {
-                endpoint: "fit",
-                status: 429,
-            },
-            Event::ServeRequest {
-                endpoint: "unknown",
-                status: 404,
-            },
             Event::ServeRequest {
                 endpoint: "assign",
                 status: 503,
             },
             Event::ServeJob {
                 job: 1,
-                from: "queued",
-                to: "running",
-            },
-            Event::ServeJob {
-                job: 1,
                 from: "running",
                 to: "done",
             },
-            Event::ServeJob {
-                job: 2,
-                from: "running",
-                to: "failed",
-            },
         ];
         let s = TraceSummary::from_events(&events, 0);
-        assert_eq!(s.serve_requests, 4);
-        assert_eq!(s.serve_client_errors, 2);
-        assert_eq!(s.serve_server_errors, 1);
-        assert_eq!(s.serve_jobs_done, 1);
-        assert_eq!(s.serve_jobs_failed, 1);
-        let text = s.render();
-        assert!(
-            text.contains(
-                "serve: 4 requests (2 client errors, 1 server errors), 1 jobs done, 1 failed"
-            ),
-            "{text}"
-        );
+        assert_eq!(s, TraceSummary::default());
+        assert_eq!(s.render(), "algorithm: (unknown)\n");
     }
 
     #[test]

@@ -24,7 +24,7 @@
 use proclus_data::chunks::{ChunkReader, CHUNK_MAGIC};
 use proclus_data::{binio, io as data_io};
 use proclus_math::Matrix;
-use proclus_obs::{json, Event};
+use proclus_obs::{json, Counter, Event};
 use std::path::Path;
 
 use crate::error::{status_for_data, status_for_fit, status_for_registry};
@@ -40,10 +40,10 @@ pub fn handle(state: &AppState, req: &Request) -> Response {
         endpoint,
         status: resp.status,
     });
-    rec.counter("serve.requests", 1);
+    rec.counter(Counter::ServeRequests, 1);
     match resp.status {
-        400..=499 => rec.counter("serve.status_4xx", 1),
-        500..=599 => rec.counter("serve.status_5xx", 1),
+        400..=499 => rec.counter(Counter::ServeStatus4xx, 1),
+        500..=599 => rec.counter(Counter::ServeStatus5xx, 1),
         _ => {}
     }
     resp

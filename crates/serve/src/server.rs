@@ -16,7 +16,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use proclus_obs::Recorder;
+use proclus_obs::{Counter, Recorder};
 
 use crate::error::ServeError;
 use crate::http::{read_request, ParseError, Response};
@@ -187,14 +187,14 @@ fn handle_connection(state: &Arc<AppState>, stream: TcpStream) {
             // Torn request / premature disconnect / timeout: nobody to
             // answer — count it and drop the connection.
             Err(ParseError::Io(_)) => {
-                state.recorder().counter("serve.protocol_errors", 1);
+                state.recorder().counter(Counter::ServeProtocolErrors, 1);
                 return;
             }
             // Parseable-enough-to-answer protocol faults: answer with
             // the mapped status, then close — after a framing error the
             // byte stream can no longer be trusted for a next request.
             Err(e) => {
-                state.recorder().counter("serve.protocol_errors", 1);
+                state.recorder().counter(Counter::ServeProtocolErrors, 1);
                 if let Some(status) = e.status() {
                     let resp = Response::error(status, &e.message());
                     let _ = resp.write_to(&mut writer, false);

@@ -18,7 +18,7 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, Rw
 use proclus_core::registry::{current_generation_in, ModelRegistry, RecoveryReport, RegistryError};
 use proclus_core::{Proclus, ProclusModel};
 use proclus_math::{DistanceKind, Matrix};
-use proclus_obs::{Event, Recorder};
+use proclus_obs::{Counter, Event, Recorder};
 
 use crate::error::ServeError;
 
@@ -259,7 +259,7 @@ impl AppState {
         match tx.try_send(seq) {
             Ok(()) => {}
             Err(TrySendError::Full(_)) => {
-                self.recorder.counter("serve.queue_full", 1);
+                self.recorder.counter(Counter::ServeQueueFull, 1);
                 return Err(SubmitError::QueueFull);
             }
             Err(TrySendError::Disconnected(_)) => return Err(SubmitError::ShuttingDown),
@@ -294,8 +294,8 @@ impl AppState {
         job.state = next;
         self.recorder.event(&Event::ServeJob { job: seq, from, to });
         match to {
-            "done" => self.recorder.counter("serve.jobs_done", 1),
-            "failed" => self.recorder.counter("serve.jobs_failed", 1),
+            "done" => self.recorder.counter(Counter::ServeJobsDone, 1),
+            "failed" => self.recorder.counter(Counter::ServeJobsFailed, 1),
             _ => {}
         }
     }

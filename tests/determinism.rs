@@ -5,7 +5,8 @@
 //! count and match a checked-in golden digest.
 
 use proclus::baselines::{Clarans, KMeans};
-use proclus::obs::{Event, JsonlRecorder, Phase, Recorder};
+use proclus::obs::json::Json;
+use proclus::obs::{Channel, Counter, Event, Gauge, JsonlRecorder, Phase, Recorder};
 use proclus::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
@@ -167,34 +168,30 @@ fn golden_event_stream_is_byte_identical_across_threads() {
     assert!(kinds.contains(&"refine"));
 }
 
-/// One traced fit at `threads`: its event stream and its `cache.*`
-/// counters.
-fn traced_fit(data: &GeneratedDataset, threads: usize) -> (Vec<u8>, Vec<(String, f64)>) {
+/// The members of one manifest object, in file order.
+type Members = Vec<(String, Json)>;
+
+/// One traced fit of `params` at `threads`: its event stream and the
+/// members of its manifest's `counters` and `gauges` objects.
+fn traced_fit(points: &Matrix, params: Proclus, threads: usize) -> (Vec<u8>, Members, Members) {
+    // Tests run in parallel: the row count keeps two tests' traces apart.
     let dir = std::env::temp_dir().join(format!(
-        "proclus-store-trace-t{threads}-{}",
+        "proclus-manifest-trace-t{threads}-{}-{}",
+        points.rows(),
         std::process::id()
     ));
     let rec = JsonlRecorder::create(&dir).unwrap();
-    Proclus::new(3, 2.0)
-        .seed(5)
-        .restarts(3)
-        .threads(threads)
-        .fit_traced(&data.points, &rec)
-        .unwrap();
-    let empty = || proclus::obs::json::Json::Obj(Vec::new());
+    params.threads(threads).fit_traced(points, &rec).unwrap();
+    let empty = || Json::Obj(Vec::new());
     let manifest = rec.finish(empty(), empty()).unwrap();
     let events = std::fs::read(dir.join(proclus::obs::EVENTS_FILE)).unwrap();
     let manifest = proclus::obs::json::parse(&std::fs::read_to_string(manifest).unwrap()).unwrap();
     std::fs::remove_dir_all(&dir).ok();
-    let Some(proclus::obs::json::Json::Obj(counters)) = manifest.get("counters") else {
-        panic!("manifest without counters");
+    let members = |key: &str| match manifest.get(key) {
+        Some(Json::Obj(members)) => members.clone(),
+        _ => panic!("manifest without {key}"),
     };
-    let cache = counters
-        .iter()
-        .filter(|(name, _)| name.starts_with("cache."))
-        .map(|(name, v)| (name.clone(), v.as_f64().unwrap()))
-        .collect();
-    (events, cache)
+    (events, members("counters"), members("gauges"))
 }
 
 /// The round cache's column store evicts by call order alone: a fit
@@ -204,16 +201,63 @@ fn traced_fit(data: &GeneratedDataset, threads: usize) -> (Vec<u8>, Vec<(String,
 #[test]
 fn column_store_counters_and_events_ignore_the_thread_count() {
     let data = SyntheticSpec::new(3_000, 4, 3, 2.0).seed(5).generate();
-    let (events, cache) = traced_fit(&data, 1);
-    assert_eq!(cache.len(), 8, "{cache:?}");
-    let evictions = cache.iter().find(|(name, _)| name == "cache.evictions");
-    assert!(evictions.is_some_and(|&(_, v)| v > 0.0), "{cache:?}");
-    let (events4, cache4) = traced_fit(&data, 4);
+    let params = Proclus::new(3, 2.0).seed(5).restarts(3);
+    let cache = |counters: Members| -> Members {
+        counters
+            .into_iter()
+            .filter(|(name, _)| name.starts_with("cache."))
+            .collect()
+    };
+    let (events, counters, _) = traced_fit(&data.points, params.clone(), 1);
+    let cache1 = cache(counters);
+    assert_eq!(cache1.len(), 8, "{cache1:?}");
+    let evictions = cache1
+        .iter()
+        .find(|(name, _)| name == Counter::CacheEvictions.name());
+    assert!(
+        evictions.is_some_and(|(_, v)| v.as_f64() > Some(0.0)),
+        "{cache1:?}"
+    );
+    let (events4, counters4, _) = traced_fit(&data.points, params, 4);
     assert!(
         events == events4,
         "events.jsonl moved with the thread count"
     );
-    assert_eq!(cache, cache4);
+    assert_eq!(cache1, cache(counters4));
+}
+
+/// The metric list is the manifest's contract: a traced fit of CI's
+/// smoke shape (2 000 × 10, k = 3, l = 3) emits exactly the declared
+/// fit counters and fit gauges, at one and at four threads, and every
+/// counter is thread-invariant.
+#[test]
+fn fit_manifest_emits_exactly_the_declared_fit_metrics() {
+    let data = SyntheticSpec::new(2_000, 10, 3, 3.0).seed(7).generate();
+    let params = Proclus::new(3, 3.0);
+    let mut counters: Vec<&str> = Counter::ALL
+        .iter()
+        .filter(|c| c.channel() == Channel::Fit)
+        .map(|c| c.name())
+        .collect();
+    counters.sort_unstable();
+    let mut gauges: Vec<&str> = Gauge::ALL
+        .iter()
+        .filter(|g| g.channel() == Channel::Fit)
+        .map(|g| g.name())
+        .collect();
+    gauges.sort_unstable();
+    // The manifest lists its keys by name.
+    let keys =
+        |members: &Members| -> Vec<String> { members.iter().map(|(k, _)| k.clone()).collect() };
+    let mut runs = Vec::new();
+    for threads in [1, 4] {
+        let (_, manifest_counters, manifest_gauges) =
+            traced_fit(&data.points, params.clone(), threads);
+        assert_eq!(keys(&manifest_counters), counters, "threads {threads}");
+        assert_eq!(keys(&manifest_gauges), gauges, "threads {threads}");
+        runs.push(manifest_counters);
+    }
+    assert_eq!(runs[0], runs[1], "a counter moved with the thread count");
 }
 
 /// A recorder that reports itself disabled, as `NoopRecorder` does, but
@@ -234,11 +278,11 @@ impl Recorder for DisabledCounter {
         self.spans.fetch_add(1, Ordering::Relaxed);
     }
 
-    fn counter(&self, _name: &'static str, _delta: u64) {
+    fn counter(&self, _key: Counter, _delta: u64) {
         self.counters_and_gauges.fetch_add(1, Ordering::Relaxed);
     }
 
-    fn gauge(&self, _name: &'static str, _value: f64) {
+    fn gauge(&self, _key: Gauge, _value: f64) {
         self.counters_and_gauges.fetch_add(1, Ordering::Relaxed);
     }
 }

@@ -410,8 +410,8 @@ impl proclus::obs::Recorder for RoundLog {
         }
     }
 
-    fn counter(&self, name: &'static str, delta: u64) {
-        if name == "iterate.revisits" {
+    fn counter(&self, key: proclus::obs::Counter, delta: u64) {
+        if key == proclus::obs::Counter::IterateRevisits {
             self.revisits
                 .fetch_add(delta, std::sync::atomic::Ordering::Relaxed);
         }

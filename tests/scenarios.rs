@@ -15,7 +15,7 @@ use proclus::baselines::{Clarans, KMeans};
 use proclus::core::{GateConfig, StreamConfig, StreamServer};
 use proclus::data::{ChunkReader, DimensionSpec, ScenarioSpec};
 use proclus::eval::checked_agreement;
-use proclus::obs::{Event, RingRecorder};
+use proclus::obs::{Counter, Event, RingRecorder};
 use proclus::prelude::*;
 use std::path::PathBuf;
 
@@ -382,7 +382,7 @@ fn proclus_perf_budgets_hold_on_the_baseline_scenario() {
         "winning restart ran {} rounds",
         model.rounds()
     );
-    let fused = rec.counter_value("cache.fused_slot_hits");
+    let fused = rec.counter_value(Counter::CacheFusedSlotHits.name());
     assert!(fused > 0, "round cache never hit (fused_slot_hits = 0)");
 }
 
